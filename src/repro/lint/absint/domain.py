@@ -29,6 +29,7 @@ interpreter (``tests/test_absint.py``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import FrozenSet, Optional, Sequence, Tuple
 
@@ -137,6 +138,10 @@ class AbsVal:
     # -- lattice operations --------------------------------------------------
 
     def join(self, other: "AbsVal") -> "AbsVal":
+        # Joining a value with an equal one rebuilds it field for field
+        # (min/max keep the first of two equal bounds), so return it.
+        if other is self or other == self:
+            return self
         sp = None
         if self.sp is not None and other.sp is not None:
             sp = (min(self.sp[0], other.sp[0]),
@@ -153,28 +158,28 @@ class AbsVal:
         """Widen ``self`` (the older value) against *newer*.
 
         Growing bounds jump to the nearest enclosing threshold (the
-        program's own immediates ``±1``) so loop counters stabilise on
-        their real bounds instead of racing to ``±inf``.
+        program's own immediates ``±1``, in ascending order) so loop
+        counters stabilise on their real bounds instead of racing to
+        ``±inf``.
         """
         joined = self.join(newer)
+        if joined is self:
+            return self  # nothing grew: no bound to push out
         lo, hi = joined.lo, joined.hi
-        if joined.lo < self.lo:
-            lo = max((t for t in thresholds if t <= joined.lo),
-                     default=NEG_INF)
-        if joined.hi > self.hi:
-            hi = min((t for t in thresholds if t >= joined.hi),
-                     default=POS_INF)
+        if lo < self.lo:
+            lo = _threshold_below(thresholds, lo)
+        if hi > self.hi:
+            hi = _threshold_above(thresholds, hi)
         sp = joined.sp
         if sp is not None and self.sp is not None and sp != self.sp:
             slo, shi = sp
-            if sp[0] < self.sp[0]:
-                slo = max((t for t in thresholds if t <= sp[0]),
-                          default=NEG_INF)
-            if sp[1] > self.sp[1]:
-                shi = min((t for t in thresholds if t >= sp[1]),
-                          default=POS_INF)
+            if slo < self.sp[0]:
+                slo = _threshold_below(thresholds, slo)
+            if shi > self.sp[1]:
+                shi = _threshold_above(thresholds, shi)
             sp = (slo, shi)
-        return replace(joined, lo=lo, hi=hi, sp=sp)
+        return AbsVal(lo, hi, joined.res, joined.maybe_float, sp,
+                      joined.entry_of)
 
     def meet_interval(self, lo: float, hi: float) -> Optional["AbsVal"]:
         """Intersect with ``[lo, hi]``; ``None`` when empty."""
@@ -186,11 +191,23 @@ class AbsVal:
     def drop_tags(self) -> "AbsVal":
         if self.sp is None and self.entry_of is None:
             return self
-        return replace(self, sp=None, entry_of=None)
+        return AbsVal(self.lo, self.hi, self.res, self.maybe_float)
 
 
 TOP = AbsVal()
 _BOOL = AbsVal(0, 1, frozenset({0, 1}), False)
+
+
+def _threshold_below(thresholds: Sequence[float], value: float) -> float:
+    """The largest threshold ``<= value`` (``-inf`` when none is)."""
+    index = bisect_right(thresholds, value)
+    return thresholds[index - 1] if index else NEG_INF
+
+
+def _threshold_above(thresholds: Sequence[float], value: float) -> float:
+    """The smallest threshold ``>= value`` (``+inf`` when none is)."""
+    index = bisect_left(thresholds, value)
+    return thresholds[index] if index < len(thresholds) else POS_INF
 
 
 # -- interval helpers --------------------------------------------------------

@@ -14,7 +14,9 @@ control-flow graph plus a call graph with per-function summaries:
   translated call-site environments, and each function exports a
   :class:`FunctionSummary` (preserved registers, return-value
   environment, stack behaviour).  The caller/callee system iterates to
-  a global fixpoint with bounded rounds.
+  a global fixpoint with bounded rounds; a round re-solves a function
+  only when its entry environment or a direct callee's summary
+  changed since its last solve.
 
 The engine is *honest about its own applicability*: control flow it
 cannot model soundly (indirect calls, cross-function jumps, returns
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Set,
                     Tuple)
 
@@ -37,8 +40,7 @@ from ...isa.opcodes import Kind, Op
 from ...isa.program import Program
 from ..cfg import BasicBlock, ControlFlowGraph
 from ..dataflow import _function_blocks, is_call_like
-from .domain import (ALL_RESIDUES, AbsVal, NEG_INF, POS_INF, TOP,
-                     abstract_evaluate, refine_branch)
+from .domain import AbsVal, TOP, abstract_evaluate, refine_branch
 from .abi import STACK_POINTER
 
 #: Block-entry joins beyond this visit count start widening.
@@ -104,11 +106,24 @@ class AbsState:
         return f"<AbsState {regs}>"
 
 
+def _rebuilds_itself(a: AbsState, b: AbsState) -> bool:
+    """Would joining or widening *a* with *b* rebuild *a* exactly?
+
+    Yes when the two are equal and *a* holds no TOP value: equal
+    values join and widen to the first operand's own fields, and the
+    combined state keeps every non-TOP value (TOP ones are dropped).
+    """
+    if a != b:
+        return False
+    return not any(value.is_top_value
+                   for value in chain(a.regs.values(), a.frame.values()))
+
+
 def join_states(a: Optional[AbsState],
                 b: Optional[AbsState]) -> Optional[AbsState]:
     if a is None:
         return b
-    if b is None:
+    if b is None or _rebuilds_itself(a, b):
         return a
     regs: Dict[int, AbsVal] = {}
     for key in a.regs.keys() | b.regs.keys():
@@ -125,6 +140,8 @@ def join_states(a: Optional[AbsState],
 
 def widen_states(old: AbsState, new: AbsState,
                  thresholds: Tuple[float, ...]) -> AbsState:
+    if _rebuilds_itself(old, new):
+        return old
     regs: Dict[int, AbsVal] = {}
     for key in old.regs.keys() | new.regs.keys():
         value = old.regs.get(key, TOP).widen(new.regs.get(key, TOP),
@@ -166,6 +183,15 @@ class FunctionSummary:
 #: The summary of a callee the engine knows nothing about.
 WORST_SUMMARY = FunctionSummary(preserved=frozenset(), returns={},
                                 may_return=True, may_touch_stack=True)
+
+#: What one per-function solve reads: the entry environment and each
+#: direct callee's summary (``None`` while it has none yet).
+_SolveInputs = Tuple[AbsState, Tuple[Optional[FunctionSummary], ...]]
+#: What it produces: block-entry states, summary, call-site
+#: contributions and return sites.
+_SolveOutcome = Tuple[Dict[int, Optional[AbsState]], FunctionSummary,
+                      List[Tuple[str, AbsState]],
+                      List[Tuple[Instruction, AbsState]]]
 
 
 @dataclass
@@ -263,6 +289,8 @@ class AbstractInterpreter:
         self.thresholds = self._collect_thresholds(program)
         self._summaries: Dict[str, FunctionSummary] = {}
         self._entry_envs: Dict[str, AbsState] = {}
+        #: Function -> (inputs, outcome) of its latest solve.
+        self._solves: Dict[str, Tuple[_SolveInputs, _SolveOutcome]] = {}
         self._result: Optional[AbsintResult] = None
 
     # -- public entry point --------------------------------------------------
@@ -313,11 +341,12 @@ class AbstractInterpreter:
         environment plus the tags that hold at entry by definition."""
         regs: Dict[int, AbsVal] = {}
         for reg in range(1, Register.TOTAL):
-            value = replace(entry_env.reg(reg).drop_tags(), entry_of=reg)
-            if reg == STACK_POINTER:
-                value = replace(value, sp=(0.0, 0.0))
-            if not value.is_top_value:
-                regs[reg] = value
+            value = entry_env.reg(reg)
+            # Every register carries its entry tag, so none is TOP.
+            regs[reg] = AbsVal(value.lo, value.hi, value.res,
+                               value.maybe_float,
+                               (0.0, 0.0) if reg == STACK_POINTER else None,
+                               reg)
         return AbsState(regs, {})
 
     # -- applicability guard -------------------------------------------------
@@ -428,7 +457,27 @@ class AbstractInterpreter:
 
     # -- per-function fixpoint -----------------------------------------------
 
-    def _analyze_function(self, function: str):
+    def _analyze_function(self, function: str) -> _SolveOutcome:
+        """The per-function fixpoint under the current global state.
+
+        A solve reads only two things the global rounds change: the
+        function's entry environment and the summaries of its direct
+        callees (a missing one is the optimistic bottom).  It is
+        deterministic, so while both equal those of the function's
+        last solve that outcome is returned instead of recomputed --
+        which also makes :meth:`_record` after convergence solve-free.
+        """
+        inputs = (self._entry_envs[function],
+                  tuple(self._summaries.get(callee)
+                        for callee in self._direct_callees(function)))
+        last = self._solves.get(function)
+        if last is not None and last[0] == inputs:
+            return last[1]
+        outcome = self._function_fixpoint(function)
+        self._solves[function] = (inputs, outcome)
+        return outcome
+
+    def _function_fixpoint(self, function: str) -> _SolveOutcome:
         root, indices = _function_blocks(self.cfg, function)
         assert root is not None
         seed = self._seed(function, self._entry_envs[function])

@@ -27,7 +27,19 @@ def _mapped_intervals(ctx: LintContext) -> List[Tuple[int, int]]:
     """The program's legally-touchable memory as coalesced half-open
     byte ranges: every declared data word plus any premapped regions
     the harness installs before the program runs."""
-    raw = [(addr, addr + _WORD) for addr in ctx.program.data]
+    # Data images run to hundreds of thousands of mostly contiguous
+    # words: coalesce the sorted addresses into runs first, so only a
+    # handful of ranges meet the regions in the general merge below.
+    raw: List[Tuple[int, int]] = []
+    addrs = sorted(ctx.program.data)
+    if addrs:
+        start = end = addrs[0]
+        for addr in addrs:
+            if addr > end:  # a gap: close the run
+                raw.append((start, end))
+                start = addr
+            end = addr + _WORD  # distinct addresses: the run grows
+        raw.append((start, end))
     raw.extend((int(lo), int(hi)) for lo, hi in ctx.regions if hi > lo)
     raw.sort()
     merged: List[Tuple[int, int]] = []

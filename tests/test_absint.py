@@ -23,11 +23,14 @@ from repro.isa.semantics import evaluate
 from repro.lint import (ABSINT_RULE_IDS, Linter, lint_program,
                         static_cost_report)
 from repro.lint.absint.domain import (TOP, AbsVal, abstract_evaluate)
-from repro.lint.absint.engine import AbstractInterpreter
+from repro.lint.absint.engine import (AbsState, AbstractInterpreter,
+                                     join_states, widen_states)
+from repro.lint.absint.rules import _mapped_intervals
 from repro.lint.cfg import build_cfg
 from repro.lint.context import LintContext
 from repro.lint.rules import DEFAULT_RULES, RULES_BY_ID
 from repro.opt import diff_architectural, optimize_program
+from repro.workloads.suite import build
 
 
 def _ctx(source: str, regions=()) -> LintContext:
@@ -64,6 +67,20 @@ def test_join_contains_both_sides():
 def test_top_contains_everything():
     assert TOP.contains(0) and TOP.contains(-2**63) \
         and TOP.contains(0.25)
+
+
+def test_equal_states_still_drop_top_frame_slots():
+    """Joining or widening a state with an equal one returns it as is,
+    except that a TOP frame slot is dropped like in any other join."""
+    plain = AbsState({5: AbsVal.const(1)}, {8.0: AbsVal.const(2)})
+    assert join_states(plain, AbsState(dict(plain.regs),
+                                       dict(plain.frame))) is plain
+    assert widen_states(plain, plain, (0.0,)) is plain
+    spilled = AbsState({5: AbsVal.const(1)}, {8.0: TOP})
+    for joined in (join_states(spilled, spilled),
+                   widen_states(spilled, spilled, (0.0,))):
+        assert joined.regs == spilled.regs
+        assert joined.frame == {}
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50),
@@ -192,6 +209,77 @@ main:
     assert result.degraded
     assert result.verdicts == {}
     assert result.trip_bounds == {}
+
+
+# -- solve reuse --------------------------------------------------------------
+
+def _count_solves(monkeypatch):
+    """Count uncached per-function solves, in total and inside
+    ``_record`` (the result assembly after the global fixpoint)."""
+    counts = {"solves": 0, "record": 0}
+    solve = AbstractInterpreter._function_fixpoint
+    record = AbstractInterpreter._record
+
+    def counting_solve(self, function):
+        counts["solves"] += 1
+        return solve(self, function)
+
+    def counting_record(self, result):
+        before = counts["solves"]
+        record(self, result)
+        counts["record"] += counts["solves"] - before
+
+    monkeypatch.setattr(AbstractInterpreter, "_function_fixpoint",
+                        counting_solve)
+    monkeypatch.setattr(AbstractInterpreter, "_record", counting_record)
+    return counts
+
+
+CALLING_LOOP = """
+.entry main
+.func main
+main:
+    addi x6, x0, 4
+loop:
+    jal  x1, bump
+    jal  x1, five
+    addi x6, x6, -1
+    bne  x6, x0, loop
+    halt
+
+.func bump
+bump:
+    addi x7, x7, 8
+    jalr x0, x1, 0
+
+.func five
+five:
+    addi x5, x0, 5
+    jalr x0, x1, 0
+"""
+
+
+def test_record_reuses_the_converged_solves(monkeypatch):
+    counts = _count_solves(monkeypatch)
+    result = _absint(CALLING_LOOP)
+    assert not result.degraded
+    assert set(result.summaries) == {"main", "bump", "five"}
+    assert counts["solves"] >= 3
+    assert counts["record"] == 0
+
+
+def test_gcc_solve_count_is_bounded(monkeypatch):
+    """gcc calls its kernels one after another, and each call site only
+    becomes reachable once the callee before it is proven to return,
+    so its global rounds run into their cap.  Solving all eleven
+    functions in every round would take 136 solves; solving only those
+    whose inputs changed takes 38."""
+    workload = build("gcc", 0.05)  # its self-check runs uncounted
+    counts = _count_solves(monkeypatch)
+    program = workload.program
+    AbstractInterpreter(program, build_cfg(program),
+                        workload.premapped).run()
+    assert counts["solves"] <= 45
 
 
 # -- soundness property -------------------------------------------------------
@@ -545,6 +633,34 @@ helper:
 """))
     l017 = [d for d in report.diagnostics if d.rule == "L017"]
     assert len(l017) == 1
+
+
+def _reference_mapped_intervals(data, regions):
+    """The sort-every-word-then-merge formulation of the mapped memory
+    that ``_mapped_intervals`` must reproduce."""
+    raw = [(addr, addr + 8) for addr in data]
+    raw.extend((int(lo), int(hi)) for lo, hi in regions if hi > lo)
+    raw.sort()
+    merged = []
+    for lo, hi in raw:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+@given(st.sets(st.integers(-40, 200), max_size=40),
+       st.lists(st.tuples(st.integers(-60, 260), st.integers(-60, 260)),
+                max_size=6))
+@settings(max_examples=300)
+def test_mapped_intervals_match_the_word_by_word_merge(addrs, regions):
+    """Unaligned, touching and overlapping words, and empty or
+    inverted regions, coalesce exactly as merging every word does."""
+    ctx = _ctx(COUNTED_LOOP, regions=regions)
+    ctx.program.data = {addr: 0.0 for addr in addrs}
+    assert _mapped_intervals(ctx) == \
+        _reference_mapped_intervals(addrs, regions)
 
 
 # -- static cost model -------------------------------------------------------
