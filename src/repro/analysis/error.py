@@ -13,6 +13,11 @@ This contains both error sources the paper describes: *systematic* error
 *unsystematic* error (the sampled cycle does not represent the whole
 interval), the latter shrinking as the sampling frequency rises --
 which is exactly the Figure 11a behaviour.
+
+:func:`profile_error` evaluates the metric over whole profiles: the
+sampled profile, each sample weighted by its interval, against Oracle's
+full profile.  Only the stricter :func:`per_sample_error` reads Oracle's
+watched intervals.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ def profile_error(profiler: SamplingProfiler, oracle: OracleReport,
     samples; policy mistakes add a *systematic* floor that no sampling
     rate removes.
     """
-    key = schedule_key(profiler.schedule)
     total = float(oracle.total_cycles) or sum(oracle.profile.values())
     sampled_time = float(sum(s.interval for s in profiler.samples))
     if total <= 0.0 or sampled_time <= 0.0:

@@ -15,77 +15,74 @@ Figure 3:
   instructions: attribute the cycle to the first instruction that enters
   the ROB after the stall (resolved retroactively).
 
+Attribution is exact.  Oracle counts in integer *units*, ``UNITS`` per
+cycle; ``UNITS`` is lcm(1..15) and a trace record holds at most 15
+commits, so each of ``n`` co-committing instructions gets exactly
+``UNITS // n`` and a run of ``count`` identical cycles is one add of
+``count * UNITS``.  Counts therefore do not depend on the order in which
+cycles, runs, blocks or shards arrive.  Floats appear only in
+:class:`OracleReport`, each the correctly rounded quotient of its count.
+
 Besides the full per-instruction time profile and per-category cycle
 stacks (Figure 7/13), Oracle can *watch* sampling schedules: for each
 sample point it records both the golden attribution of the sampled cycle
-and the golden attribution of the whole interval the sample represents.
-The error metric (Section 4) judges every practical profiler's sample
-against the latter: a sample stands for the entire period since the
-previous sample, so even a profiler that matches Oracle cycle-for-cycle
-retains *unsystematic* error that shrinks as the sampling frequency
-rises.
+and the golden attribution of the whole interval the sample represents
+(the cycles since the previous sample).  The Section 4 error metric
+compares a profiler's sampled profile against Oracle's full profile; the
+per-interval attributions serve the stricter per-sample diagnostic,
+:func:`~repro.analysis.error.per_sample_error`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..cpu.trace import CycleRecord, TraceObserver
 from ..isa.program import Program
 from .samples import Attribution, Category, FlushKind, stall_category
 from .sampling import SampleSchedule
 
-#: OIR flag values (mirrors TIP's 3-bit OIR flags).
-_FLAG_NONE = 0
-_FLAG_MISPREDICT = 1
-_FLAG_FLUSH = 2
-_FLAG_EXCEPTION = 3
+#: One cycle in attribution units: lcm(1..15), so every commit count a
+#: trace record can hold divides it.
+UNITS = 360360
+#: The most commits one trace record can hold (its 4-bit wire count).
+MAX_COMMITS = 15
 
 #: Trace wire-format flag bits (mirrors ``repro.cpu.tracefile``), used
 #: by the vectorized block loop to read optional columns in place.
-_WIRE_EMPTY = 1 << 0
-_WIRE_EXC = 1 << 1
 _WIRE_ORD = 1 << 2
 _WIRE_HEAD = 1 << 4
 #: flags byte -> number of optional u64s per record (wire order).
 _WIRE_NOPT = tuple(bin(f & 0b11010).count("1") for f in range(256))
 
-#: Repeated ``+= 1.0`` equals one ``+= count`` only below 2**53.
-_EXACT_LIMIT = float(1 << 53)
-
 #: Key identifying a sampling schedule: (period, mode, seed).
 ScheduleKey = Tuple[int, str, int]
 
-#: ChunkCarry flush-kind code (KIND_*) -> FlushKind.
-_KIND_TO_FLUSH: Dict[int, Optional[FlushKind]] = {
-    0: None, 1: FlushKind.MISPREDICT, 2: FlushKind.CSR,
-    3: FlushKind.EXCEPTION, 4: FlushKind.ORDERING,
-}
+#: OIR flush kinds, coded like the ``KIND_*`` chunk-carry values of
+#: ``repro.cpu.tracefile`` (mirrored; :meth:`OracleProfiler.begin_shard`
+#: copies a carry's code as is); code 0 means no flush reason.
+_FLUSH_KINDS = (None, FlushKind.MISPREDICT, FlushKind.CSR,
+                FlushKind.EXCEPTION, FlushKind.ORDERING)
+_KIND_MISPREDICT, _KIND_CSR, _KIND_EXCEPTION, _KIND_ORDERING = 1, 2, 3, 4
+#: Commit meta byte ``>> 6`` (mispredicted | flushes << 1) -> OIR kind.
+_META_KIND = (0, _KIND_MISPREDICT, _KIND_CSR, _KIND_MISPREDICT)
+
+#: Unit counts are keyed ``addr << 6 | tag`` with ``tag = category << 3
+#: | flush kind``.  EXECUTION is category 0, so a commit's key is
+#: ``addr << 6``.
+_CATEGORIES = tuple(Category)
+_CAT_CODE = {category: code for code, category in enumerate(_CATEGORIES)}
+_FRONTEND = _CAT_CODE[Category.FRONTEND] << 3
+_MISPREDICT = _CAT_CODE[Category.MISPREDICT] << 3
+_MISC_FLUSH = _CAT_CODE[Category.MISC_FLUSH] << 3
+#: OIR kind -> tag of the flushed cycles it explains.
+_FLUSH_TAG = (None, _MISPREDICT | _KIND_MISPREDICT, _MISC_FLUSH | _KIND_CSR,
+              _MISC_FLUSH | _KIND_EXCEPTION, _MISC_FLUSH | _KIND_ORDERING)
 
 
 def schedule_key(schedule: SampleSchedule) -> ScheduleKey:
     return (schedule.period, schedule.mode, schedule.seed)
-
-
-class _IntervalAccumulator:
-    """Accumulates golden attribution between consecutive sample points."""
-
-    __slots__ = ("schedule", "current", "intervals")
-
-    def __init__(self, schedule: SampleSchedule):
-        self.schedule = schedule
-        self.current: Dict[int, float] = {}
-        #: sample cycle -> (addr -> golden cycles within the interval).
-        self.intervals: Dict[int, Dict[int, float]] = {}
-
-    def add(self, cycle: int, weights: Attribution) -> None:
-        current = self.current
-        for addr, weight in weights:
-            current[addr] = current.get(addr, 0.0) + weight
-        if self.schedule.is_sample(cycle):
-            self.intervals[cycle] = current
-            self.current = {}
 
 
 class OracleReport:
@@ -107,24 +104,6 @@ class OracleReport:
         self.intervals: Dict[ScheduleKey, Dict[int, Dict[int, float]]] = {}
         self.total_cycles = 0
 
-    def add(self, addr: int, weight: float, category: Category,
-            flush_kind: Optional[FlushKind] = None) -> None:
-        self.profile[addr] = self.profile.get(addr, 0.0) + weight
-        key = (addr, category)
-        self.categorized[key] = self.categorized.get(key, 0.0) + weight
-        self.category_totals[category] = \
-            self.category_totals.get(category, 0.0) + weight
-        if flush_kind is not None:
-            self.flush_breakdown[flush_kind] = \
-                self.flush_breakdown.get(flush_kind, 0.0) + weight
-
-    def interval_for(self, key: ScheduleKey,
-                     cycle: int) -> Optional[Dict[int, float]]:
-        per_cycle = self.intervals.get(key)
-        if per_cycle is None:
-            return None
-        return per_cycle.get(cycle)
-
     def normalized_profile(self) -> Dict[int, float]:
         """Profile as fraction of total attributed time."""
         total = sum(self.profile.values())
@@ -133,310 +112,123 @@ class OracleReport:
         return {addr: t / total for addr, t in self.profile.items()}
 
 
-#: Dense small-int codes for the category/flush enums -- the fast path
-#: accumulates against these instead of hashing enum members per weight.
-_CATEGORIES = tuple(Category)
-_CAT_CODE = {category: code for code, category in enumerate(_CATEGORIES)}
-_FLUSH_KINDS = tuple(FlushKind)
-_FLUSH_CODE = {kind: code for code, kind in enumerate(_FLUSH_KINDS)}
-#: Categorized-scratch keys pack ``slot * _CAT_STRIDE + cat_code``.
-_CAT_STRIDE = len(_CATEGORIES)
+class _Watch:
+    """A watched schedule: its open interval and the closed ones."""
 
+    __slots__ = ("schedule", "next", "current", "intervals")
 
-class _FastAccumulator:
-    """Interned, list-backed attribution scratch (block fast path).
+    def __init__(self, schedule: SampleSchedule):
+        self.schedule = schedule
+        #: The schedule's next sample point.
+        self.next = schedule.next_sample
+        #: addr -> units since the previous sample point.
+        self.current: Dict[int, int] = {}
+        #: sample cycle -> (addr -> units within the interval).
+        self.intervals: Dict[int, Dict[int, int]] = {}
 
-    ``report.add`` pays enum hashing, a float box and a ``get`` default
-    per table per weight.  The fast path interns each address (and each
-    ``(addr, category)`` pair, packed as one int) into a slot index
-    once and accumulates into plain float lists, converting back into
-    the report's dict tables in one pass at flush time.  Per-slot
-    accumulation happens in the same cycle order as ``report.add``
-    would apply it and each slot folds into an absent (0.0) dict entry,
-    so flushed totals are bit-identical to the cycle engine's.
-    """
+    def seek(self, cycle: int) -> None:
+        """Skip, without closing, every sample point before *cycle*."""
+        self.schedule.fast_forward(cycle)
+        self.next = self.schedule.next_sample
 
-    __slots__ = ("profile_slot", "profile_addr", "profile_acc",
-                 "cat_slot", "cat_code", "cat_acc", "totals", "flush")
-
-    def __init__(self):
-        self.profile_slot: Dict[int, int] = {}
-        self.profile_addr: List[int] = []
-        self.profile_acc: List[float] = []
-        self.cat_slot: Dict[int, int] = {}
-        self.cat_code: List[int] = []
-        self.cat_acc: List[float] = []
-        self.totals = [0.0] * len(_CATEGORIES)
-        self.flush = [0.0] * len(_FLUSH_KINDS)
-
-    def add(self, addr: int, weight: float, cat_code: int,
-            flush_code: int = -1) -> None:
-        slot = self.profile_slot.get(addr)
-        if slot is None:
-            slot = self.profile_slot[addr] = len(self.profile_acc)
-            self.profile_addr.append(addr)
-            self.profile_acc.append(0.0)
-        self.profile_acc[slot] += weight
-        key = slot * _CAT_STRIDE + cat_code
-        cslot = self.cat_slot.get(key)
-        if cslot is None:
-            cslot = self.cat_slot[key] = len(self.cat_acc)
-            self.cat_code.append(key)
-            self.cat_acc.append(0.0)
-        self.cat_acc[cslot] += weight
-        self.totals[cat_code] += weight
-        if flush_code >= 0:
-            self.flush[flush_code] += weight
-
-    def add_run(self, addr: int, count: int, cat_code: int,
-                flush_code: int = -1) -> None:
-        """Accumulate *count* unit weights in one step when provably
-        exact.
-
-        A batched ``+= count`` is bit-identical to *count* repeated
-        ``+= 1.0`` exactly when every touched cell holds an integral
-        float and the result stays below 2**53 (integers are closed
-        under float addition in that range).  A cell can be fractional
-        when its address also collected ``1/n`` EXECUTION shares; the
-        run then falls back to the per-unit loop.
-        """
-        slot = self.profile_slot.get(addr)
-        if slot is None:
-            slot = self.profile_slot[addr] = len(self.profile_acc)
-            self.profile_addr.append(addr)
-            self.profile_acc.append(0.0)
-        key = slot * _CAT_STRIDE + cat_code
-        cslot = self.cat_slot.get(key)
-        if cslot is None:
-            cslot = self.cat_slot[key] = len(self.cat_acc)
-            self.cat_code.append(key)
-            self.cat_acc.append(0.0)
-        p = self.profile_acc[slot]
-        c = self.cat_acc[cslot]
-        t = self.totals[cat_code]
-        f = self.flush[flush_code] if flush_code >= 0 else 0.0
-        limit = _EXACT_LIMIT - count
-        if p.is_integer() and c.is_integer() and t.is_integer() \
-                and f.is_integer() and p <= limit and c <= limit \
-                and t <= limit and f <= limit:
-            fcount = float(count)
-            self.profile_acc[slot] = p + fcount
-            self.cat_acc[cslot] = c + fcount
-            self.totals[cat_code] = t + fcount
-            if flush_code >= 0:
-                self.flush[flush_code] = f + fcount
-            return
-        add = self.add
-        for _ in range(count):
-            add(addr, 1.0, cat_code, flush_code)
-
-    def flush_into(self, report: "OracleReport") -> None:
-        """Fold the scratch into *report* and zero it for reuse."""
-        profile = report.profile
-        addrs = self.profile_addr
-        acc = self.profile_acc
-        for slot, addr in enumerate(addrs):
-            profile[addr] = profile.get(addr, 0.0) + acc[slot]
-            acc[slot] = 0.0
-        categorized = report.categorized
-        cat_acc = self.cat_acc
-        for cslot, packed in enumerate(self.cat_code):
-            key = (addrs[packed // _CAT_STRIDE],
-                   _CATEGORIES[packed % _CAT_STRIDE])
-            categorized[key] = categorized.get(key, 0.0) + cat_acc[cslot]
-            cat_acc[cslot] = 0.0
-        totals = report.category_totals
-        for code, value in enumerate(self.totals):
-            if value:
-                category = _CATEGORIES[code]
-                totals[category] = totals.get(category, 0.0) + value
-                self.totals[code] = 0.0
-        breakdown = report.flush_breakdown
-        for code, value in enumerate(self.flush):
-            if value:
-                kind = _FLUSH_KINDS[code]
-                breakdown[kind] = breakdown.get(kind, 0.0) + value
-                self.flush[code] = 0.0
+    def close(self) -> None:
+        """End the open interval at the sample point ``next``."""
+        self.intervals[self.next] = self.current
+        self.current = {}
+        self.seek(self.next + 1)
 
 
 class OracleProfiler(TraceObserver):
     """Cycle-exact time-proportional attribution over the commit trace.
 
-    Attribution is emitted strictly in cycle order (front-end drains delay
-    emission until the drain resolves, but nothing can be attributed in
-    between), which lets the interval accumulators see a clean stream.
+    Attribution follows the trace in cycle order (front-end drains are
+    held back until the drain resolves, but nothing can be attributed in
+    between), so each watched schedule meets its sample points in order.
+    The report is filled once, by :meth:`on_finish` or :meth:`absorb`.
     """
 
     def __init__(self, program: Program,
-                 watch_cycles: Optional[Iterable[int]] = None,
                  watch_schedules: Optional[List[SampleSchedule]] = None):
         self.program = program
         self.report = OracleReport()
-        self._watch = set(watch_cycles or ())
-        self._watch_markers = []  # schedules marking per-cycle watches
-        self._accumulators: List[_IntervalAccumulator] = []
-        for schedule in watch_schedules or ():
-            self._watch_markers.append(schedule.clone())
-            accumulator = _IntervalAccumulator(schedule.clone())
-            self._accumulators.append(accumulator)
-            self.report.intervals[schedule_key(schedule)] = \
-                accumulator.intervals
-        # OIR mirror: address + flags of the most recent committing or
-        # excepting instruction.
+        #: ``addr << 6 | tag`` -> attributed units.
+        self._units: Dict[int, int] = {}
+        self._watches = [_Watch(schedule.clone())
+                         for schedule in watch_schedules or ()]
+        self._watched: Dict[int, Tuple[Attribution, Category]] = {}
+        # OIR mirror: address and flush kind of the most recent
+        # committing or excepting instruction.
         self._oir_addr: Optional[int] = None
-        self._oir_flag = _FLAG_NONE
-        self._oir_kind: Optional[FlushKind] = None
-        # Cycles waiting for the end of a front-end drain.
-        self._pending_drain: List[int] = []
-        # The block fast path bypasses watch bookkeeping entirely, so
-        # it is only safe when no watches were requested.
-        self._fast: Optional[_FastAccumulator] = None
-        if not self._watch and not self._accumulators:
-            self._fast = _FastAccumulator()
-        # addr -> category code, memoizing stall_category lookups.
-        self._stall_codes: Dict[int, int] = {}
-        # addr -> Category, the watch-mode twin of ``_stall_codes``.
-        self._stall_cats: Dict[int, Category] = {}
+        self._oir_kind = 0
+        # [start, count] runs of cycles waiting for the end of a
+        # front-end drain.
+        self._pending: List[List[int]] = []
+        # addr -> tag of a head-of-ROB stall on it.
+        self._stall_tags: Dict[int, int] = {}
 
     # -- trace consumption ---------------------------------------------------------
 
     def on_cycle(self, record: CycleRecord) -> None:
         cycle = record.cycle
-        for marker in self._watch_markers:
-            if marker.is_sample(cycle):
-                self._watch.add(cycle)
-
         # A drain ends when the first instruction enters the ROB.
-        if self._pending_drain and record.dispatched:
+        if self._pending and record.dispatched:
             self._resolve_drain(record.dispatched[0])
 
         if record.exception is not None:
             # The core is about to trigger an exception: the empty-ROB
             # cycles that follow belong to the excepting instruction.
             self._oir_addr = record.exception
-            self._oir_flag = _FLAG_EXCEPTION
-            self._oir_kind = (FlushKind.ORDERING
-                              if record.exception_is_ordering
-                              else FlushKind.EXCEPTION)
-            self._emit(cycle, [(record.exception, 1.0)],
-                       Category.MISC_FLUSH, self._oir_kind)
+            self._oir_kind = (_KIND_ORDERING if record.exception_is_ordering
+                              else _KIND_EXCEPTION)
+            self._credit(cycle, 1, record.exception,
+                         _FLUSH_TAG[self._oir_kind])
             return
 
         if record.committed:
-            share = 1.0 / len(record.committed)
-            weights = [(c.addr, share) for c in record.committed]
-            self._emit(cycle, weights, Category.EXECUTION)
+            self._commit(cycle, [c.addr for c in record.committed])
             youngest = record.committed[-1]
             self._oir_addr = youngest.addr
-            if youngest.mispredicted:
-                self._oir_flag = _FLAG_MISPREDICT
-                self._oir_kind = FlushKind.MISPREDICT
-            elif youngest.flushes:
-                self._oir_flag = _FLAG_FLUSH
-                self._oir_kind = FlushKind.CSR
-            else:
-                self._oir_flag = _FLAG_NONE
-                self._oir_kind = None
+            self._oir_kind = (_KIND_MISPREDICT if youngest.mispredicted
+                              else _KIND_CSR if youngest.flushes else 0)
             return
 
         if not record.rob_empty:
-            category = stall_category(self.program, record.rob_head)
-            self._emit(cycle, [(record.rob_head, 1.0)], category)
+            self._credit(cycle, 1, record.rob_head,
+                         self._stall_tag(record.rob_head))
             return
-
-        # Empty ROB: flushed if the OIR carries a flush reason, else a
-        # front-end drain resolved at the next dispatch.
-        if self._oir_flag == _FLAG_MISPREDICT:
-            self._emit(cycle, [(self._oir_addr, 1.0)],
-                       Category.MISPREDICT, self._oir_kind)
-        elif self._oir_flag in (_FLAG_FLUSH, _FLAG_EXCEPTION):
-            self._emit(cycle, [(self._oir_addr, 1.0)],
-                       Category.MISC_FLUSH, self._oir_kind)
-        else:
-            self._pending_drain.append(cycle)
+        self._empty(cycle, 1)
 
     def on_stall_run(self, record: CycleRecord, count: int) -> None:
-        """Batched attribution of *count* identical stall cycles.
+        """Attribute *count* identical stall cycles in one credit.
 
         The classification of a stall record (constant head-of-ROB
         stall, flush penalty, or front-end drain) cannot change within
         the run -- the OIR mirror only moves on commits and exceptions,
-        which a stall record has none of -- so it is computed once.
-        Weights still accumulate cycle by cycle in run order, keeping
-        floating-point results bit-identical to single-stepping.
+        which a stall record has none of.
         """
         if record.committed or record.exception is not None \
                 or record.dispatched:
             # Not a pure stall record; take the per-cycle default.
             TraceObserver.on_stall_run(self, record, count)
             return
-        cycle = record.cycle
-        fast = self._fast
-        if not record.rob_empty:
-            head = record.rob_head
-            if fast is not None:
-                code = self._stall_codes.get(head)
-                if code is None:
-                    code = _CAT_CODE[stall_category(self.program, head)]
-                    self._stall_codes[head] = code
-                fast.add_run(head, count, code)
-                return
-            category = stall_category(self.program, head)
-            weights = [(head, 1.0)]
-            for offset in range(count):
-                c = cycle + offset
-                self._advance_watch(c)
-                self._emit(c, weights, category)
-            return
-
-        if self._oir_flag == _FLAG_MISPREDICT:
-            category = Category.MISPREDICT
-        elif self._oir_flag in (_FLAG_FLUSH, _FLAG_EXCEPTION):
-            category = Category.MISC_FLUSH
+        if record.rob_empty:
+            self._empty(record.cycle, count)
         else:
-            # Front-end drain: park every cycle of the run until the
-            # next dispatch resolves it.
-            if fast is None:
-                for offset in range(count):
-                    self._advance_watch(cycle + offset)
-            self._pending_drain.extend(range(cycle, cycle + count))
-            return
-        addr = self._oir_addr
-        kind = self._oir_kind
-        if fast is not None:
-            fast.add_run(addr, count, _CAT_CODE[category],
-                         _FLUSH_CODE[kind])
-            return
-        weights = [(addr, 1.0)]
-        for offset in range(count):
-            c = cycle + offset
-            self._advance_watch(c)
-            self._emit(c, weights, category, kind)
-
-    def _advance_watch(self, cycle: int) -> None:
-        for marker in self._watch_markers:
-            if marker.is_sample(cycle):
-                self._watch.add(cycle)
+            self._credit(record.cycle, count, record.rob_head,
+                         self._stall_tag(record.rob_head))
 
     def on_block(self, block) -> None:
-        """Vectorized columnar attribution (the fast, watch-free path).
+        """Vectorized columnar attribution.
 
-        Instead of classifying every record, the loop classifies *runs*:
-        a maximal span of commit-less, exception-free records with a
-        uniform empty bit is located by C-speed ``find`` scans over the
-        flag masks and one ``bisect`` over the commit prefix sums, then
-        attributed with a single batched :meth:`_FastAccumulator.
-        add_run`.  Runs are additionally cut at the next dispatching
-        record whenever that dispatch would resolve a pending front-end
-        drain (so emission order -- and therefore floating-point
-        summation order -- matches the cycle engine exactly).
+        Commit records are attributed inline.  Every other record starts
+        a *run*: a maximal span of commit-less, exception-free records
+        with a uniform empty bit, located by C-speed ``find`` scans over
+        the flag masks and one ``bisect`` over the commit prefix sums,
+        then attributed with a single :meth:`_credit`.  A run is also
+        cut at the next dispatching record whenever that dispatch would
+        resolve a pending front-end drain, so cycles are attributed in
+        the same order as by :meth:`on_cycle`.
         """
-        if self._fast is None:
-            self._on_block_watch(block)
-            return
-        fast = self._fast
-        add = fast.add
-        add_run = fast.add_run
         start = block.start_cycle
         n = block.n
         cb = block.commit_base
@@ -449,46 +241,50 @@ class OracleProfiler(TraceObserver):
         rob_empty = block.rob_empty
         opt_vals = block.opt_vals
         opt_base = block.opt_base
-        program = self.program
-        stall_codes = self._stall_codes
-        pending = self._pending_drain
-        execution = _CAT_CODE[Category.EXECUTION]
-        mispredict = _CAT_CODE[Category.MISPREDICT]
-        misc_flush = _CAT_CODE[Category.MISC_FLUSH]
-        flush_code = _FLUSH_CODE
+        units = self._units
+        get = units.get
+        watches = self._watches
+        pending = self._pending
+        credit = self._credit
+        stall_tag = self._stall_tag
+        oir_addr = self._oir_addr
+        oir_kind = self._oir_kind
         i = 0
         while i < n:
             if pending and db[i + 1] > db[i]:
                 self._resolve_drain(da[db[i]])
             if exc_mask[i]:
                 f = flags_b[i]
-                exc = opt_vals[opt_base[i] + ((f >> 4) & 1)]
-                self._oir_addr = exc
-                self._oir_flag = _FLAG_EXCEPTION
-                self._oir_kind = (FlushKind.ORDERING if f & _WIRE_ORD
-                                  else FlushKind.EXCEPTION)
-                add(exc, 1.0, misc_flush, flush_code[self._oir_kind])
+                oir_addr = opt_vals[opt_base[i] + ((f >> 4) & 1)]
+                oir_kind = (_KIND_ORDERING if f & _WIRE_ORD
+                            else _KIND_EXCEPTION)
+                credit(start + i, 1, oir_addr, _FLUSH_TAG[oir_kind])
                 i += 1
                 continue
             lo, hi = cb[i], cb[i + 1]
             if hi > lo:
+                # :meth:`_commit`, inlined over the commit columns.
                 if hi - lo == 1:
-                    add(ca[lo], 1.0, execution)
+                    share = UNITS
+                    key = ca[lo] << 6
+                    units[key] = get(key, 0) + UNITS
                 else:
-                    share = 1.0 / (hi - lo)
+                    share = _share(start + i, hi - lo)
                     for k in range(lo, hi):
-                        add(ca[k], share, execution)
-                self._oir_addr = ca[hi - 1]
-                meta = cm[hi - 1]
-                if meta & 0x40:
-                    self._oir_flag = _FLAG_MISPREDICT
-                    self._oir_kind = FlushKind.MISPREDICT
-                elif meta & 0x80:
-                    self._oir_flag = _FLAG_FLUSH
-                    self._oir_kind = FlushKind.CSR
-                else:
-                    self._oir_flag = _FLAG_NONE
-                    self._oir_kind = None
+                        key = ca[k] << 6
+                        units[key] = get(key, 0) + share
+                for watch in watches:
+                    current = watch.current
+                    for k in range(lo, hi):
+                        addr = ca[k]
+                        current[addr] = current.get(addr, 0) + share
+                    if watch.next <= start + i:
+                        self._sample(watch, start + i,
+                                     [(ca[k], share / UNITS)
+                                      for k in range(lo, hi)],
+                                     Category.EXECUTION)
+                oir_addr = ca[hi - 1]
+                oir_kind = _META_KIND[cm[hi - 1] >> 6]
                 i += 1
                 continue
             # Record i commits nothing and has no exception: find the
@@ -504,186 +300,84 @@ class OracleProfiler(TraceObserver):
             q = bisect_right(cb, lo, i + 1, t + 1)
             if q <= t:
                 t = q - 1  # record q-1 is the first committing record
-            if not empty:
-                # Head-of-ROB stall run.
-                if pending:
-                    d = bisect_right(db, db[i + 1], i + 2, t + 1)
-                    if d <= t:
-                        t = d - 1
-                run = t - i
-                f = flags_b[i]
-                uniform = run == 1 or flags_b.count(f, i, t) == run
-                if uniform and f & _WIRE_HEAD:
-                    step = _WIRE_NOPT[f]
-                    base0 = opt_base[i]
-                    head = opt_vals[base0]
-                    if run > 1:
-                        hv = opt_vals[base0:base0 + step * run:step]
-                        uniform = len(hv) == run and hv[:run - 1] == hv[1:]
-                elif uniform:
-                    head = None
-                if uniform:
-                    code = stall_codes.get(head)
-                    if code is None:
-                        code = _CAT_CODE[stall_category(program, head)]
-                        stall_codes[head] = code
-                    add_run(head, run, code)
-                else:
-                    # Mixed flags or heads inside the span: classify
-                    # record by record, exactly like the cycle engine.
-                    rob_head_at = block.rob_head_at
-                    for j in range(i, t):
-                        head = rob_head_at(j)
-                        code = stall_codes.get(head)
-                        if code is None:
-                            code = _CAT_CODE[stall_category(program,
-                                                            head)]
-                            stall_codes[head] = code
-                        add(head, 1.0, code)
-                i = t
-                continue
-            if self._oir_flag == _FLAG_MISPREDICT:
-                if pending:
-                    d = bisect_right(db, db[i + 1], i + 2, t + 1)
-                    if d <= t:
-                        t = d - 1
-                add_run(self._oir_addr, t - i, mispredict,
-                        flush_code[self._oir_kind])
-            elif self._oir_flag in (_FLAG_FLUSH, _FLAG_EXCEPTION):
-                if pending:
-                    d = bisect_right(db, db[i + 1], i + 2, t + 1)
-                    if d <= t:
-                        t = d - 1
-                add_run(self._oir_addr, t - i, misc_flush,
-                        flush_code[self._oir_kind])
-            else:
-                # Front-end drain: park the run; any dispatch inside
-                # the span must resolve it, so cut there.
+            if pending or (empty and not oir_kind):
+                # A drain is (or is about to be) pending: its resolving
+                # dispatch must not be swallowed by the run.
                 d = bisect_right(db, db[i + 1], i + 2, t + 1)
                 if d <= t:
                     t = d - 1
-                pending.extend(range(start + i, start + t))
-            i = t
-
-    def _on_block_watch(self, block) -> None:
-        """Watch-mode columnar replay: per-cycle :meth:`on_cycle`
-        semantics (schedule advancement, interval accumulation, watched
-        attributions) straight off the block's columns, without
-        materializing ``CycleRecord`` objects."""
-        start = block.start_cycle
-        commit_base = block.commit_base
-        commit_addr = block.commit_addr
-        commit_meta = block.commit_meta
-        disp_base = block.disp_base
-        disp_addr = block.disp_addr
-        exceptions = block.exception
-        exc_ordering = block.exc_ordering
-        rob_empty = block.rob_empty
-        rob_head = block.rob_head
-        program = self.program
-        stall_cats = self._stall_cats
-        markers = self._watch_markers
-        watch = self._watch
-        emit = self._emit
-        for i in range(block.n):
-            cycle = start + i
-            for marker in markers:
-                if marker.is_sample(cycle):
-                    watch.add(cycle)
-            if self._pending_drain and disp_base[i + 1] > disp_base[i]:
-                self._resolve_drain(disp_addr[disp_base[i]])
-            exc = exceptions[i]
-            if exc is not None:
-                self._oir_addr = exc
-                self._oir_flag = _FLAG_EXCEPTION
-                self._oir_kind = (FlushKind.ORDERING if exc_ordering[i]
-                                  else FlushKind.EXCEPTION)
-                emit(cycle, [(exc, 1.0)], Category.MISC_FLUSH,
-                     self._oir_kind)
-                continue
-            lo, hi = commit_base[i], commit_base[i + 1]
-            if hi > lo:
-                share = 1.0 / (hi - lo)
-                emit(cycle, [(commit_addr[k], share)
-                             for k in range(lo, hi)],
-                     Category.EXECUTION)
-                self._oir_addr = commit_addr[hi - 1]
-                meta = commit_meta[hi - 1]
-                if meta & 0x40:
-                    self._oir_flag = _FLAG_MISPREDICT
-                    self._oir_kind = FlushKind.MISPREDICT
-                elif meta & 0x80:
-                    self._oir_flag = _FLAG_FLUSH
-                    self._oir_kind = FlushKind.CSR
+            run = t - i
+            if empty:
+                if oir_kind:
+                    credit(start + i, run, oir_addr, _FLUSH_TAG[oir_kind])
                 else:
-                    self._oir_flag = _FLAG_NONE
-                    self._oir_kind = None
+                    self._park(start + i, run)
+                i = t
                 continue
-            if not rob_empty[i]:
-                head = rob_head[i]
-                category = stall_cats.get(head)
-                if category is None:
-                    category = stall_category(program, head)
-                    stall_cats[head] = category
-                emit(cycle, [(head, 1.0)], category)
-                continue
-            if self._oir_flag == _FLAG_MISPREDICT:
-                emit(cycle, [(self._oir_addr, 1.0)],
-                     Category.MISPREDICT, self._oir_kind)
-            elif self._oir_flag in (_FLAG_FLUSH, _FLAG_EXCEPTION):
-                emit(cycle, [(self._oir_addr, 1.0)],
-                     Category.MISC_FLUSH, self._oir_kind)
-            else:
-                self._pending_drain.append(cycle)
+            # Head-of-ROB stall run.  With uniform flags every head sits
+            # at the same stride, so one slice compare proves them equal.
+            f = flags_b[i]
+            if f & _WIRE_HEAD and (run == 1
+                                   or flags_b.count(f, i, t) == run):
+                step = _WIRE_NOPT[f]
+                base = opt_base[i]
+                heads = opt_vals[base:base + step * run:step]
+                if run == 1 or heads[:run - 1] == heads[1:]:
+                    credit(start + i, run, heads[0], stall_tag(heads[0]))
+                    i = t
+                    continue
+            # Mixed flags or heads: one credit per stretch of records
+            # naming the same head.
+            while i < t:
+                head = block.rob_head_at(i)
+                j = i + 1
+                while j < t and block.rob_head_at(j) == head:
+                    j += 1
+                credit(start + i, j - i, head, stall_tag(head))
+                i = j
+        self._oir_addr = oir_addr
+        self._oir_kind = oir_kind
 
     def on_finish(self, final_cycle: int) -> None:
         # Any unresolved drain at the end of the run has no successor
         # instruction; those cycles are dropped (they cannot occur after
         # the final halt commits, so this only covers truncated runs).
-        self._pending_drain.clear()
-        if self._fast is not None:
-            self._fast.flush_into(self.report)
+        self._pending.clear()
+        _fill_report(self.report, self._units, self._watched,
+                     {schedule_key(watch.schedule): watch.intervals
+                      for watch in self._watches})
         self.report.total_cycles = final_cycle
 
     # -- sharded replay (snapshot/merge protocol) ------------------------------------
 
     def begin_shard(self, start_cycle: int, carry) -> None:
         """Resume attribution mid-stream from carried chunk state."""
-        for marker in self._watch_markers:
-            marker.fast_forward(start_cycle)
-        for accumulator in self._accumulators:
-            accumulator.schedule.fast_forward(start_cycle)
+        for watch in self._watches:
+            watch.seek(start_cycle)
         self._oir_addr = carry.oir_addr
-        self._oir_flag = carry.oir_flag
-        self._oir_kind = _KIND_TO_FLUSH[carry.oir_kind]
+        self._oir_kind = carry.oir_kind
 
     def shard_settled(self) -> bool:
-        return not self._pending_drain
+        return not self._pending
 
     def resolve_only(self, record: CycleRecord) -> bool:
         """Run-over mode: resolve a trailing front-end drain only."""
-        if self._pending_drain and record.dispatched:
+        if self._pending and record.dispatched:
             self._resolve_drain(record.dispatched[0])
-        return not self._pending_drain
+        return not self._pending
 
     def snapshot(self) -> dict:
-        """Picklable capture of everything this shard attributed."""
-        if self._fast is not None:
-            self._fast.flush_into(self.report)
-        report = self.report
+        """Picklable capture, in units, of everything this shard
+        attributed."""
         return {
-            "profile": dict(report.profile),
-            "categorized": dict(report.categorized),
-            "category_totals": dict(report.category_totals),
-            "flush_breakdown": dict(report.flush_breakdown),
-            "watched": dict(report.watched),
-            "intervals": {key: {cycle: dict(weights)
-                                for cycle, weights in per_cycle.items()}
-                          for key, per_cycle in report.intervals.items()},
+            "units": self._units,
+            "watched": self._watched,
+            "intervals": {schedule_key(watch.schedule): watch.intervals
+                          for watch in self._watches},
             # Partial interval accumulation past the last sample point,
             # folded into the successor shard's first interval on merge.
-            "residuals": {schedule_key(acc.schedule): dict(acc.current)
-                          for acc in self._accumulators},
+            "residuals": {schedule_key(watch.schedule): watch.current
+                          for watch in self._watches},
         }
 
     def absorb(self, snapshots: Iterable[dict],
@@ -691,87 +385,169 @@ class OracleProfiler(TraceObserver):
         """Merge-side leg of the shard protocol: fill this (fresh)
         profiler's report from ordered shard snapshots."""
         self.report = merge_oracle_snapshots(snapshots, total_cycles)
-        self._fast = None  # the report is final; don't re-flush scratch
 
     # -- internals -------------------------------------------------------------------
 
+    def _commit(self, cycle: int, addrs: List[int]) -> None:
+        """Attribute a commit cycle: ``UNITS // n`` to each of its *n*
+        addresses.  :meth:`on_block` inlines this."""
+        share = _share(cycle, len(addrs))
+        units = self._units
+        for addr in addrs:
+            key = addr << 6
+            units[key] = units.get(key, 0) + share
+        for watch in self._watches:
+            current = watch.current
+            for addr in addrs:
+                current[addr] = current.get(addr, 0) + share
+            if watch.next <= cycle:
+                self._sample(watch, cycle,
+                             [(addr, share / UNITS) for addr in addrs],
+                             Category.EXECUTION)
+
+    def _credit(self, cycle: int, count: int, addr: int, tag: int) -> None:
+        """Attribute the *count* whole cycles from *cycle* on to
+        *addr*; each watch splits them at its sample points."""
+        key = addr << 6 | tag
+        units = self._units
+        units[key] = units.get(key, 0) + count * UNITS
+        end = cycle + count
+        for watch in self._watches:
+            first = cycle
+            if watch.next < first:
+                watch.seek(first)
+            while watch.next < end:
+                sample = watch.next
+                current = watch.current
+                current[addr] = (current.get(addr, 0)
+                                 + (sample + 1 - first) * UNITS)
+                self._watched[sample] = ([(addr, 1.0)],
+                                         _CATEGORIES[tag >> 3])
+                watch.close()
+                first = sample + 1
+            if first < end:
+                current = watch.current
+                current[addr] = current.get(addr, 0) + (end - first) * UNITS
+
+    def _sample(self, watch: _Watch, cycle: int, weights: Attribution,
+                category: Category) -> None:
+        """Close *watch*'s interval if *cycle*, just attributed, is its
+        sample point."""
+        if watch.next < cycle:
+            watch.seek(cycle)
+        if watch.next == cycle:
+            self._watched[cycle] = (weights, category)
+            watch.close()
+
+    def _empty(self, cycle: int, count: int) -> None:
+        """Empty-ROB cycles: flushed if the OIR carries a flush reason,
+        else a front-end drain resolved at the next dispatch."""
+        if self._oir_kind:
+            self._credit(cycle, count, self._oir_addr,
+                         _FLUSH_TAG[self._oir_kind])
+        else:
+            self._park(cycle, count)
+
+    def _park(self, cycle: int, count: int) -> None:
+        pending = self._pending
+        if pending and pending[-1][0] + pending[-1][1] == cycle:
+            pending[-1][1] += count
+        else:
+            pending.append([cycle, count])
+
     def _resolve_drain(self, addr: int) -> None:
-        # Cleared in place: the block fast path holds an alias.
-        pending = self._pending_drain
-        if self._fast is not None:
-            self._fast.add_run(addr, len(pending),
-                               _CAT_CODE[Category.FRONTEND])
-            pending.clear()
-            return
-        cycles = list(pending)
-        pending.clear()
-        for cycle in cycles:
-            self._emit(cycle, [(addr, 1.0)], Category.FRONTEND)
+        # Cleared in place: the block loop holds an alias.
+        for cycle, count in self._pending:
+            self._credit(cycle, count, addr, _FRONTEND)
+        self._pending.clear()
 
-    def _emit(self, cycle: int, weights: Attribution,
-              category: Category,
-              flush_kind: Optional[FlushKind] = None) -> None:
-        if self._fast is not None:
-            # No watches are active; route through the scratch so a run
-            # that mixes engines (block shard body + record run-over)
-            # keeps one accumulation order.
-            cat_code = _CAT_CODE[category]
-            flush_code = -1 if flush_kind is None \
-                else _FLUSH_CODE[flush_kind]
-            for addr, weight in weights:
-                self._fast.add(addr, weight, cat_code, flush_code)
-            return
-        for addr, weight in weights:
-            self.report.add(addr, weight, category, flush_kind)
-        if cycle in self._watch:
-            self.report.watched[cycle] = (weights, category)
-        for accumulator in self._accumulators:
-            accumulator.add(cycle, weights)
+    def _stall_tag(self, head: int) -> int:
+        tag = self._stall_tags.get(head)
+        if tag is None:
+            tag = _CAT_CODE[stall_category(self.program, head)] << 3
+            self._stall_tags[head] = tag
+        return tag
 
 
-def _merge_into(target: Dict, source: Dict) -> None:
-    for key, value in source.items():
-        target[key] = target.get(key, 0.0) + value
+def _share(cycle: int, commits: int) -> int:
+    """Units each of *commits* co-committing instructions gets."""
+    if commits > MAX_COMMITS:
+        raise ValueError(
+            f"cycle {cycle} commits {commits} instructions; a trace "
+            f"record holds at most {MAX_COMMITS}")
+    return UNITS // commits
+
+
+def _add_into(target: Dict[int, int], source: Dict[int, int]) -> None:
+    for key, count in source.items():
+        target[key] = target.get(key, 0) + count
+
+
+def _to_cycles(counts: Dict) -> Dict:
+    """Convert unit counts to cycles, in place, correctly rounded."""
+    for key, count in counts.items():
+        counts[key] = count / UNITS
+    return counts
+
+
+def _fill_report(report: OracleReport, units: Dict[int, int],
+                 watched: Dict[int, Tuple[Attribution, Category]],
+                 intervals: Dict[ScheduleKey, Dict[int, Dict[int, int]]]
+                 ) -> None:
+    """Fill *report*'s tables from unit counts.  The interval counts are
+    converted in place, so no second copy of them is ever alive."""
+    profile: Dict[int, int] = {}
+    categorized: Dict[Tuple[int, Category], int] = {}
+    totals: Dict[Category, int] = {}
+    breakdown: Dict[FlushKind, int] = {}
+    for key, count in units.items():
+        addr = key >> 6
+        category = _CATEGORIES[key >> 3 & 7]
+        profile[addr] = profile.get(addr, 0) + count
+        pair = (addr, category)
+        categorized[pair] = categorized.get(pair, 0) + count
+        totals[category] = totals.get(category, 0) + count
+        kind = _FLUSH_KINDS[key & 7]
+        if kind is not None:
+            breakdown[kind] = breakdown.get(kind, 0) + count
+    report.profile = _to_cycles(profile)
+    report.categorized = _to_cycles(categorized)
+    report.category_totals = _to_cycles(totals)
+    report.flush_breakdown = _to_cycles(breakdown)
+    report.watched = watched
+    for per_cycle in intervals.values():
+        for counts in per_cycle.values():
+            _to_cycles(counts)
+    report.intervals = intervals
 
 
 def merge_oracle_snapshots(snapshots: Iterable[dict],
                            total_cycles: int) -> OracleReport:
     """Combine ordered shard snapshots into one :class:`OracleReport`.
 
-    Every cycle is attributed in exactly one shard, so profile,
-    category and watch data merge by summation/union.  Interval
-    accumulations that span a shard boundary are stitched: a shard's
-    *residual* (attribution past its last sample point) is folded into
-    the successor's first interval.  Values match a serial replay up to
-    floating-point summation order.
+    Every cycle is attributed in exactly one shard, so unit counts add
+    and watched cycles union.  Interval accumulations that span a shard
+    boundary are stitched: a shard's *residual* (attribution past its
+    last sample point) is folded into the successor's first interval.
+    Counts are integers, so the merge equals a serial replay exactly.
     """
-    report = OracleReport()
-    snapshots = list(snapshots)
+    units: Dict[int, int] = {}
+    watched: Dict[int, Tuple[Attribution, Category]] = {}
+    intervals: Dict[ScheduleKey, Dict[int, Dict[int, int]]] = {}
+    carries: Dict[ScheduleKey, Dict[int, int]] = {}
     for snap in snapshots:
-        _merge_into(report.profile, snap["profile"])
-        _merge_into(report.categorized, snap["categorized"])
-        _merge_into(report.category_totals, snap["category_totals"])
-        _merge_into(report.flush_breakdown, snap["flush_breakdown"])
-        report.watched.update(snap["watched"])
-
-    keys = {key for snap in snapshots for key in snap["intervals"]}
-    for key in keys:
-        merged: Dict[int, Dict[int, float]] = {}
-        carry: Dict[int, float] = {}
-        for snap in snapshots:
-            per_cycle = snap["intervals"].get(key, {})
-            items = sorted(per_cycle.items())
-            for position, (cycle, weights) in enumerate(items):
-                interval = dict(weights)
-                if position == 0 and carry:
-                    _merge_into(interval, carry)
-                    carry = {}
-                merged[cycle] = interval
-            residual = snap["residuals"].get(key, {})
-            if items:
-                carry = dict(residual)
-            else:
-                _merge_into(carry, residual)
-        report.intervals[key] = merged
+        _add_into(units, snap["units"])
+        watched.update(snap["watched"])
+        for key, per_cycle in snap["intervals"].items():
+            merged = intervals.setdefault(key, {})
+            carry = carries.get(key, {})
+            for cycle, counts in per_cycle.items():  # in cycle order
+                merged[cycle] = interval = dict(counts)
+                _add_into(interval, carry)
+                carry = {}
+            _add_into(carry, snap["residuals"][key])
+            carries[key] = carry
+    report = OracleReport()
+    _fill_report(report, units, watched, intervals)
     report.total_cycles = total_cycles
     return report

@@ -147,9 +147,9 @@ def run_experiment(program: Program,
     :class:`~repro.fastpath.BlockAssembler` that batches the live
     record stream into columnar blocks (one core-side call per cycle
     instead of one per profiler).  The Oracle and the sanitizer stay
-    attached directly: the Oracle needs per-cycle watch-schedule
-    bookkeeping and the sanitizer's fail-fast diagnostics should point
-    at the violating cycle, not a block boundary.  Profiles are
+    attached directly: the Oracle batches fast-forwarded stall runs
+    itself, and the sanitizer's fail-fast diagnostics should point at
+    the violating cycle, not a block boundary.  Profiles are
     bit-identical either way.
 
     ``sim="fast"`` turns on the event-driven stall fast-forward inside

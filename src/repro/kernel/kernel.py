@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..isa.program import KERNEL_TEXT_BASE, Program
-from ..mem.tlb import PAGE_SIZE, PageTable, vpn_of
+from ..mem.tlb import PAGE_SHIFT, PageTable
 from .handler import KERNEL_DATA_BASE, KERNEL_DATA_SIZE, build_handler_program
 
 
@@ -41,8 +41,8 @@ class Kernel:
                                   self.handler_program.text_hi)
         self.page_table.map_range(KERNEL_DATA_BASE,
                                   KERNEL_DATA_BASE + KERNEL_DATA_SIZE)
-        for addr in image.data:
-            self.page_table.map_page(vpn_of(addr))
+        for vpn in {addr >> PAGE_SHIFT for addr in image.data}:
+            self.page_table.map_page(vpn)
         for lo, hi in premapped_data or ():
             self.page_table.map_range(lo, hi)
         return image

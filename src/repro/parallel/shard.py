@@ -17,9 +17,9 @@ are **bit-identical to a serial replay** for every sampling profiler:
   therefore the same outcome, a serial replay would use;
 * merging concatenates per-shard sample lists in shard order.
 
-The Oracle's merged report is equal to serial replay up to
-floating-point summation order (documented in ``docs/parallel.md``);
-the seven sampling profilers are exact.
+The Oracle is exact too: shards snapshot integer attribution counts,
+which add in any order, and the merged report's floats are computed
+once, after the merge (``docs/parallel.md``).
 
 Degradation is automatic: v1 traces, single-chunk traces, non-shardable
 profilers (Software with skid) and worker failures all fall back to a

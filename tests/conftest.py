@@ -78,3 +78,13 @@ loop:
 @pytest.fixture
 def count_loop_source():
     return COUNT_LOOP
+
+
+#: Every field of an :class:`~repro.core.oracle.OracleReport`.
+ORACLE_FIELDS = ("profile", "categorized", "category_totals",
+                 "flush_breakdown", "watched", "intervals", "total_cycles")
+
+
+def oracle_tables(report) -> dict:
+    """All fields of an Oracle report, for exact (``==``) comparison."""
+    return {name: getattr(report, name) for name in ORACLE_FIELDS}

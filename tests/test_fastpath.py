@@ -15,7 +15,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_record
+from conftest import make_record, oracle_tables
 from repro.analysis.profiles import profile_checksum
 from repro.core.baselines import SoftwareProfiler
 from repro.core.oracle import OracleProfiler
@@ -95,6 +95,9 @@ def _profilers_under_test(image):
             yield ProfilerConfig(policy, 3, mode, 11).build(image)
     yield SoftwareProfiler(SampleSchedule(3), skid_cycles=2)
     yield OracleProfiler(image)
+    yield OracleProfiler(image, watch_schedules=[SampleSchedule(3)])
+    yield OracleProfiler(image, watch_schedules=[
+        SampleSchedule(3, "random", 11), SampleSchedule(5)])
 
 
 @given(records=_random_records())
@@ -108,12 +111,8 @@ def test_property_block_engine_matches_cycle_engine(records):
         replay_blocks(trace, block_prof)
         name = type(cycle_prof).__name__
         if isinstance(cycle_prof, OracleProfiler):
-            assert cycle_prof.report.profile == \
-                block_prof.report.profile, name
-            assert cycle_prof.report.categorized == \
-                block_prof.report.categorized, name
-            assert cycle_prof.report.flush_breakdown == \
-                block_prof.report.flush_breakdown, name
+            assert oracle_tables(cycle_prof.report) == \
+                oracle_tables(block_prof.report), name
         else:
             assert profile_checksum(cycle_prof.samples) == \
                 profile_checksum(block_prof.samples), name
@@ -253,7 +252,8 @@ def test_block_assembler_matches_direct_attachment():
     for direct, batched in zip(run(False), run(True)):
         name = type(direct).__name__
         if isinstance(direct, OracleProfiler):
-            assert direct.report.profile == batched.report.profile
+            assert oracle_tables(direct.report) == \
+                oracle_tables(batched.report)
         else:
             assert profile_checksum(direct.samples) == \
                 profile_checksum(batched.samples), name

@@ -139,7 +139,9 @@ def test_unresolved_drain_dropped_at_finish():
 
 
 def test_watch_cycles_capture_attribution():
-    oracle = OracleProfiler(PROGRAM, watch_cycles=[1])
+    from repro.core.sampling import SampleSchedule
+    schedule = SampleSchedule(period=2)  # samples at cycles 1, 3, 5 ...
+    oracle = OracleProfiler(PROGRAM, watch_schedules=[schedule])
     replay([make_record(0, committed=[(I1, False, False)], rob_head=LOAD),
             make_record(1, rob_head=LOAD),
             make_record(2, committed=[(LOAD, False, False)])], oracle)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from conftest import oracle_tables
 from repro.analysis.profiles import profile_checksum
 from repro.cpu.machine import Machine
 from repro.cpu.tracefile import (TraceWriter, TraceWriterV2, read_index,
@@ -82,10 +83,10 @@ def test_sharded_replay_matches_golden(golden, jobs):
     assert outcome.shards == jobs
     assert outcome.fallback_reason is None
     _check_against_golden(outcome, expected)
-    # Oracle merges shard subtotals: equal up to FP summation order.
-    for key, want in expected["oracle_profile"].items():
-        assert outcome.oracle.profile[int(key, 16)] == \
-            pytest.approx(want, rel=1e-12, abs=1e-12)
+    # Oracle merges exact unit counts: equal to the serial replay.
+    oracle = {hex(addr): weight
+              for addr, weight in outcome.oracle.profile.items()}
+    assert oracle == expected["oracle_profile"]
 
 
 def test_sharded_replay_merges_oracle_intervals(golden):
@@ -105,7 +106,23 @@ def test_sharded_replay_merges_oracle_intervals(golden):
         merged = sharded.oracle.intervals[key][cycle]
         assert set(merged) == set(weights)
         for addr, weight in weights.items():
-            assert merged[addr] == pytest.approx(weight, rel=1e-12)
+            assert merged[addr] == weight
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 7])
+def test_sharded_oracle_report_equals_serial(golden, jobs):
+    """Every Oracle table, watched intervals included, merges to
+    exactly the serial report."""
+    trace, expected, image, spec, configs = golden
+    watch_keys = ((expected["period"], expected["mode"], expected["seed"]),
+                  (7, "periodic", 0))
+    serial = replay_serial(trace, image, configs, watch_keys=watch_keys)
+    sharded = replay_sharded(trace, spec, configs, jobs=jobs, image=image,
+                             watch_keys=watch_keys)
+    assert sharded.mode == "sharded"
+    assert sharded.shards == jobs
+    assert serial.oracle.watched and serial.oracle.intervals
+    assert oracle_tables(sharded.oracle) == oracle_tables(serial.oracle)
 
 
 # -- fallback paths --------------------------------------------------------------
@@ -349,7 +366,7 @@ def test_replay_experiment_errors_identical_serial_vs_sharded(golden):
     assert sharded.replay.mode == "sharded"
     assert serial.stats is None and sharded.stats is None
     for name, error in serial.errors().items():
-        assert sharded.errors()[name] == pytest.approx(error, abs=1e-12)
+        assert sharded.errors()[name] == error
 
 
 # -- fd hygiene: path traces are opened once per reader and closed ---------------

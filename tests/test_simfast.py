@@ -23,7 +23,7 @@ from repro.simfast import SimCache, resolve_cache
 from repro.simfast.bench import _result_checksum
 from repro.workloads.suite import build_suite
 
-from conftest import make_record
+from conftest import make_record, oracle_tables
 from test_differential import DATA_BASE, DATA_WORDS, _generate_program
 
 #: Strided loads thrash the data cache, so most cycles are memory
@@ -111,6 +111,7 @@ def test_fast_experiment_results_identical():
     r_fast = run_workload(workload, profilers, engine="block",
                           sim="fast")
     assert _result_checksum(r_step) == _result_checksum(r_fast)
+    assert oracle_tables(r_step.oracle) == oracle_tables(r_fast.oracle)
     assert r_fast.stats.fast_forwarded > 0
 
 
@@ -163,6 +164,7 @@ def test_cache_round_trip_bit_identical(tmp_path):
                          sim="fast", cache=cache)
     assert r_hit.cached
     assert _result_checksum(r_miss) == _result_checksum(r_hit)
+    assert oracle_tables(r_miss.oracle) == oracle_tables(r_hit.oracle)
     assert r_hit.stats.cycles == r_miss.stats.cycles
     assert r_hit.oracle.total_cycles == r_miss.oracle.total_cycles
 

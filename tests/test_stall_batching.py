@@ -2,17 +2,18 @@
 stepping the same stall run cycle by cycle.
 
 This is the dynamic counterpart of contract rule C002: every shipped
-profiler and the trace sanitizer must produce identical results
-whether the block engine hands them a run-length-compressed stall or
-the per-cycle loop replays it.
+profiler, the Oracle and the trace sanitizer must produce identical
+results whether the block engine hands them a run-length-compressed
+stall or the per-cycle loop replays it.
 """
 
 import pytest
 
-from conftest import make_record
+from conftest import make_record, oracle_tables
 from repro.core.baselines import (DispatchProfiler, LciProfiler,
                                   NciIlpProfiler, NciProfiler,
                                   SoftwareProfiler)
+from repro.core.oracle import OracleProfiler
 from repro.core.sampling import SampleSchedule
 from repro.core.tip import TipIlpProfiler, TipProfiler
 from repro.cpu.trace import shifted_record
@@ -87,6 +88,62 @@ def test_profiler_stall_run_equivalence(name, run):
     stepped = _feed(build(), run, batched=False)
     batched = _feed(build(), run, batched=True)
     assert _signature(batched) == _signature(stepped)
+
+
+#: Oracle stall runs of every classification: the records before the
+#: run, then the run's record.  A dispatch ends each run.
+ORACLE_RUNS = {
+    "head": (PREFIX, STALL),
+    "mispredict": ([PREFIX[0],
+                    make_record(1, committed=[(0x10004, True, False)])],
+                   make_record(2)),
+    "csr": ([PREFIX[0], make_record(1, committed=[(0x10004, False, True)])],
+            make_record(2)),
+    "exception": ([PREFIX[0], make_record(1, exception=0x10004,
+                                          exception_is_ordering=True)],
+                  make_record(2)),
+    "drain": (PREFIX, make_record(2)),
+}
+
+#: The Oracle unwatched and watching a periodic and a random schedule.
+ORACLE_WATCHES = {
+    "unwatched": lambda: [],
+    "periodic": lambda: [SampleSchedule(7)],
+    "random": lambda: [SampleSchedule(7, "random", 5)],
+}
+
+
+def _feed_oracle(kind, watch, run, batched):
+    oracle = OracleProfiler(PROGRAM, watch_schedules=ORACLE_WATCHES[watch]())
+    prefix, stall = ORACLE_RUNS[kind]
+    for record in prefix:
+        oracle.on_cycle(record)
+    if batched:
+        oracle.on_stall_run(stall, run)
+    else:
+        for i in range(run):
+            oracle.on_cycle(shifted_record(stall, i))
+    end = stall.cycle + run
+    oracle.on_cycle(make_record(end, rob_head=0x10008,
+                                dispatched=[0x10008]))
+    final = end
+    for record in _suffix(end + 1):
+        oracle.on_cycle(record)
+        final = record.cycle
+    oracle.on_finish(final)
+    return oracle.report
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_RUNS))
+@pytest.mark.parametrize("watch", sorted(ORACLE_WATCHES))
+@pytest.mark.parametrize("run", RUNS)
+def test_oracle_stall_run_equivalence(kind, watch, run):
+    stepped = _feed_oracle(kind, watch, run, batched=False)
+    batched = _feed_oracle(kind, watch, run, batched=True)
+    assert oracle_tables(batched) == oracle_tables(stepped)
+    assert sum(stepped.profile.values()) == stepped.total_cycles + 1
+    if watch != "unwatched":
+        assert stepped.intervals and stepped.watched
 
 
 @pytest.mark.parametrize("run", RUNS)
