@@ -288,7 +288,7 @@ def cmd_replay(args) -> int:
     with open(args.program) as handle:
         source = handle.read()
     program = assemble(source, name=args.program)
-    image = Kernel().boot(program)
+    image = Kernel().link(program)
     mode = "random" if args.random else "periodic"
     configs = [ProfilerConfig(args.policy, args.period, mode)]
     spec = ProgramSpec(kind="asm", source=source, name=args.program)
@@ -383,7 +383,7 @@ def _cmd_bench_hotpath(args) -> int:
     from .kernel import Kernel
     with open(args.program) as handle:
         source = handle.read()
-    image = Kernel().boot(assemble(source, name=args.program))
+    image = Kernel().link(assemble(source, name=args.program))
     mode = "random" if args.random else "periodic"
     result = run_hotpath_bench(args.trace, image,
                                output=args.hotpath_output,

@@ -27,15 +27,20 @@ class Machine:
     payload_words)`` pair makes the core trap every *period* cycles to a
     generated handler that stores ``40 B + 8 * payload_words`` to the
     perf buffer and returns.
+
+    *image* is *program* already linked by :meth:`Kernel.link`, from a
+    caller that needed the image before the machine; the kernel boots
+    it without linking again.
     """
 
     def __init__(self, program: Program,
                  config: Optional[CoreConfig] = None,
                  premapped_data: Optional[List[Tuple[int, int]]] = None,
-                 perf_sampling: Optional[Tuple[int, int]] = None):
+                 perf_sampling: Optional[Tuple[int, int]] = None,
+                 image: Optional[Program] = None):
         self.config = config or CoreConfig.boom_4wide()
         self.kernel = Kernel()
-        image = self.kernel.boot(program, premapped_data)
+        image = self.kernel.boot(program, premapped_data, image)
 
         perf_handler = None
         if perf_sampling is not None:

@@ -25,6 +25,7 @@ from ..cpu.config import CoreConfig
 from ..cpu.core import CoreStats
 from ..cpu.machine import Machine
 from ..isa.program import Program
+from ..kernel import Kernel
 from ..lint.sanitizer import TraceInvariantError, TraceSanitizer
 
 #: Policy name -> constructor(schedule, program).
@@ -156,10 +157,11 @@ def run_experiment(program: Program,
     the core (*paranoid* cross-checks every fast-forwarded region
     against single-stepping); *cache* enables the content-addressed
     simulation cache (``True`` for the default root, a path, or a
-    :class:`~repro.simfast.SimCache`).  On a hit the profilers replay
-    the cached columnar (v3) trace zero-copy through the block engine
-    and ``result.cached`` is set; on a miss the run records into the
-    cache.
+    :class:`~repro.simfast.SimCache`).  The run links its image once
+    and keys it before it builds a machine.  On a hit the profilers
+    replay the cached columnar (v3) trace zero-copy through the block
+    engine and ``result.cached`` is set; no kernel boots.  On a miss the
+    same image is booted and the run records into the cache.
     Traces, reports and stats are bit-identical across all paths.
 
     Raises :class:`~repro.cpu.core.MaxCyclesExceeded` when the budget
@@ -169,40 +171,45 @@ def run_experiment(program: Program,
                                    replay_with_engine, validate_engine)
     from ..simfast.cache import resolve_cache
     validate_engine(engine)
-    machine = Machine(program, config, premapped_data)
-    image = machine.image
+    config = config or CoreConfig.boom_4wide()
+    image = Kernel().link(program)
 
-    sanitizer = None
-    if sanitize:
-        sanitizer = TraceSanitizer.for_machine(machine)
-        machine.attach(sanitizer)
+    def observers():
+        sanitizer = None
+        if sanitize:
+            sanitizer = TraceSanitizer(program=image,
+                                       commit_width=config.commit_width,
+                                       banks=config.rob_banks)
+        # Oracle watches the union of all distinct sampling schedules so
+        # the error metric can compare every sample against golden
+        # attribution.
+        distinct = {(p.period, p.mode, p.seed): p for p in profilers}
+        oracle = OracleProfiler(
+            image, watch_schedules=[p.schedule_clone()
+                                    for p in distinct.values()])
+        built: Dict[str, SamplingProfiler] = {}
+        for profiler_config in profilers:
+            if profiler_config.name in built:
+                raise ValueError(
+                    f"duplicate profiler label {profiler_config.name!r}")
+            built[profiler_config.name] = profiler_config.build(image)
+        return sanitizer, oracle, built
 
-    # Oracle watches the union of all distinct sampling schedules so the
-    # error metric can compare every sample against golden attribution.
-    distinct = {(p.period, p.mode, p.seed): p for p in profilers}
-    oracle = OracleProfiler(
-        image, watch_schedules=[p.schedule_clone()
-                                for p in distinct.values()])
-
-    built: Dict[str, SamplingProfiler] = {}
-    for profiler_config in profilers:
-        if profiler_config.name in built:
-            raise ValueError(
-                f"duplicate profiler label {profiler_config.name!r}")
-        built[profiler_config.name] = profiler_config.build(image)
-
+    sanitizer, oracle, built = observers()
     sim_cache = resolve_cache(cache)
     key = None
     if sim_cache is not None:
-        key = sim_cache.key_for(image, machine.config,
-                                premapped=premapped_data)
+        # Keyed and looked up before any machine exists: a hit boots no
+        # kernel, builds no memory hierarchy and copies no data image.
+        key = sim_cache.key_for(image, config, premapped=premapped_data)
         hit = sim_cache.lookup(key, max_cycles)
         if hit is not None:
-            observers = ([sanitizer] if sanitizer is not None else []) \
-                + [oracle] + list(built.values())
             try:
-                replay_with_engine(hit.trace_path, observers,
-                                   engine=BLOCK_ENGINE)
+                replay_with_engine(
+                    hit.trace_path,
+                    ([sanitizer] if sanitizer is not None else [])
+                    + [oracle] + list(built.values()),
+                    engine=BLOCK_ENGINE)
             except (TraceInvariantError, MemoryError):
                 raise
             except Exception as exc:
@@ -219,31 +226,30 @@ def run_experiment(program: Program,
                     f"evicted corrupt simulation-cache entry "
                     f"{key[:12]}... ({exc}); re-simulating",
                     CacheCorruptionWarning, stacklevel=2)
-                return run_experiment(
-                    program, profilers, config=config,
-                    premapped_data=premapped_data,
-                    max_cycles=max_cycles, sanitize=sanitize,
-                    engine=engine, sim=sim, paranoid=paranoid,
-                    cache=sim_cache)
-            # Replay reports the last record's cycle; the simulator
-            # reports the cycle after it (same fixup as replay_serial).
-            oracle.report.total_cycles = hit.stats.cycles
-            result = ExperimentResult(image, oracle.report, built,
-                                      hit.stats, sanitizer=sanitizer)
-            result.cached = True
-            return result
+                sanitizer, oracle, built = observers()
+            else:
+                # Replay reports the last record's cycle; the simulator
+                # reports the cycle after it (same fixup as
+                # replay_serial).
+                oracle.report.total_cycles = hit.stats.cycles
+                result = ExperimentResult(image, oracle.report, built,
+                                          hit.stats, sanitizer=sanitizer)
+                result.cached = True
+                return result
 
+    machine = Machine(program, config, premapped_data, image=image)
+    if sanitizer is not None:
+        machine.attach(sanitizer)
     machine.attach(oracle)
     if engine == BLOCK_ENGINE and built:
-        machine.attach(BlockAssembler(built.values(),
-                                      machine.config.rob_banks))
+        machine.attach(BlockAssembler(built.values(), config.rob_banks))
     else:
         for profiler in built.values():
             machine.attach(profiler)
 
     writer = None
     if sim_cache is not None:
-        writer = sim_cache.open_writer(key, machine.config.rob_banks)
+        writer = sim_cache.open_writer(key, config.rob_banks)
         machine.attach(writer)
     try:
         stats = machine.run(max_cycles, sim=sim, paranoid=paranoid)

@@ -124,10 +124,9 @@ def run_suite(workloads: Optional[Sequence[Workload]] = None,
     *sanitize* attaches a commit-trace sanitizer to every simulation and
     fails fast on the first invariant violation.
 
-    *jobs* > 1 simulates named suite benchmarks in parallel worker
-    processes (:mod:`repro.parallel.suite`); *scale* must then match the
-    scale the workloads were built with, because workers rebuild them by
-    name.  *timeout* bounds each benchmark's wall clock and *retries*
+    *jobs* > 1 simulates the workloads in parallel worker processes
+    (:mod:`repro.parallel.suite`), which take the workloads as built
+    here.  *timeout* bounds each benchmark's wall clock and *retries*
     caps re-runs of a failed worker; exhausted benchmarks land in
     ``SuiteResult.failures``.
 
@@ -159,7 +158,7 @@ def run_suite(workloads: Optional[Sequence[Workload]] = None,
         from ..simfast.cache import resolve_cache
         sim_cache = resolve_cache(cache)
         return run_suite_parallel(
-            workloads, profilers, jobs, scale=scale,
+            workloads, profilers, jobs,
             max_cycles=max_cycles, sanitize=sanitize,
             timeout=DEFAULT_JOB_TIMEOUT if timeout is None else timeout,
             retries=retries, verbose=verbose, sim=sim,

@@ -27,15 +27,27 @@ class Kernel:
 
     # -- boot-time setup --------------------------------------------------------
 
+    def link(self, app: Program) -> Program:
+        """*app* merged with the handler program: the image the core runs.
+
+        Maps nothing: a caller that only needs the image (to key,
+        profile or symbolize it) boots no kernel.
+        """
+        return app.merged_with(self.handler_program)
+
     def boot(self, app: Program,
-             premapped_data: Optional[List[Tuple[int, int]]] = None) -> Program:
-        """Merge *app* with the kernel image and map boot-time pages.
+             premapped_data: Optional[List[Tuple[int, int]]] = None,
+             image: Optional[Program] = None) -> Program:
+        """Link *app* with the kernel image and map boot-time pages.
 
         *premapped_data* is a list of ``(lo, hi)`` data address ranges that
         are resident at boot; everything else data-wise faults on first
-        touch.  Text and kernel memory are always mapped.
+        touch.  Text and kernel memory are always mapped.  *image* is
+        *app* already linked by :meth:`link`; it is booted as is instead
+        of linked again.
         """
-        image = app.merged_with(self.handler_program)
+        if image is None:
+            image = self.link(app)
         self.page_table.map_range(app.text_lo, app.text_hi)
         self.page_table.map_range(self.handler_program.text_lo,
                                   self.handler_program.text_hi)

@@ -47,11 +47,10 @@ TraceSource = Union[str, bytes]
 
 @dataclass(frozen=True)
 class ProgramSpec:
-    """Recipe for rebuilding the booted program image in a worker.
+    """Recipe for rebuilding the linked program image in a worker.
 
-    Program objects are not shipped across processes -- they are cheap
-    and deterministic to rebuild, and carry non-picklable semantic
-    callables.
+    A spec is a few fields where an image can be megabytes, and the
+    image it names is deterministic to rebuild.
     """
 
     kind: str  # "asm" | "workload" | "imagick"
@@ -66,17 +65,15 @@ class ProgramSpec:
         if self.kind == "asm":
             from ..isa import assemble
             program = assemble(self.source, name=self.name)
-            premapped = [(0, 1 << 28)] if self.premap_all else None
-            return Kernel().boot(program, premapped)
-        if self.kind == "workload":
+        elif self.kind == "workload":
             from ..workloads.suite import build
-            workload = build(self.source, self.scale)
-            return Kernel().boot(workload.program, workload.premapped)
-        if self.kind == "imagick":
+            program = build(self.source, self.scale).program
+        elif self.kind == "imagick":
             from ..workloads.imagick import build_imagick
-            workload = build_imagick(optimized=self.optimized)
-            return Kernel().boot(workload.program, workload.premapped)
-        raise ValueError(f"unknown program spec kind {self.kind!r}")
+            program = build_imagick(optimized=self.optimized).program
+        else:
+            raise ValueError(f"unknown program spec kind {self.kind!r}")
+        return Kernel().link(program)
 
 
 @dataclass

@@ -227,8 +227,7 @@ def run_suite_via_server(workloads, profilers, server: str,
 
     Named suite benchmarks become job submissions (duplicates coalesce
     server-side and hit the simulation cache); workloads the server
-    cannot rebuild by name run locally, exactly like the parallel
-    runner's serial fallback.  Returns a
+    cannot rebuild by name run locally.  Returns a
     :class:`~repro.harness.runner.SuiteResult` bit-identical to a local
     run.
     """

@@ -31,6 +31,7 @@ from ..harness.experiment import (ALL_POLICIES, ExperimentResult,
                                   ProfilerConfig, run_experiment)
 from ..isa.program import Program
 from ..parallel.shard import ProgramSpec
+from ..parallel.suite import result_payload
 
 #: Default sampling period for served jobs (see harness.runner).
 DEFAULT_PERIOD = 97
@@ -183,14 +184,16 @@ def job_key(spec: JobSpec) -> Tuple[str, str]:
 
     The simulation key is exactly the ``SimCache`` key the run will
     look up, so the server's dedup accounting lines up with the cache's:
-    it never simulates more than once per distinct simulation key.  The
-    job key folds in everything else that shapes the report.
+    it never simulates more than once per distinct simulation key.  Like
+    the run, it keys the linked image and boots no machine.  The job
+    key folds in everything else that shapes the report.
     """
-    from ..cpu.machine import Machine
+    from ..cpu.config import CoreConfig
+    from ..kernel import Kernel
     from ..simfast.cache import simulation_key
     program, premapped = resolve_program(spec.program)
-    machine = Machine(program, None, premapped)
-    sim_key = simulation_key(machine.image, machine.config, premapped)
+    sim_key = simulation_key(Kernel().link(program),
+                             CoreConfig.boom_4wide(), premapped)
     h = hashlib.sha256(sim_key.encode())
     h.update(repr(("profilers",
                    tuple((c.policy, c.period, c.mode, c.seed, c.name)
@@ -236,20 +239,6 @@ def profile_report(result: ExperimentResult) -> dict:
 def _json_profile(profile: Dict) -> Dict[str, float]:
     return {str(key): value for key, value in
             sorted(profile.items(), key=lambda item: str(item[0]))}
-
-
-def result_payload(result: ExperimentResult) -> dict:
-    """Picklable payload for rebuilding a full ExperimentResult
-    client-side (same shape the parallel suite workers ship)."""
-    return {
-        "oracle": result.oracle,
-        "stats": result.stats,
-        "cached": result.cached,
-        "profilers": {label: profiler.snapshot()
-                      for label, profiler in result.profilers.items()},
-        "sanitizer": (result.sanitizer.snapshot()
-                      if result.sanitizer is not None else None),
-    }
 
 
 def execute_job(spec: JobSpec,

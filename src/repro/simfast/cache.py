@@ -82,20 +82,45 @@ def program_digest(program: Program,
                     inst.imm, inst.addr)
                    for inst in program.instructions]).encode())
     h.update(repr(("entry", program.entry)).encode())
-    data = program.data
-    addrs = sorted(data)
-    try:
-        # Large data images hash as packed int64 columns; anything that
-        # does not fit (or is not an int) falls back to repr.
-        h.update(b"data")
-        h.update(array("q", addrs).tobytes())
-        h.update(array("q", [data[addr] for addr in addrs]).tobytes())
-    except (OverflowError, TypeError):
-        h.update(repr(("data", [(addr, data[addr])
-                                for addr in addrs])).encode())
+    _hash_data(h, program.data)
     h.update(repr(("premapped",
                    [tuple(span) for span in premapped or ()])).encode())
     return h.hexdigest()
+
+
+def _hash_data(h, data: Dict[int, float]) -> None:
+    """Feed the data image to *h* in one pass, in image order.
+
+    Addresses hash as one int64 column.  Values hash as one int64
+    column when they are all ints; otherwise as a per-word tag (1 for
+    a float) plus an int64 column of the ints and a float64 column of
+    the floats, so ``1`` and ``1.0`` differ and so do ``0.0`` and
+    ``-0.0``.  Anything else, such as an int outside int64, falls back
+    to ``repr``.  Nothing is sorted: an equal image built in another
+    insertion order keys differently, which costs a miss, never a
+    wrong hit.
+    """
+    values = list(data.values())
+    try:
+        columns = [array("q", list(data))]
+        try:
+            columns.append(array("q", values))
+            layout = "q"
+        except TypeError:
+            floats = [type(value) is float for value in values]
+            columns += [
+                bytes(floats),
+                array("q", [value for value, is_float in zip(values, floats)
+                            if not is_float]),
+                array("d", [value for value, is_float in zip(values, floats)
+                            if is_float])]
+            layout = "tqd"
+    except (OverflowError, TypeError):
+        h.update(repr(("data", list(data.items()))).encode())
+        return
+    h.update(repr(("data", len(values), layout)).encode())
+    for column in columns:
+        h.update(column)
 
 
 def config_digest(config: CoreConfig) -> str:

@@ -355,6 +355,72 @@ def test_parallel_suite_reports_worker_failure(monkeypatch):
     assert "exchange2" not in result.results
 
 
+def _assert_same_results(pooled, serial):
+    """Cycles, every Oracle table and every sample stream, exactly."""
+    assert pooled.ok and serial.ok
+    assert list(pooled.results) == list(serial.results)
+    for name, want in serial.results.items():
+        got = pooled.results[name]
+        assert got.stats.cycles == want.stats.cycles, name
+        assert oracle_tables(got.oracle) == oracle_tables(want.oracle), name
+        for label, profiler in want.profilers.items():
+            assert profile_checksum(got.profilers[label].samples) == \
+                profile_checksum(profiler.samples), f"{name}/{label}"
+
+
+@pytest.fixture(scope="module")
+def namd():
+    return build_suite(["namd"], scale=0.02)
+
+
+def test_pooled_run_ignores_suite_scale(namd):
+    """Workers run the workloads they are given: a pooled run with
+    ``scale`` left at its default matches the serial run of the same
+    scale-0.02 build."""
+    configs = default_profilers(13)
+    serial = run_suite(namd, profilers=configs, sim="fast")
+    pooled = run_suite(namd, profilers=configs, sim="fast", jobs=2)
+    _assert_same_results(pooled, serial)
+
+
+def test_pooled_run_takes_non_suite_workload():
+    from repro.workloads import build_imagick
+    workloads = [build_imagick(pixels=40, morph_iters=80)]
+    configs = default_profilers(13)
+    serial = run_suite(workloads, profilers=configs, sim="fast")
+    pooled = run_suite(workloads, profilers=configs, sim="fast", jobs=2)
+    _assert_same_results(pooled, serial)
+
+
+def test_pool_workers_do_not_rebuild(namd, monkeypatch):
+    """Forked workers inherit this patch: a worker that rebuilt its
+    benchmark by name would fail."""
+    import repro.workloads.suite as suite_mod
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a worker rebuilt its workload")
+
+    monkeypatch.setattr(suite_mod, "build", no_build)
+    pooled = run_suite(namd, profilers=default_profilers(13), sim="fast",
+                       jobs=2, retries=0)
+    assert pooled.ok, pooled.failures
+    assert list(pooled.results) == ["namd"]
+
+
+def test_spawned_workers_unpickle_the_workload(namd, monkeypatch):
+    """Where the pool cannot fork, workers get the built workload by
+    pickle and still match the serial run."""
+    import multiprocessing
+
+    import repro.parallel.pool as pool_mod
+    monkeypatch.setattr(pool_mod, "_pool_context",
+                        lambda: multiprocessing.get_context("spawn"))
+    configs = default_profilers(13)
+    serial = run_suite(namd, profilers=configs, sim="fast")
+    pooled = run_suite(namd, profilers=configs, sim="fast", jobs=2)
+    _assert_same_results(pooled, serial)
+
+
 # -- replay drives everything identically through the CLI-facing API -------------
 
 

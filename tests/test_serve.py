@@ -127,6 +127,17 @@ def test_distinct_jobs_share_the_simulation_cache(tmp_path):
     assert stats["dedup"]["coalesced"] == 0
 
 
+@pytest.mark.parametrize("spec", [
+    loop_spec(n=50, policies=("TIP",)),
+    JobSpec.for_benchmark("lbm", scale=0.05, period=29,
+                          policies=("TIP",)),
+], ids=["asm", "workload"])
+def test_job_key_is_the_cache_key_the_run_fills(tmp_path, spec):
+    from repro.simfast import SimCache
+    execute_job(spec, cache_dir=str(tmp_path))
+    assert SimCache(str(tmp_path)).keys() == [job_key(spec)[0]]
+
+
 def test_corrupt_cache_entry_recovers_and_warns_the_client(tmp_path):
     # A second job sharing the first's simulation key replays the
     # cached trace; if that entry was tampered with (checksum intact,

@@ -361,3 +361,154 @@ loop:
     assert "evicted corrupt simulation-cache entry" in second.stderr
     assert "Traceback" not in second.stderr
     assert "instruction profile" in second.stdout
+
+
+# -- the cache key ------------------------------------------------------------------
+
+EXAMPLES_ASM = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "examples", "asm")
+
+
+def _run_key(program, premapped=None):
+    """The key ``run_experiment`` looks up for *program*."""
+    from repro.cpu.config import CoreConfig
+    from repro.kernel import Kernel
+    from repro.simfast import simulation_key
+    return simulation_key(Kernel().link(program), CoreConfig.boom_4wide(),
+                          premapped)
+
+
+def _builders():
+    """name -> a thunk building ``(program, premapped)`` afresh."""
+    from repro.isa.assembler import assemble
+    from repro.workloads import build_imagick
+    from repro.workloads.suite import BENCHMARKS, build
+
+    def suite(name):
+        def build_it():
+            workload = build(name, 0.05)
+            return workload.program, workload.premapped
+        return build_it
+
+    def imagick(optimized):
+        def build_it():
+            workload = build_imagick(optimized=optimized)
+            return workload.program, workload.premapped
+        return build_it
+
+    def example(path):
+        def build_it():
+            with open(path) as handle:
+                return assemble(handle.read(), name=path), None
+        return build_it
+
+    builders = {name: suite(name) for name in BENCHMARKS}
+    builders["imagick-orig"] = imagick(False)
+    builders["imagick-opt"] = imagick(True)
+    for name in sorted(os.listdir(EXAMPLES_ASM)):
+        if name.endswith(".s"):
+            builders[name] = example(os.path.join(EXAMPLES_ASM, name))
+    return builders
+
+
+BUILDERS = _builders()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_independent_builds_key_equal(name):
+    """Builders are deterministic down to data insertion order, which
+    the key hashes: two builds of one program must hit each other."""
+    first, second = BUILDERS[name](), BUILDERS[name]()
+    assert first[0] is not second[0]
+    assert _run_key(*first) == _run_key(*second)
+
+
+def _data_program(data):
+    from repro.isa.assembler import assemble
+    program = assemble(".func main\n    ld x1, 0x2000(x0)\n    halt\n",
+                       name="data")
+    program.data = dict(data)
+    return program
+
+
+#: One int64 column of values, and the tagged int/float columns.
+INTS = [(0x2000, 7), (0x2008, 1)]
+MIXED = [(0x2000, 7), (0x2008, 1), (0x2010, 0.0), (0x2018, 2.5)]
+
+
+@pytest.mark.parametrize("base, variant", [
+    (INTS, [(0x2000, 8), (0x2008, 1)]),
+    (INTS, [(0x2000, 7), (0x2048, 1)]),
+    (INTS, [(0x2008, 1), (0x2000, 7)]),
+    (MIXED, [(0x2000, 8), (0x2008, 1), (0x2010, 0.0), (0x2018, 2.5)]),
+    (MIXED, [(0x2000, 7), (0x2048, 1), (0x2010, 0.0), (0x2018, 2.5)]),
+    (MIXED, [(0x2000, 7), (0x2008, 1.0), (0x2010, 0.0), (0x2018, 2.5)]),
+    (MIXED, [(0x2000, 7), (0x2008, 1), (0x2010, -0.0), (0x2018, 2.5)]),
+    (MIXED, [(0x2008, 1), (0x2000, 7), (0x2010, 0.0), (0x2018, 2.5)]),
+], ids=["int-value", "int-address", "int-order", "value", "address",
+        "int-vs-float", "signed-zero", "order"])
+def test_key_changes_with_any_data_word(base, variant):
+    assert _run_key(_data_program(base)) == _run_key(_data_program(base))
+    assert _run_key(_data_program(variant)) != \
+        _run_key(_data_program(base))
+
+
+def test_value_outside_int64_keys_through_fallback():
+    huge = [(0x2000, 1 << 70), (0x2008, 1.5)]
+    assert _run_key(_data_program(huge)) == _run_key(_data_program(huge))
+    assert _run_key(_data_program(huge)) != \
+        _run_key(_data_program([(0x2000, (1 << 70) + 1), (0x2008, 1.5)]))
+
+
+# -- set-up once per run -------------------------------------------------------------
+
+
+def test_cache_hit_builds_no_machine(tmp_path, monkeypatch):
+    """A hit keys the linked image and replays: no kernel boots, no
+    hierarchy is built, no data image is copied into a core."""
+    import repro.harness.experiment as experiment
+    from repro.analysis.profiles import profile_checksum
+    workload, = build_suite(["mcf"], scale=0.05)
+    profilers = default_profilers(53)
+    recorded = run_workload(workload, profilers, sim="fast",
+                            cache=str(tmp_path))
+
+    def no_machine(*args, **kwargs):
+        raise AssertionError("a cache hit built a Machine")
+
+    monkeypatch.setattr(experiment, "Machine", no_machine)
+    warm = run_workload(workload, profilers, sim="fast",
+                        cache=str(tmp_path), sanitize=True)
+    assert warm.cached
+    assert warm.sanitizer.ok
+    assert oracle_tables(warm.oracle) == oracle_tables(recorded.oracle)
+    for label, profiler in recorded.profilers.items():
+        assert profile_checksum(warm.profilers[label].samples) == \
+            profile_checksum(profiler.samples), label
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_run_links_once_and_keys_at_most_once(tmp_path, monkeypatch,
+                                              cached):
+    import repro.simfast.cache as cache_mod
+    from repro.kernel import Kernel
+    calls = {"link": 0, "digest": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Kernel, "link", counted("link", Kernel.link))
+    monkeypatch.setattr(cache_mod, "program_digest",
+                        counted("digest", cache_mod.program_digest))
+    workload, = build_suite(["lbm"], scale=0.05)
+    profilers = default_profilers(29, policies=("TIP",))
+    cache = str(tmp_path) if cached else None
+    for hit in (False, cached):  # a miss (or an uncached run), a hit
+        calls.update(link=0, digest=0)
+        result = run_workload(workload, profilers, sim="fast",
+                              cache=cache)
+        assert result.cached == hit
+        assert calls == {"link": 1, "digest": int(cached)}
