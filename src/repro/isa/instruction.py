@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .opcodes import Kind, Op, OpcodeInfo, Unit, info_for
+from .opcodes import Kind, Op, info_for
+from .semantics import EVALUATORS
 
 #: Byte size of every instruction (RV64 without the C extension).
 INSTRUCTION_BYTES = 4
@@ -77,9 +78,20 @@ class Instruction:
         resolves labels before constructing instructions).
     addr:
         The instruction's address in the text segment.
+
+    An instruction is decoded once, here: every opcode-derived field
+    (``info``, ``unit``, ``kind``, ``latency``, the ``is_*`` flags,
+    ``flushes_on_commit``, ``next_addr`` and the opcode's ``evaluator``)
+    is a plain attribute, which the stepped core reads every cycle.
+    That is sound because an instruction is never modified after
+    construction: a rewrite builds a new one.
     """
 
-    __slots__ = ("op", "rd", "sources", "imm", "addr", "_info")
+    __slots__ = ("op", "rd", "sources", "imm", "addr", "info", "unit",
+                 "kind", "latency", "is_load", "is_store", "is_mem",
+                 "is_branch", "is_control", "is_call", "is_return",
+                 "is_serializing", "flushes_on_commit", "is_halt",
+                 "evaluator", "next_addr")
 
     def __init__(self, op: Op, rd: Optional[int] = None,
                  sources: Tuple[int, ...] = (), imm: int = 0,
@@ -89,64 +101,25 @@ class Instruction:
         self.sources = sources
         self.imm = imm
         self.addr = addr
-        self._info = info_for(op)
+        (self.info, self.unit, self.kind, self.latency, self.is_load,
+         self.is_store, self.is_mem, self.is_branch, self.is_control,
+         self.is_call, self.is_return, self.is_serializing,
+         self.flushes_on_commit, self.is_halt,
+         self.evaluator) = _DECODED[op]
+        self.next_addr = addr + INSTRUCTION_BYTES
 
-    # -- metadata accessors -------------------------------------------------
-
-    @property
-    def info(self) -> OpcodeInfo:
-        return self._info
-
-    @property
-    def unit(self) -> Unit:
-        return self._info.unit
-
-    @property
-    def kind(self) -> Kind:
-        return self._info.kind
-
-    @property
-    def latency(self) -> int:
-        return self._info.latency
-
-    @property
-    def is_load(self) -> bool:
-        return self._info.kind is Kind.LOAD or self._info.kind is Kind.ATOMIC
-
-    @property
-    def is_store(self) -> bool:
-        return self._info.kind is Kind.STORE or self._info.kind is Kind.ATOMIC
-
-    @property
-    def is_mem(self) -> bool:
-        return self.is_load or self.is_store
-
-    @property
-    def is_branch(self) -> bool:
-        """Conditional branch."""
-        return self._info.kind is Kind.BRANCH
-
-    @property
-    def is_control(self) -> bool:
-        """Any instruction that can change control flow."""
-        return self._info.kind in (Kind.BRANCH, Kind.JUMP, Kind.CALL,
-                                   Kind.RETURN, Kind.SRET)
-
-    @property
-    def is_call(self) -> bool:
-        return self._info.kind is Kind.CALL
-
-    @property
-    def is_return(self) -> bool:
-        return self._info.kind is Kind.RETURN
+    def __reduce__(self):
+        # Pickle by constructor arguments: the decoded fields (the
+        # evaluator among them) are rebuilt, never serialized.
+        return (Instruction, (self.op, self.rd, self.sources, self.imm,
+                              self.addr))
 
     @property
     def is_jump(self) -> bool:
         """Unconditional direct jump (``jal`` with a discarded link)."""
-        if self._info.kind is Kind.JUMP:
+        if self.kind is Kind.JUMP:
             return True
-        return self._info.kind is Kind.CALL and (self.rd is None
-                                                 or self.rd == 0)
+        return self.kind is Kind.CALL and (self.rd is None or self.rd == 0)
 
     @property
     def can_fall_through(self) -> bool:
@@ -156,7 +129,7 @@ class Instruction:
         path) and calls (the callee eventually returns here); false for
         unconditional jumps, returns, ``halt`` and ``sret``.
         """
-        kind = self._info.kind
+        kind = self.kind
         if kind in (Kind.HALT, Kind.SRET, Kind.JUMP):
             return False
         if kind is Kind.CALL:
@@ -173,25 +146,9 @@ class Instruction:
         Branch and ``jal`` targets are label immediates resolved by the
         assembler; indirect jumps (``jalr``) have none.
         """
-        if self._info.kind in (Kind.BRANCH, Kind.JUMP, Kind.CALL):
+        if self.kind in (Kind.BRANCH, Kind.JUMP, Kind.CALL):
             return (self.imm,)
         return ()
-
-    @property
-    def is_serializing(self) -> bool:
-        return self._info.serializing
-
-    @property
-    def flushes_on_commit(self) -> bool:
-        return self._info.flushes_on_commit
-
-    @property
-    def is_halt(self) -> bool:
-        return self._info.kind is Kind.HALT
-
-    @property
-    def next_addr(self) -> int:
-        return self.addr + INSTRUCTION_BYTES
 
     # -- misc ----------------------------------------------------------------
 
@@ -200,3 +157,22 @@ class Instruction:
         rd = Register.name(self.rd) if self.rd is not None else "-"
         return (f"<{self.addr:#x}: {self.op.value} rd={rd} src=({ops}) "
                 f"imm={self.imm}>")
+
+
+def _decode(op: Op) -> tuple:
+    """The opcode-derived fields of :class:`Instruction`, in slot order."""
+    info = info_for(op)
+    kind = info.kind
+    is_load = kind is Kind.LOAD or kind is Kind.ATOMIC
+    is_store = kind is Kind.STORE or kind is Kind.ATOMIC
+    is_branch = kind is Kind.BRANCH  # conditional branches only
+    # Any instruction that can change control flow.
+    is_control = kind in (Kind.BRANCH, Kind.JUMP, Kind.CALL, Kind.RETURN,
+                          Kind.SRET)
+    return (info, info.unit, kind, info.latency, is_load, is_store,
+            is_load or is_store, is_branch, is_control, kind is Kind.CALL,
+            kind is Kind.RETURN, info.serializing, info.flushes_on_commit,
+            kind is Kind.HALT, EVALUATORS[op])
+
+
+_DECODED = {op: _decode(op) for op in Op}

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .instruction import Register
+from .opcodes import Op
 from .program import Program
 from .semantics import evaluate
 
@@ -48,7 +49,7 @@ class Interpreter:
         if inst.is_halt:
             self.halted = True
             return
-        if inst.op.value == "fsflags":
+        if inst.op is Op.FSFLAGS:
             self.fflags = int(operands[0])
 
         if inst.is_load and not inst.is_store:  # plain load

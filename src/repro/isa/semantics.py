@@ -10,11 +10,14 @@ and independently testable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from .instruction import Instruction
 from .opcodes import Op
+
+if TYPE_CHECKING:
+    from .instruction import Instruction
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,114 +56,148 @@ class ExecResult:
     store_value: Optional[float] = None
 
 
-_INT_ALU: dict = {
-    Op.ADD: lambda a, b: a + b,
-    Op.SUB: lambda a, b: a - b,
-    Op.AND: lambda a, b: int(a) & int(b),
-    Op.OR: lambda a, b: int(a) | int(b),
-    Op.XOR: lambda a, b: int(a) ^ int(b),
-    Op.SLL: lambda a, b: int(a) << (int(b) & 63),
-    Op.SRL: lambda a, b: (int(a) & _MASK64) >> (int(b) & 63),
-    Op.SLT: lambda a, b: int(a < b),
-    Op.MUL: lambda a, b: int(a) * int(b),
+Evaluator = Callable[["Instruction", tuple, int], ExecResult]
+
+
+def _trunc_div(a: int, b: int) -> int:
+    """Exact quotient truncated toward zero, as RISC-V requires."""
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
+
+
+def _div(inst, operands, fflags) -> ExecResult:
+    # Wrapped, so INT64_MIN / -1 is INT64_MIN; -1 on a zero divisor.
+    a, b = int(operands[0]), int(operands[1])
+    if b == 0:
+        return ExecResult(value=-1)
+    return ExecResult(value=_to_signed(_trunc_div(a, b)))
+
+
+def _rem(inst, operands, fflags) -> ExecResult:
+    # Takes the dividend's sign; the dividend itself on a zero divisor.
+    a, b = int(operands[0]), int(operands[1])
+    if b == 0:
+        return ExecResult(value=a)
+    return ExecResult(value=_to_signed(a - b * _trunc_div(a, b)))
+
+
+def _int_op(fn: Callable) -> Evaluator:
+    """Register-register integer op, wrapped to int64."""
+    return lambda inst, operands, fflags: ExecResult(
+        value=_to_signed(int(fn(*operands))))
+
+
+def _imm_op(fn: Callable) -> Evaluator:
+    """Register-immediate integer op, wrapped to int64."""
+    return lambda inst, operands, fflags: ExecResult(
+        value=_to_signed(int(fn(operands[0], inst.imm))))
+
+
+def _fp_op(fn: Callable) -> Evaluator:
+    return lambda inst, operands, fflags: ExecResult(value=fn(*operands))
+
+
+def _branch(cond: Callable) -> Evaluator:
+    def run(inst, operands, fflags) -> ExecResult:
+        taken = bool(cond(*operands))
+        return ExecResult(taken=taken,
+                          target=inst.imm if taken else inst.next_addr)
+    return run
+
+
+def _fdiv(inst, operands, fflags) -> ExecResult:
+    divisor = operands[1]
+    if divisor == 0:
+        return ExecResult(value=math.inf if operands[0] >= 0
+                          else -math.inf)
+    return ExecResult(value=operands[0] / divisor)
+
+
+def _load(inst, operands, fflags) -> ExecResult:
+    return ExecResult(eff_addr=int(operands[0]) + inst.imm)
+
+
+def _store(inst, operands, fflags) -> ExecResult:
+    # Atomics too: the core adds the old memory value at commit.
+    return ExecResult(eff_addr=int(operands[0]) + inst.imm,
+                      store_value=operands[1])
+
+
+def _read_fflags(inst, operands, fflags) -> ExecResult:
+    return ExecResult(value=fflags)
+
+
+def _no_result(inst, operands, fflags) -> ExecResult:
+    # NOP, HALT, FENCE, SRET, ECALL: no architectural result here.
+    return ExecResult()
+
+
+#: One evaluator per opcode, ``(inst, operands, fflags) -> ExecResult``.
+#: :class:`~repro.isa.instruction.Instruction` holds its opcode's entry,
+#: so :func:`evaluate` is a single call with no opcode dispatch.
+EVALUATORS: Dict[Op, Evaluator] = {
+    Op.ADD: _int_op(operator.add),
+    Op.SUB: _int_op(operator.sub),
+    Op.AND: _int_op(lambda a, b: int(a) & int(b)),
+    Op.OR: _int_op(lambda a, b: int(a) | int(b)),
+    Op.XOR: _int_op(lambda a, b: int(a) ^ int(b)),
+    Op.SLL: _int_op(lambda a, b: int(a) << (int(b) & 63)),
+    Op.SRL: _int_op(lambda a, b: (int(a) & _MASK64) >> (int(b) & 63)),
+    Op.SLT: _int_op(lambda a, b: int(a < b)),
+    Op.MUL: _int_op(lambda a, b: int(a) * int(b)),
+    Op.ADDI: _imm_op(operator.add),
+    Op.ANDI: _imm_op(lambda a, imm: int(a) & imm),
+    Op.ORI: _imm_op(lambda a, imm: int(a) | imm),
+    Op.XORI: _imm_op(lambda a, imm: int(a) ^ imm),
+    Op.SLLI: _imm_op(lambda a, imm: int(a) << (imm & 63)),
+    Op.SRLI: _imm_op(lambda a, imm: (int(a) & _MASK64) >> (imm & 63)),
+    Op.SLTI: _imm_op(lambda a, imm: int(a < imm)),
+    Op.LUI: lambda inst, operands, fflags: ExecResult(
+        value=_to_signed(inst.imm << 12)),
+    Op.DIV: _div,
+    Op.REM: _rem,
+
+    Op.FADD: _fp_op(operator.add),
+    Op.FSUB: _fp_op(operator.sub),
+    Op.FMUL: _fp_op(operator.mul),
+    Op.FMADD: _fp_op(lambda a, b, c: a * b + c),
+    Op.FDIV: _fdiv,
+    Op.FSQRT: _fp_op(lambda a: math.sqrt(max(a, 0.0))),
+    Op.FMIN: _fp_op(min),
+    Op.FMAX: _fp_op(max),
+    Op.FEQ: _fp_op(lambda a, b: int(a == b)),
+    Op.FLT: _fp_op(lambda a, b: int(a < b)),
+    Op.FLE: _fp_op(lambda a, b: int(a <= b)),
+    Op.FCVT_W_D: _fp_op(int),
+    Op.FCVT_D_W: _fp_op(float),
+    Op.FMV: _fp_op(lambda a: a),
+
+    Op.LW: _load, Op.LD: _load, Op.FLD: _load,
+    Op.SW: _store, Op.SD: _store, Op.FSD: _store, Op.AMOADD: _store,
+
+    Op.BEQ: _branch(operator.eq),
+    Op.BNE: _branch(operator.ne),
+    Op.BLT: _branch(operator.lt),
+    Op.BGE: _branch(operator.ge),
+    Op.JAL: lambda inst, operands, fflags: ExecResult(
+        value=inst.next_addr, taken=True, target=inst.imm),
+    Op.JALR: lambda inst, operands, fflags: ExecResult(
+        value=inst.next_addr, taken=True,
+        target=(int(operands[0]) + inst.imm) & ~1),
+
+    Op.FRFLAGS: _read_fflags, Op.FSFLAGS: _read_fflags,
+    Op.CSRRW: _read_fflags,
+
+    Op.NOP: _no_result, Op.HALT: _no_result, Op.FENCE: _no_result,
+    Op.SRET: _no_result, Op.ECALL: _no_result,
 }
 
-_INT_IMM: dict = {
-    Op.ADDI: lambda a, imm: a + imm,
-    Op.ANDI: lambda a, imm: int(a) & imm,
-    Op.ORI: lambda a, imm: int(a) | imm,
-    Op.XORI: lambda a, imm: int(a) ^ imm,
-    Op.SLLI: lambda a, imm: int(a) << (imm & 63),
-    Op.SRLI: lambda a, imm: (int(a) & _MASK64) >> (imm & 63),
-    Op.SLTI: lambda a, imm: int(a < imm),
-}
 
-_FP_ALU: dict = {
-    Op.FADD: lambda a, b: a + b,
-    Op.FSUB: lambda a, b: a - b,
-    Op.FMUL: lambda a, b: a * b,
-    Op.FMIN: lambda a, b: min(a, b),
-    Op.FMAX: lambda a, b: max(a, b),
-    Op.FEQ: lambda a, b: int(a == b),
-    Op.FLT: lambda a, b: int(a < b),
-    Op.FLE: lambda a, b: int(a <= b),
-}
-
-_BRANCH_COND: dict = {
-    Op.BEQ: lambda a, b: a == b,
-    Op.BNE: lambda a, b: a != b,
-    Op.BLT: lambda a, b: a < b,
-    Op.BGE: lambda a, b: a >= b,
-}
-
-
-def evaluate(inst: Instruction, operands: tuple,
+def evaluate(inst: "Instruction", operands: tuple,
              fflags: int = 0) -> ExecResult:
     """Functionally execute *inst* given its source *operands*.
 
     *operands* are the values of ``inst.sources`` in order.  *fflags* is
     the current floating-point status CSR value (read by ``frflags``).
     """
-    op = inst.op
-
-    if op in _INT_ALU:
-        return ExecResult(value=_to_signed(int(_INT_ALU[op](*operands))))
-    if op in _INT_IMM:
-        return ExecResult(value=_to_signed(int(_INT_IMM[op](operands[0],
-                                                            inst.imm))))
-    if op is Op.LUI:
-        return ExecResult(value=_to_signed(inst.imm << 12))
-    if op in (Op.DIV, Op.REM):
-        a, b = int(operands[0]), int(operands[1])
-        if b == 0:
-            return ExecResult(value=-1 if op is Op.DIV else a)
-        quotient = int(a / b)  # trunc toward zero, as RISC-V requires
-        if op is Op.DIV:
-            return ExecResult(value=quotient)
-        return ExecResult(value=a - b * quotient)
-
-    if op in _FP_ALU:
-        return ExecResult(value=_FP_ALU[op](*operands))
-    if op is Op.FMADD:
-        return ExecResult(value=operands[0] * operands[1] + operands[2])
-    if op is Op.FDIV:
-        divisor = operands[1]
-        if divisor == 0:
-            return ExecResult(value=math.inf if operands[0] >= 0
-                              else -math.inf)
-        return ExecResult(value=operands[0] / divisor)
-    if op is Op.FSQRT:
-        return ExecResult(value=math.sqrt(max(operands[0], 0.0)))
-    if op is Op.FCVT_W_D:
-        return ExecResult(value=int(operands[0]))
-    if op is Op.FCVT_D_W:
-        return ExecResult(value=float(operands[0]))
-    if op is Op.FMV:
-        return ExecResult(value=operands[0])
-
-    if op in (Op.LW, Op.LD, Op.FLD):
-        return ExecResult(eff_addr=int(operands[0]) + inst.imm)
-    if op in (Op.SW, Op.SD, Op.FSD):
-        return ExecResult(eff_addr=int(operands[0]) + inst.imm,
-                          store_value=operands[1])
-    if op is Op.AMOADD:
-        return ExecResult(eff_addr=int(operands[0]) + inst.imm,
-                          store_value=operands[1])
-
-    if op in _BRANCH_COND:
-        taken = bool(_BRANCH_COND[op](*operands))
-        return ExecResult(taken=taken,
-                          target=inst.imm if taken else inst.next_addr)
-    if op is Op.JAL:
-        return ExecResult(value=inst.next_addr, taken=True, target=inst.imm)
-    if op is Op.JALR:
-        return ExecResult(value=inst.next_addr, taken=True,
-                          target=(int(operands[0]) + inst.imm) & ~1)
-
-    if op is Op.FRFLAGS:
-        return ExecResult(value=fflags)
-    if op in (Op.FSFLAGS, Op.CSRRW):
-        return ExecResult(value=fflags)
-
-    # NOP, HALT, FENCE, SRET, ECALL: no architectural result here.
-    return ExecResult()
+    return inst.evaluator(inst, operands, fflags)

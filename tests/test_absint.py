@@ -112,6 +112,17 @@ def test_abstract_evaluate_contains_concrete(op, a, b):
         f"{abstract.value}"
 
 
+def test_abstract_div_contains_the_exact_quotient():
+    """``[0, 2**62 - 1] / 1`` tops out at 2**62 - 1, which is what the
+    concrete semantics must return for ``(2**62 - 1) / 1`` too; a
+    quotient taken through a float rounds it up to 2**62."""
+    inst = Instruction(Op.DIV, rd=5, sources=(6, 7))
+    concrete = evaluate(inst, (2**62 - 1, 1), 0)
+    abstract = abstract_evaluate(inst, (AbsVal.interval(0, 2**62 - 1),
+                                        AbsVal.const(1)))
+    assert abstract.value.contains(concrete.value)
+
+
 # -- engine ------------------------------------------------------------------
 
 COUNTED_LOOP = """

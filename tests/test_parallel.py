@@ -409,7 +409,9 @@ def test_pool_workers_do_not_rebuild(namd, monkeypatch):
 
 def test_spawned_workers_unpickle_the_workload(namd, monkeypatch):
     """Where the pool cannot fork, workers get the built workload by
-    pickle and still match the serial run."""
+    pickle and still match the serial run.  A pool that cannot start a
+    worker (say, an unpicklable workload) degrades to running in-process,
+    which would match too, so that fallback fails the test here."""
     import multiprocessing
 
     import repro.parallel.pool as pool_mod
@@ -417,6 +419,11 @@ def test_spawned_workers_unpickle_the_workload(namd, monkeypatch):
                         lambda: multiprocessing.get_context("spawn"))
     configs = default_profilers(13)
     serial = run_suite(namd, profilers=configs, sim="fast")
+
+    def no_fallback(job, report):
+        pytest.fail(f"{job.name}: pool degraded to an in-process run")
+
+    monkeypatch.setattr(pool_mod, "_run_serial", no_fallback)
     pooled = run_suite(namd, profilers=configs, sim="fast", jobs=2)
     _assert_same_results(pooled, serial)
 
