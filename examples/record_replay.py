@@ -2,10 +2,11 @@
 """Record once, analyze forever (the FireSim methodology).
 
 Simulates a workload a single time while serializing its commit-stage
-trace to a compact binary file, then replays that file through fresh
-profiler configurations -- different policies, sampling periods, and
-modes -- without ever re-simulating.  This is exactly how the paper
-evaluates 19 profiler configurations per FPGA run.
+trace to a compact columnar (v3) trace, then replays it one chunk-block
+at a time through fresh profiler configurations -- different policies,
+sampling periods, and modes -- without ever re-simulating.  This is
+exactly how the paper evaluates 19 profiler configurations per FPGA
+run.
 
 Run:  python examples/record_replay.py
 """
@@ -17,7 +18,8 @@ from repro.analysis import Granularity, Symbolizer, profile_error, \
     render_error_table
 from repro.core import (NciProfiler, OracleProfiler, SampleSchedule,
                         TipProfiler)
-from repro.cpu import Machine, TraceWriter, replay_trace
+from repro.cpu import Machine, TraceWriterV3
+from repro.fastpath import replay_blocks
 from repro.workloads import build_workload, k_branchy, k_csr_flush, \
     k_int_ilp, k_stream_load
 
@@ -34,7 +36,7 @@ def main() -> None:
     machine = Machine(workload.program,
                       premapped_data=workload.premapped)
     buffer = io.BytesIO()
-    machine.attach(TraceWriter(buffer, banks=4))
+    machine.attach(TraceWriterV3(buffer, banks=4))
     start = time.perf_counter()
     stats = machine.run()
     sim_time = time.perf_counter() - start
@@ -52,7 +54,7 @@ def main() -> None:
         tip = TipProfiler(SampleSchedule(period), machine.image)
         nci = NciProfiler(SampleSchedule(period))
         start = time.perf_counter()
-        replay_trace(trace, oracle, tip, nci)
+        replay_blocks(trace, oracle, tip, nci)
         replay_time = time.perf_counter() - start
         oracle.report.total_cycles = stats.cycles
         errors[f"period {period}"] = {

@@ -13,19 +13,19 @@ Commands
 ``overhead``
     Print the Section 3.2 overhead summary.
 ``record FILE.s -o trace.bin``
-    Simulate once and serialize the commit-stage trace (chunk-indexed
-    v2 by default; ``--format v1`` for the legacy flat stream).
+    Simulate once and serialize the commit-stage trace (columnar,
+    chunk-indexed v3).
 ``replay trace.bin FILE.s``
-    Re-profile a recorded trace without re-simulating; ``--jobs N``
-    shards a v2 trace over worker processes and ``--engine`` picks
-    columnar-block or per-record consumption (bit-identical results).
+    Re-profile a recorded v3 trace without re-simulating, one columnar
+    block per chunk; ``--jobs N`` shards it over worker processes
+    (bit-identical results).
 ``convert-trace trace.bin -o trace2.bin``
-    Re-encode a v1 trace in the chunk-indexed v2 format.
+    Upgrade a legacy v1/v2 trace to v3 (or re-chunk a v3 trace).
 ``bench``
     Time the simulate/record/replay/suite pipeline and write
     ``BENCH_pipeline.json``.
 ``bench --trace trace.bin --program FILE.s``
-    Time the cycle-vs-block replay engines on a recorded trace and
+    Time per-record against block replay on a recorded trace and
     write ``BENCH_hotpath.json`` (``--quick`` for CI smoke runs).
 ``bench --sim``
     Time single-stepping vs the event-driven fast path vs a warm
@@ -244,7 +244,7 @@ def cmd_imagick(args) -> int:
 
 
 def cmd_record(args) -> int:
-    from .cpu import Machine, TraceWriter, TraceWriterV2, TraceWriterV3
+    from .cpu import Machine, TraceWriterV3
     with open(args.file) as handle:
         program = assemble(handle.read(), name=args.file)
     premapped = [(0, 1 << 28)] if args.map_all else None
@@ -254,27 +254,19 @@ def cmd_record(args) -> int:
         from .lint import TraceSanitizer
         sanitizer = TraceSanitizer.for_machine(machine)
         machine.attach(sanitizer)
-    if args.format == "v1":
-        with open(args.output, "wb") as out:
-            machine.attach(TraceWriter(out, machine.config.rob_banks))
-            stats = machine.run(sim=args.sim, paranoid=args.paranoid)
-    else:
-        # Path mode: the chunked writers are atomic -- a killed run
-        # never leaves a truncated trace at the destination.
-        writer_cls = TraceWriterV2 if args.format == "v2" \
-            else TraceWriterV3
-        writer = writer_cls(args.output, machine.config.rob_banks,
-                            chunk_cycles=args.chunk_cycles,
-                            compress=args.compress)
-        machine.attach(writer)
-        try:
-            stats = machine.run(sim=args.sim, paranoid=args.paranoid)
-        except BaseException:
-            writer.abort()
-            raise
+    # Path mode: the writer is atomic -- a killed run never leaves a
+    # truncated trace at the destination.
+    writer = TraceWriterV3(args.output, machine.config.rob_banks,
+                           chunk_cycles=args.chunk_cycles,
+                           compress=args.compress)
+    machine.attach(writer)
+    try:
+        stats = machine.run(sim=args.sim, paranoid=args.paranoid)
+    except BaseException:
+        writer.abort()
+        raise
     print(f"recorded {stats.cycles} cycles "
-          f"({stats.committed} instructions) to {args.output} "
-          f"[{args.format}]")
+          f"({stats.committed} instructions) to {args.output} [v3]")
     if sanitizer is not None:
         print(sanitizer.summary())
     return 0
@@ -292,9 +284,13 @@ def cmd_replay(args) -> int:
     mode = "random" if args.random else "periodic"
     configs = [ProfilerConfig(args.policy, args.period, mode)]
     spec = ProgramSpec(kind="asm", source=source, name=args.program)
-    result = replay_experiment(args.trace, image, configs,
-                               sanitize=args.sanitize, jobs=args.jobs,
-                               spec=spec, engine=args.engine)
+    try:
+        result = replay_experiment(args.trace, image, configs,
+                                   sanitize=args.sanitize, jobs=args.jobs,
+                                   spec=spec)
+    except (OSError, ValueError) as exc:
+        print(f"cannot replay {args.trace}: {exc}", file=sys.stderr)
+        return 2
     outcome = result.replay
     profiler = result.profilers[args.policy]
     granularity = Granularity(args.granularity)
@@ -302,8 +298,7 @@ def cmd_replay(args) -> int:
                           granularity)
     print(f"replayed {outcome.cycles} cycles, "
           f"{len(profiler.samples)} samples "
-          f"({outcome.mode}, {outcome.shards} shard(s), "
-          f"{outcome.engine} engine)")
+          f"({outcome.mode}, {outcome.shards} shard(s))")
     if outcome.fallback_reason:
         print(f"note: serial fallback: {outcome.fallback_reason}")
     print(f"{args.policy} {granularity.value}-level error: {error:.2%}")
@@ -314,11 +309,14 @@ def cmd_replay(args) -> int:
 
 def cmd_convert_trace(args) -> int:
     from .cpu import convert_trace
-    version = int(args.to[1:])
-    records = convert_trace(args.trace, args.output, version=version,
-                            chunk_cycles=args.chunk_cycles,
-                            compress=args.compress)
-    print(f"converted {records} records to {args.output} [{args.to}]")
+    try:
+        records = convert_trace(args.trace, args.output,
+                                chunk_cycles=args.chunk_cycles,
+                                compress=args.compress)
+    except (OSError, ValueError) as exc:
+        print(f"cannot convert {args.trace}: {exc}", file=sys.stderr)
+        return 2
+    print(f"converted {records} records to {args.output} [v3]")
     return 0
 
 
@@ -925,16 +923,12 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("file")
     record.add_argument("-o", "--output", default="trace.tiptrace")
     record.add_argument("--map-all", action="store_true")
-    record.add_argument("--format", default="v3",
-                        choices=["v1", "v2", "v3"],
-                        help="trace format (v3 is columnar and replays "
-                             "zero-copy via mmap; default)")
     record.add_argument("--chunk-cycles", type=int,
                         default=DEFAULT_CHUNK_CYCLES,
-                        help="records per v2/v3 chunk")
+                        help="records per chunk")
     record.add_argument("--compress", action="store_true",
-                        help="zlib-compress v2/v3 chunk payloads "
-                             "(disables zero-copy v3 replay)")
+                        help="zlib-compress chunk payloads "
+                             "(disables zero-copy replay)")
     _add_sanitize(record)
     _add_sim(record)
     record.set_defaults(func=cmd_record)
@@ -949,25 +943,17 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=[g.value for g in Granularity])
     replay.add_argument("--jobs", type=int, default=1,
                         help="shard the replay over N worker processes "
-                             "(v2/v3 traces; bit-identical to serial)")
-    replay.add_argument("--engine", default="block",
-                        choices=["cycle", "block"],
-                        help="trace consumption engine: columnar "
-                             "blocks (default; falls back to cycle "
-                             "for v1 traces) or per-record cycles")
+                             "(bit-identical to serial)")
     _add_common(replay)
     _add_sanitize(replay)
     replay.set_defaults(func=cmd_replay)
 
     convert = sub.add_parser(
         "convert-trace",
-        help="re-encode a trace in another format version "
-             "(v1/v2 -> v3 upgrades, v3 -> v2 downgrades, ...)")
+        help="re-encode a trace (any version) as v3; upgrades legacy "
+             "v1/v2 traces")
     convert.add_argument("trace")
     convert.add_argument("-o", "--output", required=True)
-    convert.add_argument("--to", default="v3",
-                         choices=["v1", "v2", "v3"],
-                         help="target format version (default v3)")
     convert.add_argument("--chunk-cycles", type=int,
                          default=DEFAULT_CHUNK_CYCLES)
     convert.add_argument("--compress", action="store_true")
@@ -984,9 +970,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_CHUNK_CYCLES)
     bench.add_argument("--compress", action="store_true")
     bench.add_argument("--trace",
-                       help="recorded v2 trace: benchmark the "
-                            "cycle-vs-block replay engines on it "
-                            "instead of the full pipeline")
+                       help="recorded trace: benchmark per-record "
+                            "against block replay on it instead of "
+                            "the full pipeline")
     bench.add_argument("--program",
                        help="assembly source the trace was recorded "
                             "from (required with --trace)")

@@ -9,17 +9,17 @@ commit; TIP's drained samples wait for the next dispatch) -- those become
 resolve before the run ends keep an empty attribution and count as
 misattributed, which is the conservative choice.
 
-Profilers are driven two ways.  The classic *cycle engine* calls
-:meth:`SamplingProfiler.on_cycle` once per cycle.  The *block engine*
-(:mod:`repro.fastpath`) hands whole columnar
+Profilers are driven two ways.  Live simulation and the per-record
+reference replay call :meth:`SamplingProfiler.on_cycle` once per cycle.
+Block replay (:mod:`repro.fastpath`) hands whole columnar
 :class:`~repro.fastpath.block.CycleBlock` batches to
 :meth:`SamplingProfiler.on_block`; profilers that set ``block_native``
 and implement the ``_block_*`` hooks then touch only the cycles that
 matter -- sample points and pending-resolution events, located by
 bisecting the block's sparse index lists -- instead of paying a Python
-call per cycle.  The driver reproduces the cycle engine's semantics
-exactly (state update, then pending resolution, then sampling, in
-cycle order), so both engines emit bit-identical sample streams.
+call per cycle.  The driver reproduces the per-cycle semantics exactly
+(state update, then pending resolution, then sampling, in cycle
+order), so both paths emit bit-identical sample streams.
 """
 
 from __future__ import annotations

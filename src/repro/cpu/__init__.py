@@ -9,11 +9,9 @@ from .machine import Machine
 from .trace import (CommittedInst, CycleRecord, HeadEntry, TraceCollector,
                     TraceObserver, replay, shifted_record)
 from .tracefile import (ChunkCarry, ChunkInfo, DEFAULT_CHUNK_CYCLES,
-                        TraceIndex, TraceReaderV2, TraceReaderV3,
-                        TraceWriter, TraceWriterV2, TraceWriterV3,
-                        convert_trace, convert_v1_to_v2, open_reader,
-                        read_chunk, read_index, read_trace,
-                        replay_trace)
+                        TraceIndex, TraceReaderV3, TraceWriterV3,
+                        convert_trace, open_reader, read_index,
+                        read_trace, replay_trace)
 from .uop import MicroOp, MicroOpPool
 
 __all__ = [
@@ -24,8 +22,7 @@ __all__ = [
     "Machine", "CommittedInst", "CycleRecord", "HeadEntry",
     "TraceCollector", "TraceObserver", "replay", "MicroOp", "MicroOpPool",
     "ChunkCarry", "ChunkInfo", "DEFAULT_CHUNK_CYCLES", "TraceIndex",
-    "TraceReaderV2", "TraceReaderV3", "TraceWriter", "TraceWriterV2",
-    "TraceWriterV3", "convert_trace", "convert_v1_to_v2", "open_reader",
-    "read_chunk", "read_index", "read_trace", "replay_trace",
+    "TraceReaderV3", "TraceWriterV3", "convert_trace", "open_reader",
+    "read_index", "read_trace", "replay_trace",
     "shifted_record",
 ]

@@ -125,8 +125,9 @@ class TraceObserver:
         cycles ``record.cycle .. record.cycle + count - 1`` differ only
         in their cycle number.  The default rematerializes each cycle
         and falls back to :meth:`on_cycle`, so observers that never opt
-        in behave identically; observers with a batch fast path (trace
-        writers, the block assembler, the Oracle) override this.
+        in behave identically; observers with a batch fast path (the
+        trace writer, the sampling profilers, the Oracle, the sanitizer)
+        override this.
         """
         self.on_cycle(record)
         for offset in range(1, count):
@@ -147,8 +148,7 @@ class TraceObserver:
         template itself, unshifted.  The default rematerializes every
         cycle and falls back to :meth:`on_cycle`, so observers that
         never opt in behave identically; observers with a batch fast
-        path (trace writers, the block assembler, the Oracle, the
-        sanitizer) override this.
+        path (the trace writer and the sanitizer) override this.
         """
         period = len(records)
         for repeat in range(repeats):
@@ -163,11 +163,12 @@ class TraceObserver:
     def on_block(self, block) -> None:
         """Consume a :class:`~repro.fastpath.CycleBlock` of records.
 
-        The block engine (:mod:`repro.fastpath`) hands observers whole
+        Block replay (:mod:`repro.fastpath`) hands observers whole
         chunks of consecutive cycles at once.  The default implementation
         materializes each record and falls back to :meth:`on_cycle`, so
-        observers that never opt in behave identically under either
-        engine; observers with a columnar fast path override this.
+        observers that never opt in behave identically under block and
+        per-record replay; observers with a columnar fast path override
+        this.
         """
         for record in block.records():
             self.on_cycle(record)

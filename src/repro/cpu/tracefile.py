@@ -3,14 +3,49 @@
 The paper's methodology streams a per-cycle trace out of FireSim and
 processes it on the CPU side; re-running a new profiler configuration
 does not require re-simulating.  This module provides the same record/
-replay split for our simulator: :class:`TraceWriter` (format v1) and
-:class:`TraceWriterV2` are trace observers that encode every
-:class:`~repro.cpu.trace.CycleRecord` into a compact binary stream, and
-:func:`read_trace` / :func:`replay_trace` reconstruct the records and
-drive any set of observers over them.  :func:`read_trace` dispatches on
-the version byte in the magic, so both formats replay transparently.
+replay split for our simulator: :class:`TraceWriterV3` is a trace
+observer that serializes every :class:`~repro.cpu.trace.CycleRecord`,
+:class:`TraceReaderV3` maps the file for random chunk access, and
+:func:`read_trace` / :func:`replay_trace` reconstruct the records one
+at a time (the per-record reference replay).
 
-Per-record encoding (shared by both formats, little-endian):
+Format v3 (``TIPTRC03``) is the only format written.  It is
+*chunk-indexed*, so a trace can be replayed out-of-band by parallel
+workers (see :mod:`repro.parallel`), and *zero-copy columnar*:
+
+* file header: magic, u8 banks, u8 flags (bit0: zlib-compressed
+  payloads), u32 chunk_cycles (records per full chunk), 2 pad bytes so
+  the first chunk header lands on an 8-byte boundary;
+* a sequence of chunks, each a 96-byte header (start cycle, record
+  count, payload sizes, carried machine state, flattened column
+  lengths and per-column offsets) followed by the raw
+  :class:`~repro.fastpath.block.CycleBlock` columns of ``chunk_cycles``
+  consecutive cycles: flags bytes, oldest-bank bytes, ``array('I')``
+  prefix-sum bases, packed-u64 optional/commit/dispatch columns and the
+  commit-meta bytes, each column 8-byte aligned.
+
+Decoding a chunk is therefore a handful of ``memoryview`` casts over an
+``mmap`` of the trace file -- no per-record Python loop -- and forked
+shard workers that map the same file share its pages.  Everything is
+little-endian on disk; on big-endian hosts the reader falls back to
+``array.byteswap`` copies.  zlib compression stays available as an
+opt-out that falls back to buffer copies.  Cycle numbers are implicit
+(records are dense from cycle 0), which keeps the format compact.
+
+The carried state (:class:`ChunkCarry`) is everything a profiler needs
+to *cold-start* at a chunk boundary exactly as if it had consumed the
+whole prefix: the Offending Instruction Register mirror (address, flag,
+flush kind), the last committed address, and whether the previous cycle
+flushed (for the sanitizer's drain check).  All of it is derivable from
+the trace prefix, so it is computed once at record time.
+
+Formats v1 (``TIPTRC01``) and v2 (``TIPTRC02``) are read-only legacy
+input: :func:`read_trace` still decodes them and :func:`convert_trace`
+(``repro convert-trace``) upgrades them to v3 losslessly.  v1 is a flat
+stream (magic, banks byte, one record per cycle); v2 frames the same
+records in chunks behind ``_CHUNK_HDR`` headers.  Their per-record
+encoding (little-endian; v3's flags and commit-meta columns hold the
+same header and meta bytes):
 
 * header byte: bit0 rob_empty, bit1 has_exception, bit2 ordering,
   bit3 has_dispatch_pc, bit4 has_rob_head;
@@ -21,44 +56,6 @@ Per-record encoding (shared by both formats, little-endian):
 * per committed entry: u64 addr, u8 (bank | mispredicted<<6 |
   flushes<<7);
 * per dispatched entry: u64 addr.
-
-Cycle numbers are implicit (records are dense), which is what keeps the
-format compact.
-
-Format v1 (``TIPTRC01``) is a flat stream: magic, banks byte, then one
-record per cycle from cycle 0.
-
-Format v2 (``TIPTRC02``) is *chunk-indexed* so a trace can be replayed
-out-of-band by parallel workers (see :mod:`repro.parallel`):
-
-* file header: magic, u8 banks, u8 flags (bit0: zlib-compressed
-  payloads), u32 chunk_cycles (records per full chunk);
-* a sequence of chunks, each ``CHUNK_HEADER`` (start cycle, record
-  count, payload sizes, carried machine state) followed by the encoded
-  records of ``chunk_cycles`` consecutive cycles (optionally zlib).
-
-The carried state (:class:`ChunkCarry`) is everything a profiler needs
-to *cold-start* at a chunk boundary exactly as if it had consumed the
-whole prefix: the Offending Instruction Register mirror (address, flag,
-flush kind), the last committed address, and whether the previous cycle
-flushed (for the sanitizer's drain check).  All of it is derivable from
-the trace prefix, so it is computed once at record time.
-
-Format v3 (``TIPTRC03``) is *zero-copy columnar*: each chunk's payload
-is the raw :class:`~repro.fastpath.block.CycleBlock` columns themselves
-(flags bytes, oldest-bank bytes, ``array('I')`` prefix-sum bases,
-packed-u64 optional/commit/dispatch columns and the commit-meta bytes),
-each column 8-byte aligned with a per-column offset table in the chunk
-header.  Decoding a v3 chunk is therefore a handful of ``memoryview``
-casts over an ``mmap`` of the trace file -- no per-record Python loop
--- and forked shard workers that map the same file share its pages.
-Everything is little-endian on disk; on big-endian hosts the reader
-falls back to ``array.byteswap`` copies.  zlib compression stays
-available as an opt-out that falls back to buffer copies.
-
-:func:`convert_v1_to_v2` upgrades existing v1 traces losslessly;
-:func:`convert_trace` re-encodes any version into any other (v1/v2/v3
-round trips are byte-identical for matching chunk parameters).
 """
 
 from __future__ import annotations
@@ -82,18 +79,18 @@ MAGIC_V3 = b"TIPTRC03"
 
 _LITTLE = sys.byteorder == "little"
 
-#: Records per chunk in format v2 (one record per cycle).
+#: Records per chunk (one record per cycle).
 DEFAULT_CHUNK_CYCLES = 4096
 
 _U64 = struct.Struct("<Q")
 _HDR = struct.Struct("<BBB")
-#: v2 file header after the magic: banks, flags, chunk_cycles.
+#: File header after the magic (v2 and v3): banks, flags, chunk_cycles.
 _FILE_HDR_V2 = struct.Struct("<BBI")
-#: v2 chunk header: start_cycle, n_records, payload bytes, raw bytes,
-#: carry flags, oir_flag, oir_kind, oir_addr, last_committed.
+#: Legacy v2 chunk header: start_cycle, n_records, payload bytes, raw
+#: bytes, carry flags, oir_flag, oir_kind, oir_addr, last_committed.
 _CHUNK_HDR = struct.Struct("<QIIIBBBQQ")
-#: v3 file header is the v2 header plus 2 pad bytes, so the first
-#: chunk header lands on an 8-byte boundary (16 bytes with the magic).
+#: v3 pads the file header by 2 bytes, so the first chunk header lands
+#: on an 8-byte boundary (16 bytes with the magic).
 _FILE_PAD_V3 = b"\x00\x00"
 #: v3 chunk header (96 bytes, 8-aligned): start_cycle, n_records,
 #: payload bytes (stored size), raw bytes (column-buffer size), carry
@@ -115,7 +112,7 @@ _F_ORD = 1 << 2
 _F_DISP_PC = 1 << 3
 _F_HEAD = 1 << 4
 
-#: v2 file-header flags.
+#: File-header flags.
 _FILE_F_ZLIB = 1 << 0
 
 #: Carry flags.
@@ -214,7 +211,7 @@ def _carry_snapshots(carry: "ChunkCarry", records: Sequence[CycleRecord]
 
 @dataclass
 class ChunkInfo:
-    """Location and metadata of one v2/v3 chunk."""
+    """Location and metadata of one v3 chunk."""
 
     start_cycle: int
     n_records: int
@@ -223,62 +220,28 @@ class ChunkInfo:
     payload_bytes: int
     raw_bytes: int
     carry: ChunkCarry
-    #: v3 only: flattened column lengths ``(n_opt, n_commit, n_disp)``.
-    counts: Optional[Tuple[int, int, int]] = None
-    #: v3 only: per-column byte offsets within the raw payload, in
-    #: ``_COL_*`` order.
-    columns: Optional[Tuple[int, ...]] = None
+    #: Flattened column lengths ``(n_opt, n_commit, n_disp)``.
+    counts: Tuple[int, int, int]
+    #: Per-column byte offsets within the raw payload, in ``_COL_*``
+    #: order.
+    columns: Tuple[int, ...]
 
 
 @dataclass
 class TraceIndex:
-    """File-level metadata and the chunk directory of a v2/v3 trace."""
+    """File-level metadata and the chunk directory of a v3 trace."""
 
     banks: int
     compressed: bool
     chunk_cycles: int
     chunks: List[ChunkInfo]
-    version: int = 2
 
     @property
     def total_records(self) -> int:
         return sum(chunk.n_records for chunk in self.chunks)
 
 
-# -- per-record encoding (shared) ----------------------------------------------
-
-
-def _encode_record(record: CycleRecord) -> bytes:
-    flags = 0
-    if record.rob_empty:
-        flags |= _F_EMPTY
-    if record.exception is not None:
-        flags |= _F_EXC
-    if record.exception_is_ordering:
-        flags |= _F_ORD
-    if record.dispatch_pc is not None:
-        flags |= _F_DISP_PC
-    if record.rob_head is not None:
-        flags |= _F_HEAD
-    counts = (len(record.committed) & 0xF) | \
-        ((len(record.dispatched) & 0xF) << 4)
-    parts = [_HDR.pack(flags, counts, record.oldest_bank),
-             _U64.pack(record.fetch_pc)]
-    if record.rob_head is not None:
-        parts.append(_U64.pack(record.rob_head))
-    if record.exception is not None:
-        parts.append(_U64.pack(record.exception))
-    if record.dispatch_pc is not None:
-        parts.append(_U64.pack(record.dispatch_pc))
-    for commit in record.committed:
-        parts.append(_U64.pack(commit.addr))
-        parts.append(struct.pack(
-            "<B", (commit.bank & 0x3F)
-            | (0x40 if commit.mispredicted else 0)
-            | (0x80 if commit.flushes else 0)))
-    for addr in record.dispatched:
-        parts.append(_U64.pack(addr))
-    return b"".join(parts)
+# -- legacy v1/v2 decoding (read-only) ----------------------------------------
 
 
 def _decode_record(buf: bytes, pos: int, cycle: int,
@@ -325,271 +288,45 @@ def _decode_record(buf: bytes, pos: int, cycle: int,
     return record, pos
 
 
-# -- format v1 ------------------------------------------------------------------
-
-
-class TraceWriter(TraceObserver):
-    """Observer that serializes the trace in the flat v1 format."""
-
-    def __init__(self, stream: BinaryIO, banks: int = 4):
-        self.stream = stream
-        self.banks = banks
-        self.records_written = 0
-        stream.write(MAGIC)
-        stream.write(struct.pack("<B", banks))
-
-    def on_cycle(self, record: CycleRecord) -> None:
-        self.stream.write(_encode_record(record))
-        self.records_written += 1
-
-    def on_stall_run(self, record: CycleRecord, count: int) -> None:
-        # Encoded records carry no cycle number, so a stall run is
-        # *count* copies of the same bytes.
-        self.stream.write(_encode_record(record) * count)
-        self.records_written += count
-
-    def on_cycle_run(self, records: Sequence[CycleRecord],
-                     repeats: int) -> None:
-        # Cycle numbers are implicit, so every repeat of the period
-        # serializes to the same bytes: encode once, multiply.
-        if not records or repeats <= 0:
-            return
-        period = b"".join(_encode_record(r) for r in records)
-        self.stream.write(period * repeats)
-        self.records_written += len(records) * repeats
-
-    def on_finish(self, final_cycle: int) -> None:
-        self.stream.flush()
-
-
 def _read_trace_v1(stream: BinaryIO, banks: int) -> Iterator[CycleRecord]:
-    cycle = 0
-    while True:
-        header = stream.read(_HDR.size)
-        if not header:
-            return
-        if len(header) < _HDR.size:
-            raise ValueError("truncated trace record header")
-        flags, counts, oldest_bank = _HDR.unpack(header)
-        fetch_pc = _U64.unpack(stream.read(8))[0]
-        rob_head = (_U64.unpack(stream.read(8))[0]
-                    if flags & _F_HEAD else None)
-        exception = (_U64.unpack(stream.read(8))[0]
-                     if flags & _F_EXC else None)
-        dispatch_pc = (_U64.unpack(stream.read(8))[0]
-                       if flags & _F_DISP_PC else None)
-        committed = []
-        for _ in range(counts & 0xF):
-            addr = _U64.unpack(stream.read(8))[0]
-            meta = stream.read(1)[0]
-            committed.append(CommittedInst(
-                addr, meta & 0x3F, bool(meta & 0x40), bool(meta & 0x80)))
-        dispatched = tuple(_U64.unpack(stream.read(8))[0]
-                           for _ in range(counts >> 4))
-        head_banks: List[Optional[HeadEntry]] = [None] * banks
-        if rob_head is not None:
-            head_banks[oldest_bank] = HeadEntry(rob_head, False)
-        yield CycleRecord(
-            cycle=cycle, committed=tuple(committed), rob_head=rob_head,
-            rob_empty=bool(flags & _F_EMPTY), exception=exception,
-            exception_is_ordering=bool(flags & _F_ORD),
-            dispatched=dispatched, dispatch_pc=dispatch_pc,
-            fetch_pc=fetch_pc, head_banks=tuple(head_banks),
-            oldest_bank=oldest_bank)
+    buf = stream.read()
+    pos = cycle = 0
+    while pos < len(buf):
+        record, pos = _decode_record(buf, pos, cycle, banks)
+        yield record
         cycle += 1
 
 
-# -- format v2 ------------------------------------------------------------------
-
-
-class _AtomicWriterMixin:
-    """Path-mode atomicity shared by the chunked trace writers.
-
-    In path mode the writer targets a unique ``*.tmp`` sibling and only
-    fsyncs + renames it over the destination on finish, so a killed
-    ``repro record`` or cache fill never leaves a truncated trace at
-    the destination path -- which readers would otherwise silently
-    accept, because truncation at a chunk boundary is indistinguishable
-    from end-of-trace.  Call :meth:`abort` to discard a partial
-    path-mode write explicitly.
-    """
-
-    _path: Optional[str]
-    _tmp_path: Optional[str]
-    _closed: bool
-    stream: BinaryIO
-
-    def _open_dest(self, stream: Union[BinaryIO, str, "os.PathLike[str]"]
-                   ) -> BinaryIO:
-        self._path = None
-        self._tmp_path = None
-        self._closed = False
-        if isinstance(stream, (str, os.PathLike)):
-            self._path = os.fspath(stream)
-            self._tmp_path = f"{self._path}.{os.getpid()}.tmp"
-            stream = open(self._tmp_path, "wb")
-        return stream
-
-    def _finalize(self) -> None:
-        self.stream.flush()
-        if self._path is not None and not self._closed:
-            self._closed = True
-            os.fsync(self.stream.fileno())
-            self.stream.close()
-            os.replace(self._tmp_path, self._path)
-            _fsync_dir(os.path.dirname(self._path))
-
-    def abort(self) -> None:
-        """Discard a partially-written path-mode trace.
-
-        Closes and unlinks the temporary file; the destination path is
-        never touched.  No-op in stream mode or after finishing.
-        """
-        if self._path is None or self._closed:
+def _read_trace_v2(stream: BinaryIO, banks: int, compressed: bool
+                   ) -> Iterator[CycleRecord]:
+    while True:
+        header = stream.read(_CHUNK_HDR.size)
+        if not header:
             return
-        self._closed = True
-        try:
-            self.stream.close()
-        finally:
-            try:
-                os.unlink(self._tmp_path)
-            except OSError:
-                pass
+        if len(header) < _CHUNK_HDR.size:
+            raise ValueError("truncated chunk header")
+        start_cycle, n_records, payload_bytes, raw_bytes = \
+            _CHUNK_HDR.unpack(header)[:4]
+        payload = stream.read(payload_bytes)
+        if len(payload) < payload_bytes:
+            raise ValueError("truncated chunk payload")
+        raw = _inflate(payload) if compressed else payload
+        if len(raw) != raw_bytes:
+            raise ValueError("chunk payload size mismatch")
+        pos = 0
+        for i in range(n_records):
+            record, pos = _decode_record(raw, pos, start_cycle + i, banks)
+            yield record
+        if pos != len(raw):
+            raise ValueError("trailing bytes in trace chunk")
 
 
-class TraceWriterV2(_AtomicWriterMixin, TraceObserver):
-    """Observer that serializes the trace in the chunk-indexed v2 format.
-
-    Records are buffered and flushed as chunks of *chunk_cycles*
-    records; each chunk header stores the cycle range and the machine
-    state carried into the chunk, so parallel workers can decode and
-    replay any chunk range independently (:mod:`repro.parallel.shard`).
-
-    *stream* may be an open binary stream or a filesystem path.  In
-    path mode the writer is **atomic**: it writes to a unique ``*.tmp``
-    sibling and only fsyncs + renames it over the destination in
-    :meth:`on_finish`.  A killed ``repro record`` or cache fill
-    therefore never leaves a truncated trace at the destination path --
-    which readers would otherwise silently accept, because truncation
-    at a chunk boundary is indistinguishable from end-of-trace.  Call
-    :meth:`abort` to discard a partial path-mode write explicitly.
-    """
-
-    def __init__(self, stream: Union[BinaryIO, str, "os.PathLike[str]"],
-                 banks: int = 4,
-                 chunk_cycles: int = DEFAULT_CHUNK_CYCLES,
-                 compress: bool = False):
-        if chunk_cycles < 1:
-            raise ValueError("chunk_cycles must be >= 1")
-        self.stream = self._open_dest(stream)
-        stream = self.stream
-        self.banks = banks
-        self.chunk_cycles = chunk_cycles
-        self.compress = compress
-        self.records_written = 0
-        self.chunks_written = 0
-        self._buffer: List[bytes] = []
-        self._chunk_start = 0
-        #: Carry as of the start of the buffered chunk.
-        self._chunk_carry = ChunkCarry()
-        #: Carry advanced past every record seen so far.
-        self._carry = ChunkCarry()
-        stream.write(MAGIC_V2)
-        stream.write(_FILE_HDR_V2.pack(
-            banks, _FILE_F_ZLIB if compress else 0, chunk_cycles))
-
-    def on_cycle(self, record: CycleRecord) -> None:
-        self._buffer.append(_encode_record(record))
-        self._carry.update(record)
-        self.records_written += 1
-        if len(self._buffer) >= self.chunk_cycles:
-            self._flush_chunk()
-
-    def on_stall_run(self, record: CycleRecord, count: int) -> None:
-        # One encode for the whole run: records carry no cycle number,
-        # so every cycle of the run serializes to the same bytes, and
-        # the carry update is idempotent for stall records (no commits,
-        # no exception).
-        encoded = _encode_record(record)
-        self._carry.update(record)
-        self.records_written += count
-        buffer = self._buffer
-        while count:
-            space = self.chunk_cycles - len(buffer)
-            take = count if count < space else space
-            buffer.extend([encoded] * take)
-            count -= take
-            if len(buffer) >= self.chunk_cycles:
-                self._flush_chunk()
-                buffer = self._buffer
-
-    def on_cycle_run(self, records: Sequence[CycleRecord],
-                     repeats: int) -> None:
-        # Encode each template record once and append byte strings by
-        # whole periods; the chunk carry is restored from precomputed
-        # snapshots at every chunk boundary the run crosses.
-        n = len(records)
-        if not n or repeats <= 0:
-            return
-        snapshots = _carry_snapshots(self._carry, records)
-        if snapshots is None:
-            super().on_cycle_run(records, repeats)
-            return
-        transient, steady = snapshots
-        encoded = [_encode_record(r) for r in records]
-        total = n * repeats
-        buffer = self._buffer
-        t = 0
-        while t < total:
-            space = self.chunk_cycles - len(buffer)
-            take = min(space, total - t)
-            i = t % n
-            done = 0
-            if i:
-                done = min(take, n - i)
-                buffer.extend(encoded[i:i + done])
-            whole, tail = divmod(take - done, n)
-            if whole:
-                buffer.extend(encoded * whole)
-            if tail:
-                buffer.extend(encoded[:tail])
-            t += take
-            if len(buffer) >= self.chunk_cycles:
-                last = t - 1
-                snap = transient[last] if last < n else steady[last % n]
-                self._carry = snap.copy()
-                self._flush_chunk()
-                buffer = self._buffer
-        last = total - 1
-        self._carry = (transient[last] if last < n
-                       else steady[last % n]).copy()
-        self.records_written += total
-
-    def on_finish(self, final_cycle: int) -> None:
-        if self._buffer:
-            self._flush_chunk()
-        self._finalize()
-
-    def _flush_chunk(self) -> None:
-        raw = b"".join(self._buffer)
-        payload = zlib.compress(raw) if self.compress else raw
-        carry = self._chunk_carry
-        flags = 0
-        if carry.oir_addr is not None:
-            flags |= _C_HAS_OIR
-        if carry.last_committed is not None:
-            flags |= _C_HAS_LAST
-        if carry.drain_pending:
-            flags |= _C_DRAIN
-        self.stream.write(_CHUNK_HDR.pack(
-            self._chunk_start, len(self._buffer), len(payload), len(raw),
-            flags, carry.oir_flag, carry.oir_kind,
-            carry.oir_addr or 0, carry.last_committed or 0))
-        self.stream.write(payload)
-        self._chunk_start += len(self._buffer)
-        self._buffer = []
-        self._chunk_carry = self._carry.copy()
-        self.chunks_written += 1
+def _inflate(payload: bytes) -> bytes:
+    """Decompress a zlib chunk payload; corrupt data is a ValueError."""
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt compressed chunk: {exc}") from None
 
 
 def _fsync_dir(dirname: str) -> None:
@@ -727,15 +464,26 @@ def _block_from_columns(view: memoryview, start_cycle: int,
         _cast_u64(view, columns[_COL_DISP_ADDR], n_disp))
 
 
-class TraceWriterV3(_AtomicWriterMixin, TraceObserver):
+class TraceWriterV3(TraceObserver):
     """Observer that serializes the trace in the columnar v3 format.
 
     Buffers ``(record, count)`` runs and flushes chunks of
     *chunk_cycles* records whose payload **is** the chunk's
     :class:`~repro.fastpath.block.CycleBlock` columns, 8-byte aligned
     behind a per-column offset table, so readers decode by casting an
-    ``mmap`` of the file instead of looping over records.  Carry state
-    and atomic path-mode semantics match :class:`TraceWriterV2`.
+    ``mmap`` of the file instead of looping over records.  Each chunk
+    header stores the cycle range and the machine state carried into
+    the chunk, so parallel workers can replay any chunk range
+    independently (:mod:`repro.parallel.shard`).
+
+    *stream* may be an open binary stream or a filesystem path.  In
+    path mode the writer is **atomic**: it writes to a unique ``*.tmp``
+    sibling and only fsyncs + renames it over the destination in
+    :meth:`on_finish`.  A killed ``repro record`` or cache fill
+    therefore never leaves a truncated trace at the destination path --
+    which readers would otherwise silently accept, because truncation
+    at a chunk boundary is indistinguishable from end-of-trace.  Call
+    :meth:`abort` to discard a partial path-mode write explicitly.
     """
 
     def __init__(self, stream: Union[BinaryIO, str, "os.PathLike[str]"],
@@ -744,7 +492,14 @@ class TraceWriterV3(_AtomicWriterMixin, TraceObserver):
                  compress: bool = False):
         if chunk_cycles < 1:
             raise ValueError("chunk_cycles must be >= 1")
-        self.stream = self._open_dest(stream)
+        self._path: Optional[str] = None
+        self._tmp_path: Optional[str] = None
+        self._closed = False
+        if isinstance(stream, (str, os.PathLike)):
+            self._path = os.fspath(stream)
+            self._tmp_path = f"{self._path}.{os.getpid()}.tmp"
+            stream = open(self._tmp_path, "wb")
+        self.stream: BinaryIO = stream
         self.banks = banks
         self.chunk_cycles = chunk_cycles
         self.compress = compress
@@ -830,7 +585,30 @@ class TraceWriterV3(_AtomicWriterMixin, TraceObserver):
     def on_finish(self, final_cycle: int) -> None:
         if self._runs:
             self._flush_chunk()
-        self._finalize()
+        self.stream.flush()
+        if self._path is not None and not self._closed:
+            self._closed = True
+            os.fsync(self.stream.fileno())
+            self.stream.close()
+            os.replace(self._tmp_path, self._path)
+            _fsync_dir(os.path.dirname(self._path))
+
+    def abort(self) -> None:
+        """Discard a partially-written path-mode trace.
+
+        Closes and unlinks the temporary file; the destination path is
+        never touched.  No-op in stream mode or after finishing.
+        """
+        if self._path is None or self._closed:
+            return
+        self._closed = True
+        try:
+            self.stream.close()
+        finally:
+            try:
+                os.unlink(self._tmp_path)
+            except OSError:
+                pass
 
     def _flush_chunk(self) -> None:
         from ..fastpath.block import CycleBlock
@@ -869,8 +647,10 @@ def _read_file_header(stream: BinaryIO):
     chunk_cycles)."""
     magic = stream.read(len(MAGIC))
     if magic == MAGIC:
-        banks = struct.unpack("<B", stream.read(1))[0]
-        return 1, banks, False, 0
+        banks = stream.read(1)
+        if not banks:
+            raise ValueError("truncated v1 trace header")
+        return 1, banks[0], False, 0
     if magic in (MAGIC_V2, MAGIC_V3):
         version = 2 if magic == MAGIC_V2 else 3
         size = _FILE_HDR_V2.size + (len(_FILE_PAD_V3) if version == 3
@@ -881,19 +661,6 @@ def _read_file_header(stream: BinaryIO):
         banks, flags, chunk_cycles = _FILE_HDR_V2.unpack_from(header)
         return version, banks, bool(flags & _FILE_F_ZLIB), chunk_cycles
     raise ValueError("not a TIP trace stream")
-
-
-def _unpack_chunk_header(header: bytes) -> Tuple[int, int, int, int,
-                                                 ChunkCarry]:
-    (start_cycle, n_records, payload_bytes, raw_bytes, flags,
-     oir_flag, oir_kind, oir_addr, last_committed) = \
-        _CHUNK_HDR.unpack(header)
-    carry = ChunkCarry(
-        oir_addr=oir_addr if flags & _C_HAS_OIR else None,
-        oir_flag=oir_flag, oir_kind=oir_kind,
-        last_committed=last_committed if flags & _C_HAS_LAST else None,
-        drain_pending=bool(flags & _C_DRAIN))
-    return start_cycle, n_records, payload_bytes, raw_bytes, carry
 
 
 def _unpack_chunk_header_v3(buf, pos: int = 0
@@ -914,40 +681,6 @@ def _unpack_chunk_header_v3(buf, pos: int = 0
             counts, columns)
 
 
-def _decode_chunk(payload: bytes, compressed: bool, raw_bytes: int,
-                  start_cycle: int, n_records: int,
-                  banks: int) -> List[CycleRecord]:
-    raw = zlib.decompress(payload) if compressed else payload
-    if len(raw) != raw_bytes:
-        raise ValueError("chunk payload size mismatch")
-    records = []
-    pos = 0
-    for i in range(n_records):
-        record, pos = _decode_record(raw, pos, start_cycle + i, banks)
-        records.append(record)
-    if pos != len(raw):
-        raise ValueError("trailing bytes in trace chunk")
-    return records
-
-
-def _read_trace_v2(stream: BinaryIO, banks: int, compressed: bool
-                   ) -> Iterator[CycleRecord]:
-    while True:
-        header = stream.read(_CHUNK_HDR.size)
-        if not header:
-            return
-        if len(header) < _CHUNK_HDR.size:
-            raise ValueError("truncated chunk header")
-        start_cycle, n_records, payload_bytes, raw_bytes, _carry = \
-            _unpack_chunk_header(header)
-        payload = stream.read(payload_bytes)
-        if len(payload) < payload_bytes:
-            raise ValueError("truncated chunk payload")
-        for record in _decode_chunk(payload, compressed, raw_bytes,
-                                    start_cycle, n_records, banks):
-            yield record
-
-
 def _read_trace_v3(stream: BinaryIO, banks: int, compressed: bool
                    ) -> Iterator[CycleRecord]:
     while True:
@@ -962,8 +695,7 @@ def _read_trace_v3(stream: BinaryIO, banks: int, compressed: bool
         payload = stream.read(stored)
         if len(payload) < stored:
             raise ValueError("truncated chunk payload")
-        raw = (zlib.decompress(payload[:payload_bytes]) if compressed
-               else payload)
+        raw = _inflate(payload[:payload_bytes]) if compressed else payload
         if len(raw) != raw_bytes:
             raise ValueError("chunk payload size mismatch")
         block = _block_from_columns(memoryview(raw), start_cycle,
@@ -985,64 +717,42 @@ def _open_source(source: Union[BinaryIO, bytes, str]
     return source, False
 
 
-def read_trace(stream: BinaryIO) -> Iterator[CycleRecord]:
-    """Iterate over the records of a serialized trace (v1, v2 or v3)."""
+def _open_records(stream: BinaryIO) -> Tuple[int, Iterator[CycleRecord]]:
+    """``(banks, records)`` of a serialized trace of any version."""
     version, banks, compressed, _chunk_cycles = _read_file_header(stream)
     if version == 1:
-        return _read_trace_v1(stream, banks)
+        return banks, _read_trace_v1(stream, banks)
     if version == 2:
-        return _read_trace_v2(stream, banks, compressed)
-    return _read_trace_v3(stream, banks, compressed)
+        return banks, _read_trace_v2(stream, banks, compressed)
+    return banks, _read_trace_v3(stream, banks, compressed)
 
 
-def _scan_index(stream: BinaryIO) -> TraceIndex:
-    """Scan an open v2/v3 stream (positioned at 0) for its chunk
-    directory.
-
-    Only chunk headers are read; payloads are skipped, so indexing a
-    large trace is cheap.  Raises :class:`ValueError` for v1 traces
-    (convert them with :func:`convert_trace` first).
-    """
-    version, banks, compressed, chunk_cycles = _read_file_header(stream)
-    if version == 1:
-        raise ValueError(
-            "trace is format v1: no chunk index (convert with "
-            "convert_trace / `repro convert-trace`)")
-    hdr = _CHUNK_HDR if version == 2 else _CHUNK_HDR_V3
-    chunks: List[ChunkInfo] = []
-    while True:
-        header = stream.read(hdr.size)
-        if not header:
-            break
-        if len(header) < hdr.size:
-            raise ValueError("truncated chunk header")
-        counts: Optional[Tuple[int, int, int]] = None
-        columns: Optional[Tuple[int, ...]] = None
-        if version == 2:
-            start_cycle, n_records, payload_bytes, raw_bytes, carry = \
-                _unpack_chunk_header(header)
-            stored = payload_bytes
-        else:
-            (start_cycle, n_records, payload_bytes, raw_bytes, carry,
-             counts, columns) = _unpack_chunk_header_v3(header)
-            stored = payload_bytes + (-payload_bytes % 8)
-        offset = stream.tell()
-        chunks.append(ChunkInfo(start_cycle, n_records, offset,
-                                payload_bytes, raw_bytes, carry,
-                                counts, columns))
-        stream.seek(stored, io.SEEK_CUR)
-    return TraceIndex(banks, compressed, chunk_cycles, chunks, version)
+def read_trace(stream: BinaryIO) -> Iterator[CycleRecord]:
+    """Iterate over the records of a serialized trace (v1, v2 or v3)."""
+    return _open_records(stream)[1]
 
 
 def _scan_index_buffer(buf: memoryview) -> TraceIndex:
-    """Scan an in-memory v3 trace buffer for its chunk directory."""
-    if bytes(buf[:len(MAGIC_V3)]) != MAGIC_V3:
-        raise ValueError("not a v3 TIP trace")
+    """Scan an in-memory v3 trace buffer for its chunk directory.
+
+    Raises :class:`ValueError` for anything but v3; legacy v1/v2 traces
+    get a message that names the upgrade path.
+    """
+    magic = bytes(buf[:len(MAGIC_V3)])
+    if magic in (MAGIC, MAGIC_V2):
+        version = 1 if magic == MAGIC else 2
+        raise ValueError(
+            f"trace is legacy format v{version}; upgrade it to v3 with "
+            f"`repro convert-trace`")
+    if magic != MAGIC_V3:
+        raise ValueError("not a TIP trace stream")
+    pos = len(MAGIC_V3) + _FILE_HDR_V2.size + len(_FILE_PAD_V3)
+    total = len(buf)
+    if pos > total:
+        raise ValueError("truncated v3 trace header")
     banks, flags, chunk_cycles = _FILE_HDR_V2.unpack_from(buf,
                                                           len(MAGIC_V3))
     compressed = bool(flags & _FILE_F_ZLIB)
-    pos = len(MAGIC_V3) + _FILE_HDR_V2.size + len(_FILE_PAD_V3)
-    total = len(buf)
     chunks: List[ChunkInfo] = []
     while pos < total:
         if pos + _CHUNK_HDR_V3.size > total:
@@ -1056,100 +766,13 @@ def _scan_index_buffer(buf: memoryview) -> TraceIndex:
                                 payload_bytes, raw_bytes, carry,
                                 counts, columns))
         pos = offset + payload_bytes + (-payload_bytes % 8)
-    return TraceIndex(banks, compressed, chunk_cycles, chunks, 3)
+    return TraceIndex(banks, compressed, chunk_cycles, chunks)
 
 
 def read_index(source: Union[BinaryIO, bytes, str]) -> TraceIndex:
-    """Scan a v2/v3 trace and return its chunk directory."""
-    stream, owns = _open_source(source)
-    try:
-        return _scan_index(stream)
-    finally:
-        if owns:
-            stream.close()
-
-
-class TraceReaderV2:
-    """Open-once random-access reader over a chunk-indexed v2 trace.
-
-    Opens the source a single time, scans the chunk directory, and
-    serves chunk reads by seeking within the same open stream.  This is
-    what shard workers use: the earlier :func:`read_chunk` helper
-    reopens the trace file on *every* chunk read, which costs one
-    ``open``/``close`` syscall pair per chunk and defeats OS readahead;
-    a reader amortizes the open over the whole shard.
-
-    Usable as a context manager::
-
-        with TraceReaderV2(path) as reader:
-            for chunk in reader.index.chunks:
-                records = reader.chunk_records(chunk)
-    """
-
-    def __init__(self, source: Union[BinaryIO, bytes, str]):
-        self._stream, self._owns = _open_source(source)
-        try:
-            # A caller (or a fork parent) may have consumed the stream
-            # already; the chunk directory scan needs position 0 and
-            # all later reads seek absolutely anyway.
-            if not self._owns and self._stream.seekable():
-                self._stream.seek(0)
-            self.index = _scan_index(self._stream)
-        except Exception:
-            self.close()
-            raise
-
-    @property
-    def banks(self) -> int:
-        return self.index.banks
-
-    def chunk_payload(self, chunk: ChunkInfo) -> bytes:
-        """The raw (decompressed) record bytes of one chunk."""
-        self._stream.seek(chunk.offset)
-        payload = self._stream.read(chunk.payload_bytes)
-        if len(payload) < chunk.payload_bytes:
-            raise ValueError("truncated chunk payload")
-        raw = zlib.decompress(payload) if self.index.compressed \
-            else payload
-        if len(raw) != chunk.raw_bytes:
-            raise ValueError("chunk payload size mismatch")
-        return raw
-
-    def chunk_records(self, chunk: ChunkInfo) -> List[CycleRecord]:
-        """Decode the records of one chunk."""
-        raw = self.chunk_payload(chunk)
-        records = []
-        pos = 0
-        for i in range(chunk.n_records):
-            record, pos = _decode_record(raw, pos,
-                                         chunk.start_cycle + i,
-                                         self.index.banks)
-            records.append(record)
-        if pos != len(raw):
-            raise ValueError("trailing bytes in trace chunk")
-        return records
-
-    def chunk_block(self, chunk: ChunkInfo) -> Any:
-        """Decode one chunk into a columnar ``CycleBlock``."""
-        from ..fastpath.block import decode_block
-        return decode_block(self.chunk_payload(chunk), chunk.start_cycle,
-                            chunk.n_records, self.index.banks)
-
-    def records(self) -> Iterator[CycleRecord]:
-        """Iterate over every record of the trace in cycle order."""
-        for chunk in self.index.chunks:
-            for record in self.chunk_records(chunk):
-                yield record
-
-    def close(self) -> None:
-        if self._owns:
-            self._stream.close()
-
-    def __enter__(self) -> "TraceReaderV2":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+    """Scan a v3 trace and return its chunk directory."""
+    with TraceReaderV3(source) as reader:
+        return reader.index
 
 
 class TraceReaderV3:
@@ -1160,11 +783,15 @@ class TraceReaderV3:
     page cache is the only copy, and forked shard workers that open the
     same path share those pages.  ``bytes`` sources are viewed in
     place; stream sources are read into one buffer.  zlib-compressed
-    traces fall back to one decompress-copy per chunk.
+    traces fall back to one decompress-copy per chunk.  Raises
+    :class:`ValueError` for legacy v1/v2 traces (upgrade them with
+    :func:`convert_trace`).
 
-    Interface-compatible with :class:`TraceReaderV2` (``index``,
-    ``banks``, ``chunk_records``, ``records``, context manager) plus
-    :meth:`chunk_block` for columnar replay.
+    Usable as a context manager::
+
+        with TraceReaderV3(path) as reader:
+            for chunk in reader.index.chunks:
+                block = reader.chunk_block(chunk)
     """
 
     def __init__(self, source: Union[BinaryIO, bytes, str]):
@@ -1204,7 +831,7 @@ class TraceReaderV3:
         if len(data) != chunk.payload_bytes:
             raise ValueError("truncated chunk payload")
         if self.index.compressed:
-            raw = zlib.decompress(data)
+            raw = _inflate(data)
             if len(raw) != chunk.raw_bytes:
                 raise ValueError("chunk payload size mismatch")
             return memoryview(raw)
@@ -1214,7 +841,6 @@ class TraceReaderV3:
 
     def chunk_block(self, chunk: ChunkInfo) -> Any:
         """The chunk as a columnar ``CycleBlock`` over the mapping."""
-        assert chunk.counts is not None and chunk.columns is not None
         return _block_from_columns(self.chunk_raw(chunk),
                                    chunk.start_cycle, chunk.n_records,
                                    self.index.banks, chunk.counts,
@@ -1257,47 +883,13 @@ class TraceReaderV3:
         self.close()
 
 
-TraceReader = Union[TraceReaderV2, TraceReaderV3]
+def open_reader(source: Union[BinaryIO, bytes, str]) -> TraceReaderV3:
+    """Open a random-access chunk reader over a v3 trace.
 
-
-def open_reader(source: Union[BinaryIO, bytes, str]) -> TraceReader:
-    """Open a random-access chunk reader, dispatching on the magic.
-
-    Returns :class:`TraceReaderV3` for v3 traces and
-    :class:`TraceReaderV2` for v2; raises :class:`ValueError` for v1
-    (no chunk index -- callers fall back to the record stream).
+    Raises :class:`ValueError` for legacy v1/v2 traces, naming
+    ``repro convert-trace``, and for anything that is not a trace.
     """
-    if isinstance(source, (bytes, bytearray)):
-        magic = bytes(source[:len(MAGIC)])
-    elif isinstance(source, str):
-        with open(source, "rb") as handle:
-            magic = handle.read(len(MAGIC))
-    else:
-        if source.seekable():
-            source.seek(0)
-        magic = source.read(len(MAGIC))
-        if source.seekable():
-            source.seek(0)
-    if magic == MAGIC_V3:
-        return TraceReaderV3(source)
-    return TraceReaderV2(source)
-
-
-def read_chunk(source: Union[BinaryIO, bytes, str], index: TraceIndex,
-               chunk: ChunkInfo) -> List[CycleRecord]:
-    """Decode the records of one chunk located via *index*."""
-    stream, owns = _open_source(source)
-    try:
-        stream.seek(chunk.offset)
-        payload = stream.read(chunk.payload_bytes)
-        if len(payload) < chunk.payload_bytes:
-            raise ValueError("truncated chunk payload")
-        return _decode_chunk(payload, index.compressed, chunk.raw_bytes,
-                             chunk.start_cycle, chunk.n_records,
-                             index.banks)
-    finally:
-        if owns:
-            stream.close()
+    return TraceReaderV3(source)
 
 
 def replay_trace(source: Union[BinaryIO, bytes, str],
@@ -1320,80 +912,34 @@ def replay_trace(source: Union[BinaryIO, bytes, str],
 
 def convert_trace(source: Union[BinaryIO, bytes, str],
                   dest: Union[BinaryIO, str],
-                  version: int = 3,
                   chunk_cycles: int = DEFAULT_CHUNK_CYCLES,
                   compress: bool = False) -> int:
-    """Re-encode a trace of any version as format *version*.
+    """Re-encode a trace of any version (v1, v2 or v3) as v3.
 
-    Every record is preserved losslessly, so conversion round trips
-    (v2 -> v3 -> v2 with the same chunk parameters) are byte-identical:
-    records are dense from cycle 0, which pins the chunking, and the
-    carry state is recomputed deterministically.  Returns the number of
-    records converted.
+    Every record is preserved losslessly.  Records are dense from cycle
+    0, which pins the chunking, and the carry state is recomputed
+    deterministically, so equal records and chunk parameters give
+    byte-identical output whatever the source version.  A path *dest*
+    is written atomically: when the source is not a trace or is cut
+    short, the :class:`ValueError` propagates and the destination is
+    left as it was.  Returns the number of records converted.
     """
-    if version not in (1, 2, 3):
-        raise ValueError(f"unknown trace format version: {version}")
     in_stream, owns_in = _open_source(source)
-    out_stream: BinaryIO
-    owns_out = False
-    if isinstance(dest, str):
-        out_stream = open(dest, "wb")
-        owns_out = True
-    else:
-        out_stream = dest
     try:
-        src_version, banks, src_compressed, _cc = \
-            _read_file_header(in_stream)
-        if src_version == 1:
-            records = _read_trace_v1(in_stream, banks)
-        elif src_version == 2:
-            records = _read_trace_v2(in_stream, banks, src_compressed)
-        else:
-            records = _read_trace_v3(in_stream, banks, src_compressed)
-        writer: TraceObserver
-        if version == 1:
-            writer = TraceWriter(out_stream, banks=banks)
-        elif version == 2:
-            writer = TraceWriterV2(out_stream, banks=banks,
-                                   chunk_cycles=chunk_cycles,
-                                   compress=compress)
-        else:
-            writer = TraceWriterV3(out_stream, banks=banks,
-                                   chunk_cycles=chunk_cycles,
-                                   compress=compress)
-        final_cycle = 0
-        for record in records:
-            writer.on_cycle(record)
-            final_cycle = record.cycle
-        writer.on_finish(final_cycle)
+        banks, records = _open_records(in_stream)
+        writer = TraceWriterV3(dest, banks=banks,
+                               chunk_cycles=chunk_cycles,
+                               compress=compress)
+        try:
+            final_cycle = 0
+            for record in records:
+                writer.on_cycle(record)
+                final_cycle = record.cycle
+            writer.on_finish(final_cycle)
+        except BaseException:
+            writer.abort()
+            raise
         return writer.records_written
-    finally:
-        if owns_in:
-            in_stream.close()
-        if owns_out:
-            out_stream.close()
-
-
-def convert_v1_to_v2(source: Union[BinaryIO, bytes, str],
-                     dest: Union[BinaryIO, str],
-                     chunk_cycles: int = DEFAULT_CHUNK_CYCLES,
-                     compress: bool = False) -> int:
-    """Re-encode a v1 trace in the chunk-indexed v2 format.
-
-    Kept for compatibility; :func:`convert_trace` is the generic form.
-    """
-    in_stream, owns_in = _open_source(source)
-    try:
-        magic = in_stream.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError("source trace is not format v1")
-        if in_stream.seekable():
-            in_stream.seek(0)
-        else:  # pragma: no cover - non-seekable v1 sources
-            raise ValueError("v1 source stream must be seekable")
-        return convert_trace(in_stream, dest, version=2,
-                             chunk_cycles=chunk_cycles,
-                             compress=compress)
     finally:
         if owns_in:
             in_stream.close()

@@ -1,35 +1,33 @@
-"""``repro bench --trace``: replay-engine timing across trace formats.
+"""``repro bench --trace``: block replay versus per-record replay.
 
 Times each stock profiler (plus the Oracle, plus one run with all of
-them attached at once) replaying the same recorded trace under three
-engines and writes the comparison to ``BENCH_hotpath.json``:
+them attached at once) replaying the same recorded trace two ways and
+writes the comparison to ``BENCH_hotpath.json``:
 
-* **cycle** -- record-at-a-time replay of the v2 encoding;
-* **block (v2)** -- columnar replay that decodes every v2 chunk
-  payload into a :class:`~repro.fastpath.block.CycleBlock`;
-* **v3 (zero-copy)** -- columnar replay of the v3 encoding, where
-  chunk columns are ``memoryview`` casts over one mmap of the file
-  and no per-record decode happens at all.
+* **cycle** -- the per-record reference replay
+  (:func:`~repro.cpu.tracefile.replay_trace`), one ``CycleRecord`` and
+  one ``on_cycle`` call per cycle per observer;
+* **v3 (zero-copy)** -- block replay (:func:`~repro.fastpath.engine.
+  replay_blocks`), where chunk columns are ``memoryview`` casts over
+  one mmap of the file and no per-record decode happens at all.
 
-The input trace may be any format version; it is normalized to both a
-v2 byte string and a v3 file before timing, so every engine replays
-the exact same records.  Every profiler's sample-stream checksum and
-final profile are compared across all three engines, so the benchmark
-doubles as a differential test: a faster engine only counts as a win
-if it is *bit-identical*, and CI fails the run when any checksum
-diverges.
+The input trace may be any format version; it is normalized to one v3
+file before timing, so both paths replay the exact same records.
+Every profiler's sample-stream checksum and final profile are compared
+across the two paths, so the benchmark doubles as a differential test:
+block replay only counts as a win if it is *bit-identical*, and CI
+fails the run when any checksum diverges.
 
 Timings are best-of-N wall clock on the current machine (N=2 with
 ``quick=True`` for CI smoke runs, N=5 otherwise); the JSON records N
 and the host environment under ``meta`` so archived results stay
-interpretable.  ``v3_vs_v2_block`` is the headline ratio: the
-geometric mean, over the sampling-policy rows, of v2-block time over
-v3 time.
+interpretable.  ``v3_vs_cycle`` is the headline ratio: the geometric
+mean, over the sampling-policy rows, of per-record time over block
+time.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -40,8 +38,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.profiles import profile_checksum
 from ..core.oracle import OracleProfiler
-from ..cpu.tracefile import (MAGIC_V2, MAGIC_V3, TraceReaderV2,
-                             TraceReaderV3, convert_trace, replay_trace)
+from ..cpu.tracefile import (MAGIC_V3, TraceReaderV3, convert_trace,
+                             replay_trace)
 from ..isa.program import Program
 from .engine import replay_blocks
 
@@ -88,7 +86,8 @@ def run_hotpath_bench(trace, image: Program,
                       quick: bool = False,
                       repeats: Optional[int] = None,
                       verbose: bool = False) -> Dict:
-    """Benchmark the replay engines on *trace* (bytes or path).
+    """Benchmark block against per-record replay on *trace* (bytes or
+    path).
 
     *image* is the booted :class:`~repro.isa.program.Program` the trace
     was recorded from (needed by TIP and the Oracle for stall
@@ -106,22 +105,14 @@ def run_hotpath_bench(trace, image: Program,
     if repeats is None:
         repeats = QUICK_REPEATS if quick else DEFAULT_REPEATS
 
-    # Normalize the input to both timed encodings: v2 bytes for the
-    # cycle and v2-block engines, a v3 *file* for the mmap engine.
-    magic = raw[:8]
-    if magic == MAGIC_V2:
-        v2_bytes = raw
-    else:
-        buffer = io.BytesIO()
-        convert_trace(raw, buffer, version=2)
-        v2_bytes = buffer.getvalue()
+    # Normalize the input to one v3 *file*, which both paths replay.
     tmp_path = None
-    if source_path is not None and magic == MAGIC_V3:
+    if source_path is not None and raw[:8] == MAGIC_V3:
         v3_path = source_path
     else:
         fd, tmp_path = tempfile.mkstemp(suffix=".tiptrace")
         os.close(fd)
-        convert_trace(raw, tmp_path, version=3)
+        convert_trace(raw, tmp_path)
         v3_path = tmp_path
 
     configs = {policy: ProfilerConfig(policy, period, mode, seed)
@@ -142,13 +133,11 @@ def run_hotpath_bench(trace, image: Program,
         "repeats": repeats,
         "quick": quick,
         "trace_bytes": len(raw),
-        "v2_bytes": len(v2_bytes),
         "v3_bytes": os.path.getsize(v3_path),
         "meta": _bench_meta(repeats),
         "rows": {},
     }
 
-    v2_reader = TraceReaderV2(v2_bytes)
     v3_reader = TraceReaderV3(v3_path)
     try:
         checksums_equal = True
@@ -165,40 +154,33 @@ def run_hotpath_bench(trace, image: Program,
                 def make(policy=row):
                     return [build(policy)]
 
-            # Correctness first: one untimed run per engine, checksums
+            # Correctness first: one untimed run per path, checksums
             # compared before any timing is trusted.
             cycle_obs = make()
-            cycles = replay_trace(v2_bytes, *cycle_obs)
+            cycles = replay_trace(v3_path, *cycle_obs)
+            block_obs = make()
+            replay_blocks(v3_reader, *block_obs)
             equal = True
-            for reader in (v2_reader, v3_reader):
-                other_obs = make()
-                replay_blocks(reader, *other_obs)
-                for a, b in zip(cycle_obs, other_obs):
-                    if isinstance(a, OracleProfiler):
-                        equal &= a.report.profile == b.report.profile
-                    else:
-                        equal &= (profile_checksum(a.samples)
-                                  == profile_checksum(b.samples))
-                        equal &= a.profile() == b.profile()
+            for a, b in zip(cycle_obs, block_obs):
+                if isinstance(a, OracleProfiler):
+                    equal &= a.report.profile == b.report.profile
+                else:
+                    equal &= (profile_checksum(a.samples)
+                              == profile_checksum(b.samples))
+                    equal &= a.profile() == b.profile()
             checksums_equal &= equal
 
             cycle_s = _best_of(
-                lambda: replay_trace(v2_bytes, *make()), repeats)
-            block_s = _best_of(
-                lambda: replay_blocks(v2_reader, *make()), repeats)
+                lambda: replay_trace(v3_path, *make()), repeats)
             v3_s = _best_of(
                 lambda: replay_blocks(v3_reader, *make()), repeats)
             result["rows"][row] = {
                 "cycle_s": cycle_s,
-                "block_s": block_s,
                 "v3_s": v3_s,
-                "speedup": cycle_s / block_s,
-                "v3_speedup": block_s / v3_s,
                 "v3_vs_cycle": cycle_s / v3_s,
                 "checksums_equal": equal,
             }
     finally:
-        v2_reader.close()
         v3_reader.close()
         if tmp_path is not None:
             try:
@@ -207,15 +189,15 @@ def run_hotpath_bench(trace, image: Program,
                 pass
     result["cycles"] = cycles
     result["checksums_equal"] = checksums_equal
-    # Headline: geometric mean of the per-policy v3-vs-v2-block
+    # Headline: geometric mean of the per-policy block-vs-per-record
     # speedups (the Oracle and all-at-once rows are reported but kept
-    # out of the headline -- they measure observer cost, not format
-    # decode cost).
+    # out of the headline -- they measure observer cost, not replay
+    # path cost).
     policy_rows = [result["rows"][p] for p in policies
                    if p in result["rows"]]
     if policy_rows:
-        result["v3_vs_v2_block"] = math.exp(
-            sum(math.log(r["v3_speedup"]) for r in policy_rows)
+        result["v3_vs_cycle"] = math.exp(
+            sum(math.log(r["v3_vs_cycle"]) for r in policy_rows)
             / len(policy_rows))
 
     if output is not None:
@@ -230,19 +212,18 @@ def run_hotpath_bench(trace, image: Program,
 def render_hotpath_bench(result: Dict) -> str:
     """Human-readable one-screen summary of a hot-path bench result."""
     lines: List[str] = []
-    lines.append(f"replay engines, {result['cycles']} cycles, "
+    lines.append(f"per-record vs block replay, {result['cycles']} cycles, "
                  f"best of {result['repeats']}")
     for row, entry in result["rows"].items():
         flag = "" if entry["checksums_equal"] else "  MISMATCH"
         lines.append(
             f"{row:>10}: cycle {entry['cycle_s'] * 1e3:8.2f}ms  "
-            f"v2-block {entry['block_s'] * 1e3:8.2f}ms  "
             f"v3 {entry['v3_s'] * 1e3:8.2f}ms  "
-            f"v3/v2 {entry['v3_speedup']:.2f}x{flag}")
-    if "v3_vs_v2_block" in result:
-        lines.append("v3 vs v2-block (policy geomean): "
-                     f"{result['v3_vs_v2_block']:.2f}x")
-    lines.append("engine checksums: "
-                 + ("OK (all engines identical)"
+            f"v3/cycle {entry['v3_vs_cycle']:.2f}x{flag}")
+    if "v3_vs_cycle" in result:
+        lines.append("v3 vs cycle (policy geomean): "
+                     f"{result['v3_vs_cycle']:.2f}x")
+    lines.append("replay checksums: "
+                 + ("OK (block and per-record identical)"
                     if result["checksums_equal"] else "MISMATCH"))
     return "\n".join(lines)

@@ -1,40 +1,36 @@
 """Columnar cycle blocks: the unit of batched trace replay.
 
-The cycle engine hands every observer one :class:`~repro.cpu.trace.
+Per-record replay hands every observer one :class:`~repro.cpu.trace.
 CycleRecord` object per cycle, which costs an object allocation, a
 tuple of ``CommittedInst`` objects and a Python method call per
-observer per cycle.  A :class:`CycleBlock` decodes a whole v2 chunk
-into *parallel arrays* instead -- one column per record field, with
+observer per cycle.  A :class:`CycleBlock` holds a whole chunk as
+*parallel arrays* instead -- one column per record field, with
 variable-length fields flattened behind prefix-sum offset arrays -- so
 the per-cycle hot path becomes integer indexing into shared columns.
 
 Packed representation (``n`` = number of records in the block):
 
-* ``flags``                -- ``bytearray`` of ``n`` raw per-record
-  flag bytes (empty/exception/ordering/dispatch-pc/head bits of the
-  trace wire format);
-* ``oldest_bank``          -- ``bytearray`` of ``n``;
-* ``fetch_pc``             -- list of ``n`` ints;
+* ``flags``                -- ``n`` raw per-record flag bytes
+  (empty/exception/ordering/dispatch-pc/head bits);
+* ``oldest_bank``          -- ``n`` bytes;
+* ``fetch_pc``             -- ``n`` u64s;
 * ``opt_vals``/``opt_base`` -- the present optional u64 fields
-  (``rob_head``, ``exception``, ``dispatch_pc``, in wire order) of all
-  records flattened into one list behind an ``array('I')`` of ``n + 1``
-  prefix offsets;
-* ``commit_base``          -- ``array('I')`` of ``n + 1`` prefix
-  offsets into the flattened commit columns;
-* ``commit_addr``          -- flattened committed addresses (ints);
-* ``commit_meta``          -- ``bytearray``, one metadata byte per
-  committed instruction (``bank | mispredicted << 6 | flushes << 7``,
-  the trace wire format);
+  (``rob_head``, ``exception``, ``dispatch_pc``, in that order) of all
+  records flattened into one column behind ``n + 1`` u32 prefix
+  offsets;
+* ``commit_base``          -- ``n + 1`` u32 prefix offsets into the
+  flattened commit columns;
+* ``commit_addr``          -- flattened committed addresses;
+* ``commit_meta``          -- one metadata byte per committed
+  instruction (``bank | mispredicted << 6 | flushes << 7``);
 * ``disp_base``/``disp_addr`` -- same layout for dispatched addresses.
 
-Keeping the decode loop down to this packed form is what makes it
-fast; the classic dense columns (``rob_empty``, ``rob_head``,
-``exception``, ``exc_ordering``, ``dispatch_pc``) are *derived lazily*
-and cached -- flag bits expand through ``bytes.translate`` and the
-optional columns through one list comprehension each -- so observers
-that touch every cycle (the Oracle) pay one C-speed pass per column
-while sampling profilers use the sparse ``*_at`` accessors and never
-materialize them.
+The classic dense columns (``rob_empty``, ``rob_head``, ``exception``,
+``exc_ordering``, ``dispatch_pc``) are *derived lazily* and cached --
+flag bits expand through ``bytes.translate`` and the optional columns
+through one list comprehension each -- so observers that touch every
+cycle (the Oracle) pay one C-speed pass per column while sampling
+profilers use the sparse ``*_at`` accessors and never materialize them.
 
 Sampling profilers locate the next cycle that matters without
 visiting every record: ``bisect`` over the prefix-sum offset arrays
@@ -42,35 +38,22 @@ finds the next committing/dispatching record in O(log n), and the
 cached flag masks (``exc_mask``, ``disp_pc_mask``) answer "next
 record with this flag" through C-speed ``bytes.find``/``rfind``.
 
-Columns may be plain Python containers or zero-copy ``memoryview``
-casts over an mmap-ed v3 chunk (:mod:`repro.cpu.tracefile`); both
-support the indexing, slicing and bisection the fast paths rely on.
-
-Blocks are built two ways: :func:`decode_block` parses a raw v2 chunk
-payload straight into columns (no intermediate record objects), and
-:meth:`CycleBlock.from_records` columnarizes live records (the
-simulation-side :class:`~repro.fastpath.engine.BlockAssembler`); v3
-chunks skip decoding entirely and wrap the stored columns in place.
-``record(i)``/``records()`` materialize classic ``CycleRecord``
+Blocks are built two ways.  :meth:`CycleBlock.from_runs` columnarizes
+``(record, count)`` runs into Python containers; the v3 trace writer
+(:mod:`repro.cpu.tracefile`) serializes exactly those columns as a
+chunk's payload.  Reading a v3 chunk back wraps the stored columns in
+place as zero-copy ``memoryview`` casts over the mmap-ed file; both
+forms support the indexing, slicing and bisection the fast paths rely
+on.  ``record(i)``/``records()`` materialize classic ``CycleRecord``
 objects on demand for observers without a columnar fast path.
 """
 
 from __future__ import annotations
 
-import struct
 from array import array
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..cpu.trace import CommittedInst, CycleRecord, HeadEntry
-
-#: Per-record header (flags, counts, oldest bank) fused with the
-#: always-present fetch PC -- one unpack per record.
-_HDRPC = struct.Struct("<BBBQ")
-#: Small-run unpackers for k consecutive u64s (optional fields and
-#: dispatch groups).
-_QFMT = tuple(struct.Struct("<%dQ" % k) for k in range(16))
-#: Commit-group unpackers: k (addr u64, meta byte) pairs at once.
-_CFMT = tuple(struct.Struct("<" + "QB" * k) for k in range(16))
 
 _F_EMPTY = 1 << 0
 _F_EXC = 1 << 1
@@ -78,9 +61,6 @@ _F_ORD = 1 << 2
 _F_DISP_PC = 1 << 3
 _F_HEAD = 1 << 4
 
-#: flags byte -> number of optional u64s following the fetch PC.
-_NOPT = tuple(bin(f & (_F_EXC | _F_DISP_PC | _F_HEAD)).count("1")
-              for f in range(256))
 #: ``translate`` tables expanding one flag bit into a 0/1 column.
 _EMPTY_TABLE = bytes(1 if f & _F_EMPTY else 0 for f in range(256))
 _ORD_TABLE = bytes(1 if f & _F_ORD else 0 for f in range(256))
@@ -226,9 +206,9 @@ class CycleBlock:
     def record(self, i: int) -> CycleRecord:
         """Materialize record *i* as a classic :class:`CycleRecord`.
 
-        Matches the cycle engine's decoder bit for bit; like the wire
-        format, only the oldest bank's head entry is represented in
-        ``head_banks``.
+        Matches the per-record decoder of :func:`~repro.cpu.tracefile.
+        read_trace` bit for bit; like the trace file, only the oldest
+        bank's head entry is represented in ``head_banks``.
         """
         lo, hi = self.commit_base[i], self.commit_base[i + 1]
         committed = tuple(
@@ -267,59 +247,6 @@ class CycleBlock:
     # -- construction ----------------------------------------------------------------
 
     @classmethod
-    def from_records(cls, records: Sequence[CycleRecord],
-                     banks: int) -> "CycleBlock":
-        """Columnarize live *records* (consecutive cycles).
-
-        Like the trace wire format, only fields every observer can see
-        through a trace are preserved; richer simulation-only head-bank
-        detail is dropped.
-        """
-        n = len(records)
-        flags = bytearray()
-        oldest = bytearray()
-        fetch_pc: List[int] = []
-        opt_vals: List[int] = []
-        opt_base = array("I", [0])
-        commit_base = array("I", [0])
-        commit_addr: List[int] = []
-        commit_meta = bytearray()
-        disp_base = array("I", [0])
-        disp_addr: List[int] = []
-        for record in records:
-            record_flags = 0
-            if record.rob_empty:
-                record_flags |= _F_EMPTY
-            if record.exception_is_ordering:
-                record_flags |= _F_ORD
-            if record.rob_head is not None:
-                record_flags |= _F_HEAD
-                opt_vals.append(record.rob_head)
-            if record.exception is not None:
-                record_flags |= _F_EXC
-                opt_vals.append(record.exception)
-            if record.dispatch_pc is not None:
-                record_flags |= _F_DISP_PC
-                opt_vals.append(record.dispatch_pc)
-            flags.append(record_flags)
-            opt_base.append(len(opt_vals))
-            oldest.append(record.oldest_bank)
-            fetch_pc.append(record.fetch_pc)
-            for commit in record.committed:
-                commit_addr.append(commit.addr)
-                commit_meta.append(
-                    (commit.bank & 0x3F)
-                    | (0x40 if commit.mispredicted else 0)
-                    | (0x80 if commit.flushes else 0))
-            commit_base.append(len(commit_addr))
-            disp_addr.extend(record.dispatched)
-            disp_base.append(len(disp_addr))
-        start = records[0].cycle if n else 0
-        return cls(start, n, banks, flags, oldest, fetch_pc, opt_vals,
-                   opt_base, commit_base, commit_addr, commit_meta,
-                   disp_base, disp_addr)
-
-    @classmethod
     def from_runs(cls, runs: Sequence[Tuple[CycleRecord, int]],
                   banks: int) -> "CycleBlock":
         """Columnarize ``(record, count)`` runs of consecutive cycles.
@@ -328,9 +255,8 @@ class CycleBlock:
         for the cycle number -- the shape the simulator's stall
         fast-forward emits (:meth:`~repro.cpu.trace.TraceObserver.
         on_stall_run`).  Columns for repeated records expand through
-        C-speed sequence multiplication instead of per-cycle appends,
-        and the result is indistinguishable from
-        :meth:`from_records` over the materialized cycles.
+        C-speed sequence multiplication instead of per-cycle appends;
+        a run of count 1 is one plain cycle.
         """
         flags = bytearray()
         oldest = bytearray()
@@ -393,69 +319,3 @@ def _extend_prefix(base: "array", k: int, count: int) -> None:
     else:
         base.extend([last] * count)
 
-
-def decode_block(raw: bytes, start_cycle: int, n_records: int,
-                 banks: int) -> CycleBlock:
-    """Decode a raw (decompressed) v2 chunk payload into columns.
-
-    Parses the shared per-record wire format of
-    :mod:`repro.cpu.tracefile` without creating any per-record objects:
-    one fused header+PC unpack per record, one batched unpack each for
-    the optional u64 run, the commit group and the dispatch group.
-    """
-    hdrpc_unpack = _HDRPC.unpack_from
-    nopt = _NOPT
-    qfmt = _QFMT
-    cfmt = _CFMT
-    flags_col = bytearray()
-    flags_append = flags_col.append
-    oldest = bytearray()
-    oldest_append = oldest.append
-    fetch_pc: List[int] = []
-    fetch_append = fetch_pc.append
-    opt_vals: List[int] = []
-    opt_extend = opt_vals.extend
-    opt_base = array("I", [0])
-    opt_base_append = opt_base.append
-    commit_base = array("I", [0])
-    commit_base_append = commit_base.append
-    commit_addr: List[int] = []
-    commit_addr_extend = commit_addr.extend
-    commit_meta = bytearray()
-    commit_meta_extend = commit_meta.extend
-    disp_base = array("I", [0])
-    disp_base_append = disp_base.append
-    disp_addr: List[int] = []
-    disp_addr_extend = disp_addr.extend
-    pos = 0
-    try:
-        for _ in range(n_records):
-            flags, counts, oldest_bank, pc = hdrpc_unpack(raw, pos)
-            pos += 11
-            flags_append(flags)
-            oldest_append(oldest_bank)
-            fetch_append(pc)
-            k = nopt[flags]
-            if k:
-                opt_extend(qfmt[k].unpack_from(raw, pos))
-                pos += 8 * k
-            opt_base_append(len(opt_vals))
-            nc = counts & 0xF
-            if nc:
-                group = cfmt[nc].unpack_from(raw, pos)
-                pos += 9 * nc
-                commit_addr_extend(group[::2])
-                commit_meta_extend(group[1::2])
-            commit_base_append(len(commit_addr))
-            nd = counts >> 4
-            if nd:
-                disp_addr_extend(qfmt[nd].unpack_from(raw, pos))
-                pos += 8 * nd
-            disp_base_append(len(disp_addr))
-    except (struct.error, IndexError):
-        raise ValueError("truncated trace record") from None
-    if pos != len(raw):
-        raise ValueError("trailing bytes in trace chunk")
-    return CycleBlock(start_cycle, n_records, banks, flags_col, oldest,
-                      fetch_pc, opt_vals, opt_base, commit_base,
-                      commit_addr, commit_meta, disp_base, disp_addr)

@@ -83,7 +83,7 @@ class ExperimentResult:
         #: The trace sanitizer attached to the run (``sanitize=True``).
         self.sanitizer = sanitizer
         #: True when the profilers were fed from a simulation-cache hit
-        #: (block-engine replay of the cached trace) instead of a live
+        #: (block replay of the cached trace) instead of a live
         #: simulation.  Results are bit-identical either way.
         self.cached = False
         self.symbolizer = Symbolizer(program)
@@ -133,7 +133,6 @@ def run_experiment(program: Program,
                    premapped_data: Optional[List[Tuple[int, int]]] = None,
                    max_cycles: int = 10_000_000,
                    sanitize: bool = False,
-                   engine: str = "cycle",
                    sim: str = "step",
                    paranoid: bool = False,
                    cache=None) -> ExperimentResult:
@@ -142,16 +141,7 @@ def run_experiment(program: Program,
     With *sanitize* a :class:`~repro.lint.TraceSanitizer` validates the
     commit trace against the invariants every profiler depends on,
     raising :class:`~repro.lint.TraceInvariantError` on the first
-    violation.
-
-    With ``engine="block"`` the sampling profilers are fed through a
-    :class:`~repro.fastpath.BlockAssembler` that batches the live
-    record stream into columnar blocks (one core-side call per cycle
-    instead of one per profiler).  The Oracle and the sanitizer stay
-    attached directly: the Oracle batches fast-forwarded stall runs
-    itself, and the sanitizer's fail-fast diagnostics should point at
-    the violating cycle, not a block boundary.  Profiles are
-    bit-identical either way.
+    violation.  Every observer attaches to the machine directly.
 
     ``sim="fast"`` turns on the event-driven stall fast-forward inside
     the core (*paranoid* cross-checks every fast-forwarded region
@@ -159,18 +149,16 @@ def run_experiment(program: Program,
     simulation cache (``True`` for the default root, a path, or a
     :class:`~repro.simfast.SimCache`).  The run links its image once
     and keys it before it builds a machine.  On a hit the profilers
-    replay the cached columnar (v3) trace zero-copy through the block
-    engine and ``result.cached`` is set; no kernel boots.  On a miss the
+    replay the cached columnar (v3) trace zero-copy, one block per
+    chunk, and ``result.cached`` is set; no kernel boots.  On a miss the
     same image is booted and the run records into the cache.
     Traces, reports and stats are bit-identical across all paths.
 
     Raises :class:`~repro.cpu.core.MaxCyclesExceeded` when the budget
     runs out; such runs are never cached.
     """
-    from ..fastpath.engine import (BLOCK_ENGINE, BlockAssembler,
-                                   replay_with_engine, validate_engine)
+    from ..fastpath.engine import replay_with_engine
     from ..simfast.cache import resolve_cache
-    validate_engine(engine)
     config = config or CoreConfig.boom_4wide()
     image = Kernel().link(program)
 
@@ -208,8 +196,7 @@ def run_experiment(program: Program,
                 replay_with_engine(
                     hit.trace_path,
                     ([sanitizer] if sanitizer is not None else [])
-                    + [oracle] + list(built.values()),
-                    engine=BLOCK_ENGINE)
+                    + [oracle] + list(built.values()))
             except (TraceInvariantError, MemoryError):
                 raise
             except Exception as exc:
@@ -241,11 +228,8 @@ def run_experiment(program: Program,
     if sanitizer is not None:
         machine.attach(sanitizer)
     machine.attach(oracle)
-    if engine == BLOCK_ENGINE and built:
-        machine.attach(BlockAssembler(built.values(), config.rob_banks))
-    else:
-        for profiler in built.values():
-            machine.attach(profiler)
+    for profiler in built.values():
+        machine.attach(profiler)
 
     writer = None
     if sim_cache is not None:
@@ -270,8 +254,7 @@ def replay_experiment(trace, image: Program,
                       spec=None,
                       timeout: Optional[float] = None,
                       retries: int = 1,
-                      verbose: bool = False,
-                      engine: str = "block") -> ExperimentResult:
+                      verbose: bool = False) -> ExperimentResult:
     """Re-profile a recorded trace out-of-band (no re-simulation).
 
     The trace is read **once** no matter how many profilers are
@@ -281,22 +264,18 @@ def replay_experiment(trace, image: Program,
     trace N times and multiply its cycle counts by N; ``cycles_checked``
     equals the trace length exactly.
 
-    With *jobs* > 1 and a :class:`~repro.parallel.shard.ProgramSpec`
-    (*spec*) the replay is sharded across worker processes
-    (chunk-indexed v2/v3 traces only) with bit-identical profiler
+    *trace* must be a v3 trace; each chunk becomes a columnar
+    :class:`~repro.fastpath.CycleBlock` that every observer shares.
+    Legacy v1/v2 traces raise :class:`ValueError` (upgrade them with
+    ``repro convert-trace``).  With *jobs* > 1 and a
+    :class:`~repro.parallel.shard.ProgramSpec` (*spec*) the replay is
+    sharded across worker processes with bit-identical profiler
     samples; anything non-shardable silently falls back to this serial
     path.
 
-    *engine* selects how the trace is consumed: ``"block"`` (default)
-    decodes each chunk into a columnar
-    :class:`~repro.fastpath.CycleBlock` that every observer shares
-    (degrading automatically to record-at-a-time for v1 traces), and
-    ``"cycle"`` forces the classic per-record replay.  Both engines
-    produce bit-identical profiles.
-
     ``result.stats`` is ``None`` -- the simulator never ran.  The
     underlying :class:`~repro.parallel.shard.ReplayOutcome` is exposed
-    as ``result.replay`` (mode, shard count, engine, fallback reason).
+    as ``result.replay`` (mode, shard count, fallback reason).
     """
     from ..parallel.shard import replay_serial, replay_sharded
     configs = tuple(profilers)
@@ -307,10 +286,10 @@ def replay_experiment(trace, image: Program,
                                  watch_keys=watch_keys,
                                  sanitize=sanitize, image=image,
                                  timeout=timeout, retries=retries,
-                                 verbose=verbose, engine=engine)
+                                 verbose=verbose)
     else:
         outcome = replay_serial(trace, image, configs, watch_keys,
-                                sanitize, engine)
+                                sanitize)
     result = ExperimentResult(image, outcome.oracle, outcome.profilers,
                               stats=None, sanitizer=outcome.sanitizer)
     result.replay = outcome

@@ -81,7 +81,6 @@ def run_workload(workload: Workload,
                  profilers: Sequence[ProfilerConfig],
                  max_cycles: int = 10_000_000,
                  sanitize: bool = False,
-                 engine: str = "cycle",
                  sim: str = "step",
                  paranoid: bool = False,
                  cache=None) -> ExperimentResult:
@@ -94,7 +93,7 @@ def run_workload(workload: Workload,
     return run_experiment(workload.program, profilers,
                           premapped_data=workload.premapped,
                           max_cycles=max_cycles, sanitize=sanitize,
-                          engine=engine, sim=sim, paranoid=paranoid,
+                          sim=sim, paranoid=paranoid,
                           cache=cache)
 
 
@@ -109,17 +108,11 @@ def run_suite(workloads: Optional[Sequence[Workload]] = None,
               jobs: int = 1,
               timeout: Optional[float] = None,
               retries: int = 1,
-              engine: str = "cycle",
               sim: str = "step",
               paranoid: bool = False,
               cache=None,
               server: Optional[str] = None) -> SuiteResult:
     """Run the whole suite (or the given workloads).
-
-    *engine* selects how serially-run profilers consume the live trace
-    (``"block"`` batches it through a
-    :class:`~repro.fastpath.BlockAssembler`); parallel suite workers
-    currently always use the cycle engine.
 
     *sanitize* attaches a commit-trace sanitizer to every simulation and
     fails fast on the first invariant violation.
@@ -171,7 +164,7 @@ def run_suite(workloads: Optional[Sequence[Workload]] = None,
         try:
             results[workload.name] = run_workload(
                 workload, profilers, max_cycles, sanitize=sanitize,
-                engine=engine, sim=sim, paranoid=paranoid, cache=cache)
+                sim=sim, paranoid=paranoid, cache=cache)
         except MaxCyclesExceeded as exc:
             failures[workload.name] = JobFailure(
                 workload.name, "max-cycles", 1, str(exc))

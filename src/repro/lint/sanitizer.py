@@ -117,8 +117,8 @@ class TraceSanitizer(TraceObserver):
     def on_stall_run(self, record: CycleRecord, count: int) -> None:
         """Check a run of *count* identical stall cycles in O(1).
 
-        The batched engines (``--sim fast``, ``--engine block``)
-        deliver run-length-compressed stall regions here.  A pure
+        The simulator's stall fast-forward (``--sim fast``) delivers
+        run-length-compressed stall regions here.  A pure
         stall record (no commits, no exception) passes or fails every
         invariant identically at each cycle of the run -- the only
         cycle-dependent check, S001 monotonicity, holds inside the run

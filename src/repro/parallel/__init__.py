@@ -4,7 +4,7 @@ Three layers (see ``docs/parallel.md``):
 
 * :mod:`repro.parallel.pool` -- a defensive process pool with per-job
   timeout, bounded retry and serial degradation;
-* :mod:`repro.parallel.shard` -- sharded replay of chunk-indexed (v2)
+* :mod:`repro.parallel.shard` -- sharded replay of chunk-indexed (v3)
   commit traces, bit-identical to serial replay for every sampling
   profiler;
 * :mod:`repro.parallel.suite` -- the parallel suite runner (one

@@ -1,4 +1,4 @@
-"""Sharded out-of-band replay of chunk-indexed (v2/v3) traces.
+"""Sharded out-of-band replay of chunk-indexed v3 traces.
 
 The paper's evaluation records the commit-stage trace once and models
 every profiler over it out-of-band.  Serial replay of that trace is the
@@ -21,9 +21,10 @@ The Oracle is exact too: shards snapshot integer attribution counts,
 which add in any order, and the merged report's floats are computed
 once, after the merge (``docs/parallel.md``).
 
-Degradation is automatic: v1 traces, single-chunk traces, non-shardable
-profilers (Software with skid) and worker failures all fall back to a
-serial in-process replay.
+Degradation is automatic: single-chunk traces, non-shardable profilers
+(Software with skid) and worker failures all fall back to a serial
+in-process replay.  Legacy v1/v2 traces are rejected with a
+:class:`ValueError` that names ``repro convert-trace``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from ..core.oracle import OracleProfiler, OracleReport
 from ..core.profiler import SamplingProfiler
 from ..core.sampling import SampleSchedule
 from ..cpu.tracefile import TraceIndex, open_reader, read_index
-from ..fastpath.engine import (BLOCK_ENGINE, CYCLE_ENGINE,
-                               replay_with_engine, validate_engine)
+from ..fastpath.engine import replay_blocks
 from ..isa.program import Program
 from ..lint.sanitizer import TraceInvariantError, TraceSanitizer
 from .pool import PoolJob, run_jobs
@@ -89,8 +89,6 @@ class ReplayOutcome:
     shards: int = 1
     #: Why a sharded request fell back to serial (None if it did not).
     fallback_reason: Optional[str] = None
-    #: Replay engine actually used ("cycle" or "block").
-    engine: str = CYCLE_ENGINE
 
 
 def plan_shards(index: TraceIndex, jobs: int) -> List[Tuple[int, int]]:
@@ -146,8 +144,7 @@ def _build_observers(image: Program,
 def replay_shard(trace: TraceSource, lo: int, hi: int,
                  spec: ProgramSpec, configs: Sequence,
                  watch_keys: Sequence[Tuple[int, str, int]] = (),
-                 sanitize: bool = False,
-                 engine: str = BLOCK_ENGINE) -> dict:
+                 sanitize: bool = False) -> dict:
     """Replay chunks ``[lo, hi)`` of *trace*; returns a snapshot dict.
 
     This is the worker-side entry point: it rebuilds the program image,
@@ -155,14 +152,11 @@ def replay_shard(trace: TraceSource, lo: int, hi: int,
     replays the shard, and resolves trailing pending samples against
     run-over records.  The returned dict is picklable.
 
-    The trace is opened **once** and chunks are reached by seeking via
-    the chunk directory.  With the (default) block *engine* each chunk
-    payload becomes a columnar block that all observers share -- v3
-    traces mmap the file and cast the stored columns in place, so
-    forked shard workers mapping the same path share physical pages;
-    the cycle engine materializes records instead.
+    The trace is opened **once** and mapped; each chunk becomes a
+    columnar block over the stored columns that all observers share,
+    so forked shard workers mapping the same path share physical
+    pages.
     """
-    validate_engine(engine)
     image = spec.build_image()
     profilers, oracle, sanitizer = _build_observers(
         image, configs, watch_keys, sanitize)
@@ -181,14 +175,9 @@ def replay_shard(trace: TraceSource, lo: int, hi: int,
 
         try:
             for chunk in chunks[lo:hi]:
-                if engine == BLOCK_ENGINE:
-                    block = reader.chunk_block(chunk)
-                    for observer in observers:
-                        observer.on_block(block)
-                else:
-                    for record in reader.chunk_records(chunk):
-                        for observer in observers:
-                            observer.on_cycle(record)
+                block = reader.chunk_block(chunk)
+                for observer in observers:
+                    observer.on_block(block)
             # Run-over: resolve pendings against the records that follow
             # the shard (the next shard replays them as its own; here
             # they are only consulted, never attributed).
@@ -220,23 +209,17 @@ def replay_shard(trace: TraceSource, lo: int, hi: int,
 def replay_serial(trace: TraceSource, image: Program,
                   configs: Sequence,
                   watch_keys: Sequence[Tuple[int, str, int]] = (),
-                  sanitize: bool = False,
-                  engine: str = BLOCK_ENGINE) -> ReplayOutcome:
-    """One-process reference replay (also the fallback path).
-
-    A block-engine request degrades to the cycle engine automatically
-    for v1 traces (no chunk directory); the engine actually used is
-    recorded on the outcome.
-    """
+                  sanitize: bool = False) -> ReplayOutcome:
+    """One-process block replay (also the fallback path)."""
     profilers, oracle, sanitizer = _build_observers(
         image, configs, watch_keys, sanitize)
     observers = list(profilers.values()) + [oracle]
     if sanitizer is not None:
         observers.append(sanitizer)
-    cycles, engine_used = replay_with_engine(trace, observers, engine)
+    cycles = replay_blocks(trace, *observers)
     oracle.report.total_cycles = cycles
     return ReplayOutcome(profilers, oracle.report, cycles, sanitizer,
-                         mode="serial", shards=1, engine=engine_used)
+                         mode="serial", shards=1)
 
 
 def replay_sharded(trace: TraceSource, spec: ProgramSpec,
@@ -247,16 +230,15 @@ def replay_sharded(trace: TraceSource, spec: ProgramSpec,
                    image: Optional[Program] = None,
                    timeout: Optional[float] = None,
                    retries: int = 1,
-                   verbose: bool = False,
-                   engine: str = BLOCK_ENGINE) -> ReplayOutcome:
+                   verbose: bool = False) -> ReplayOutcome:
     """Replay *trace* with *jobs* parallel shard workers and merge.
 
     Produces bit-identical profiler samples versus
     :func:`replay_serial`; falls back to serial (with
     ``fallback_reason`` set) whenever sharding is not applicable or a
-    worker fails.
+    worker fails.  Raises :class:`ValueError` for a source that is not
+    a v3 trace.
     """
-    validate_engine(engine)
     if image is None:
         image = spec.build_image()
 
@@ -265,7 +247,7 @@ def replay_sharded(trace: TraceSource, spec: ProgramSpec,
             print(f"[shard] falling back to serial replay: {reason}",
                   flush=True)
         outcome = replay_serial(trace, image, configs, watch_keys,
-                                sanitize, engine)
+                                sanitize)
         outcome.fallback_reason = reason
         return outcome
 
@@ -277,10 +259,7 @@ def replay_sharded(trace: TraceSource, spec: ProgramSpec,
     if unshardable:
         return fallback(
             "non-shardable profiler(s): " + ", ".join(unshardable))
-    try:
-        index = read_index(trace)
-    except ValueError as exc:
-        return fallback(str(exc))
+    index = read_index(trace)
     if len(index.chunks) < 2:
         return fallback("trace has fewer than 2 chunks")
 
@@ -288,7 +267,7 @@ def replay_sharded(trace: TraceSource, spec: ProgramSpec,
     pool_jobs = [
         PoolJob(name=f"shard{position}", func=replay_shard,
                 args=(trace, lo, hi, spec, tuple(configs),
-                      tuple(watch_keys), sanitize, engine),
+                      tuple(watch_keys), sanitize),
                 timeout=timeout)
         for position, (lo, hi) in enumerate(bounds)
     ]
@@ -315,5 +294,4 @@ def replay_sharded(trace: TraceSource, spec: ProgramSpec,
     if sanitizer is not None:
         sanitizer.absorb([snap["sanitizer"] for snap in snapshots])
     return ReplayOutcome(profilers, oracle_report, cycles, sanitizer,
-                         mode="sharded", shards=len(bounds),
-                         engine=engine)
+                         mode="sharded", shards=len(bounds))

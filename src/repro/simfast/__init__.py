@@ -9,9 +9,9 @@ Three layers make re-running experiments cheap (see ``docs/simfast.md``):
 * **micro-op recycling** (:class:`repro.cpu.MicroOpPool`) removes the
   per-fetch allocation cost;
 * the **content-addressed simulation cache** (:class:`SimCache`) stores
-  the v2 trace of a completed run keyed by everything that determines
-  it, so identical re-runs replay through the columnar block engine
-  instead of simulating.
+  the v3 trace of a completed run keyed by everything that determines
+  it, so identical re-runs replay its columnar blocks instead of
+  simulating.
 
 All three produce results bit-identical to single-stepping -- the same
 traces and the same profiler reports, floating point included.

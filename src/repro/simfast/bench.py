@@ -97,9 +97,9 @@ def run_sim_bench(benchmarks: Sequence[str] = SIM_BENCHMARKS,
     """Benchmark step vs fast vs cache-hit simulation on *benchmarks*.
 
     Returns the result dict and, unless *output* is ``None``, writes it
-    there as JSON.  All timed runs use the block replay engine and the
-    full default profiler line-up, so the measured ratios are what
-    ``repro profile``/``repro suite`` users actually see.
+    there as JSON.  All timed runs attach the full default profiler
+    line-up directly, as ``repro profile``/``repro suite`` do, so the
+    measured ratios are what their users actually see.
     """
     if repeats is None:
         repeats = QUICK_REPEATS if quick else DEFAULT_REPEATS
@@ -128,7 +128,7 @@ def run_sim_bench(benchmarks: Sequence[str] = SIM_BENCHMARKS,
             def run(sim: str, use_cache: bool = False,
                     workload=workload, profilers=profilers, cache=cache):
                 return run_workload(
-                    workload, profilers, max_cycles, engine="block",
+                    workload, profilers, max_cycles,
                     sim=sim, cache=cache if use_cache else None)
 
             # Correctness first: one untimed run per path, checksums

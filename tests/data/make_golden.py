@@ -4,13 +4,18 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/data/make_golden.py
 
-Produces ``golden.tiptrace`` (a chunk-indexed v2 commit trace of
-``golden.s``) and ``golden_expected.json`` (per-profiler sample
-checksums and instruction-level profiles from a *serial* replay).  The
-differential test asserts that serial and sharded replays of the
-checked-in trace reproduce these values exactly, so regenerating the
-files is only legitimate after an intentional change to the trace
-format, the golden program, or a profiler's attribution policy.
+Produces ``golden.tiptrace`` (a v3 commit trace of ``golden.s``) and
+``golden_expected.json`` (per-profiler sample checksums and
+instruction-level profiles from a *serial* replay).  The differential
+test asserts that serial and sharded replays of the checked-in trace
+reproduce these values exactly, so regenerating the files is only
+legitimate after an intentional change to the trace format, the golden
+program, or a profiler's attribution policy.
+
+``golden_v1.tiptrace`` and ``golden_v2.tiptrace`` hold the same records
+in the legacy formats.  Nothing writes those formats any more, so they
+are frozen inputs for the ``convert-trace`` tests and are never
+regenerated.
 """
 
 import io
@@ -19,7 +24,7 @@ import os
 
 from repro.analysis.profiles import profile_checksum
 from repro.cpu.machine import Machine
-from repro.cpu.tracefile import TraceWriterV2
+from repro.cpu.tracefile import TraceWriterV3
 from repro.harness.experiment import ProfilerConfig
 from repro.isa import assemble
 from repro.kernel import Kernel
@@ -49,7 +54,7 @@ def main():
     program = assemble(source, name="golden.s")
     machine = Machine(program)
     buffer = io.BytesIO()
-    machine.attach(TraceWriterV2(buffer, machine.config.rob_banks,
+    machine.attach(TraceWriterV3(buffer, machine.config.rob_banks,
                                  chunk_cycles=CHUNK_CYCLES))
     stats = machine.run()
     trace = buffer.getvalue()

@@ -1,8 +1,12 @@
 """CLI tests."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_parser_builds():
@@ -307,76 +311,104 @@ loop:
     bne  x1, x2, loop
     halt
 """)
-    v2 = tmp_path / "run2.tiptrace"
-    assert main(["record", str(source), "-o", str(v2),
-                 "--chunk-cycles", "128", "--compress",
-                 "--format", "v2"]) == 0
-    out = capsys.readouterr().out
-    assert "[v2]" in out
-
-    assert main(["replay", str(v2), str(source), "--jobs", "2",
-                 "--period", "11", "--sanitize"]) == 0
-    out = capsys.readouterr().out
-    assert "sharded, 2 shard(s)" in out
-    assert "clean" in out
-
-    # v3 is the default record format and shards the same way.
-    v3 = tmp_path / "run3.tiptrace"
-    assert main(["record", str(source), "-o", str(v3),
-                 "--chunk-cycles", "128"]) == 0
+    packed = tmp_path / "packed.tiptrace"
+    assert main(["record", str(source), "-o", str(packed),
+                 "--chunk-cycles", "128", "--compress"]) == 0
     out = capsys.readouterr().out
     assert "[v3]" in out
-    assert main(["replay", str(v3), str(source), "--jobs", "2",
+
+    assert main(["replay", str(packed), str(source), "--jobs", "2",
                  "--period", "11", "--sanitize"]) == 0
     out = capsys.readouterr().out
     assert "sharded, 2 shard(s)" in out
     assert "clean" in out
 
-    v1 = tmp_path / "run1.tiptrace"
-    assert main(["record", str(source), "-o", str(v1),
-                 "--format", "v1"]) == 0
+    plain = tmp_path / "plain.tiptrace"
+    assert main(["record", str(source), "-o", str(plain),
+                 "--chunk-cycles", "128"]) == 0
     capsys.readouterr()
-    converted = tmp_path / "converted.tiptrace"
-    assert main(["convert-trace", str(v1), "-o", str(converted),
+    assert main(["replay", str(plain), str(source), "--jobs", "2",
+                 "--period", "11", "--sanitize"]) == 0
+    out = capsys.readouterr().out
+    assert "sharded, 2 shard(s)" in out
+    assert "clean" in out
+
+    # Re-chunking a v3 trace keeps every record.
+    rechunked = tmp_path / "rechunked.tiptrace"
+    assert main(["convert-trace", str(plain), "-o", str(rechunked),
                  "--chunk-cycles", "64"]) == 0
     out = capsys.readouterr().out
     assert "converted" in out and "[v3]" in out
-    assert main(["replay", str(converted), str(source), "--jobs", "3",
+    assert main(["replay", str(rechunked), str(source), "--jobs", "3",
                  "--period", "11"]) == 0
     out = capsys.readouterr().out
     assert "sharded, 3 shard(s)" in out
 
-    # Downgrade path: v3 -> v2 keeps every record.
-    down = tmp_path / "down.tiptrace"
-    assert main(["convert-trace", str(v3), "-o", str(down),
-                 "--to", "v2", "--chunk-cycles", "128"]) == 0
-    out = capsys.readouterr().out
-    assert "[v2]" in out
-    assert main(["replay", str(down), str(source),
-                 "--period", "11"]) == 0
-    out = capsys.readouterr().out
-    assert "replayed" in out
+
+@pytest.mark.parametrize("legacy", ["golden_v1", "golden_v2"])
+def test_convert_trace_upgrades_legacy_fixture(tmp_path, capsys, legacy):
+    """Both legacy goldens upgrade to the v3 golden byte for byte, and
+    the result replays."""
+    converted = tmp_path / "converted.tiptrace"
+    assert main(["convert-trace", f"{DATA}/{legacy}.tiptrace",
+                 "-o", str(converted), "--chunk-cycles", "256"]) == 0
+    assert "converted 4131 records" in capsys.readouterr().out
+    with open(f"{DATA}/golden.tiptrace", "rb") as handle:
+        assert converted.read_bytes() == handle.read()
+    assert main(["replay", str(converted), f"{DATA}/golden.s",
+                 "--period", "23"]) == 0
+    assert "replayed 4131 cycles" in capsys.readouterr().out
 
 
-def test_replay_v1_trace_falls_back_serially(tmp_path, capsys):
-    source = tmp_path / "prog.s"
-    source.write_text("""
-.func main
-    addi x1, x0, 0
-    addi x2, x0, 100
-loop:
-    addi x1, x1, 1
-    bne  x1, x2, loop
-    halt
-""")
-    trace = tmp_path / "run.tiptrace"
-    assert main(["record", str(source), "-o", str(trace),
-                 "--format", "v1"]) == 0
-    capsys.readouterr()
-    assert main(["replay", str(trace), str(source), "--jobs", "4",
-                 "--period", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "serial" in out and "fallback" in out
+def _bad_trace(tmp_path, kind, cut_from="golden.tiptrace"):
+    """A trace file the replay and convert verbs must refuse."""
+    if kind.startswith("golden_"):
+        return f"{DATA}/{kind}.tiptrace"
+    path = tmp_path / f"{kind}.tiptrace"
+    if kind == "garbage":
+        path.write_bytes(b"this is not a trace file\n" * 8)
+    elif kind == "corrupt":  # a compressed v3 trace, zlib header broken
+        from repro.cpu import convert_trace
+        convert_trace(f"{DATA}/golden.tiptrace", str(path),
+                      chunk_cycles=256, compress=True)
+        data = bytearray(path.read_bytes())
+        data[16 + 96:16 + 96 + 2] = b"\0\0"  # first chunk's payload
+        path.write_bytes(bytes(data))
+    else:  # *cut_from* cut inside its first chunk
+        with open(f"{DATA}/{cut_from}", "rb") as handle:
+            path.write_bytes(handle.read()[:1000])
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["garbage", "truncated", "golden_v1",
+                                  "golden_v2", "corrupt"])
+def test_replay_rejects_bad_trace(tmp_path, capsys, kind):
+    """Bad input is a one-line user error (exit 2), not a traceback;
+    legacy traces are pointed at convert-trace."""
+    trace = _bad_trace(tmp_path, kind)
+    assert main(["replay", trace, f"{DATA}/golden.s", "--jobs", "2",
+                 "--period", "23"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot replay {trace}: ")
+    assert captured.err.count("\n") == 1
+    if kind.startswith("golden_"):
+        assert "repro convert-trace" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["garbage", "truncated", "corrupt"])
+def test_convert_trace_rejects_bad_input(tmp_path, capsys, kind):
+    """A bad source exits 2 and leaves an existing destination as it
+    was."""
+    source = _bad_trace(tmp_path, kind, cut_from="golden_v2.tiptrace")
+    dest = tmp_path / "out.tiptrace"
+    dest.write_bytes(b"previous contents")
+    assert main(["convert-trace", source, "-o", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot convert {source}: ")
+    assert captured.err.count("\n") == 1
+    assert dest.read_bytes() == b"previous contents"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_suite_parallel_jobs(capsys):

@@ -1,16 +1,16 @@
-"""Fast-path tests: the block replay engine must be bit-identical.
+"""Fast-path tests: block replay must be bit-identical.
 
-The columnar engine is only a valid optimisation if every observer
-produces exactly the same samples, profiles and reports as the classic
-record-at-a-time replay.  These tests check that equivalence three
-ways: on hypothesis-generated random traces (all profilers), on the
-checked-in golden trace (serial and sharded), and for the
-simulation-side :class:`~repro.fastpath.BlockAssembler`.
+Columnar replay is only a valid optimisation if every observer
+produces exactly the same samples, profiles and reports as the
+per-record reference replay.  These tests check that equivalence on
+hypothesis-generated random traces (all profilers) and on the
+checked-in golden trace (serial and sharded).
 """
 
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +20,9 @@ from repro.analysis.profiles import profile_checksum
 from repro.core.baselines import SoftwareProfiler
 from repro.core.oracle import OracleProfiler
 from repro.core.sampling import SampleSchedule
-from repro.cpu.machine import Machine
-from repro.cpu.tracefile import (TraceReaderV2, TraceWriterV2,
-                                 replay_trace)
-from repro.fastpath import (BlockAssembler, CycleBlock, decode_block,
-                            replay_blocks, replay_with_engine,
-                            run_hotpath_bench, validate_engine)
+from repro.cpu.tracefile import TraceReaderV3, TraceWriterV3, replay_trace
+from repro.fastpath import (replay_blocks, replay_with_engine,
+                            run_hotpath_bench)
 from repro.harness import ProfilerConfig, replay_experiment
 from repro.isa import assemble
 from repro.kernel import Kernel
@@ -50,16 +47,16 @@ def _tiny_image():
     return Kernel().boot(assemble(TINY, name="tiny.s"))
 
 
-def _encode_v2(records, banks=4, chunk_cycles=8) -> bytes:
+def _encode_v3(records, banks=4, chunk_cycles=8) -> bytes:
     buffer = io.BytesIO()
-    writer = TraceWriterV2(buffer, banks, chunk_cycles=chunk_cycles)
+    writer = TraceWriterV3(buffer, banks, chunk_cycles=chunk_cycles)
     for record in records:
         writer.on_cycle(record)
     writer.on_finish(records[-1].cycle)
     return buffer.getvalue()
 
 
-# -- hypothesis: random traces, every profiler, both engines ---------------------
+# -- hypothesis: random traces, every profiler, both replay paths -------------
 
 
 @st.composite
@@ -104,7 +101,7 @@ def _profilers_under_test(image):
 @settings(max_examples=25, deadline=None)
 def test_property_block_engine_matches_cycle_engine(records):
     image = _tiny_image()
-    trace = _encode_v2(records)
+    trace = _encode_v3(records)
     for cycle_prof, block_prof in zip(_profilers_under_test(image),
                                       _profilers_under_test(image)):
         replay_trace(trace, cycle_prof)
@@ -122,14 +119,11 @@ def test_property_block_engine_matches_cycle_engine(records):
 @given(records=_random_records())
 @settings(max_examples=25, deadline=None)
 def test_property_block_round_trip(records):
-    trace = _encode_v2(records)
+    trace = _encode_v3(records)
     decoded = []
-    with TraceReaderV2(trace) as reader:
+    with TraceReaderV3(trace) as reader:
         for chunk in reader.index.chunks:
-            block = decode_block(reader.chunk_payload(chunk),
-                                 chunk.start_cycle, chunk.n_records,
-                                 reader.banks)
-            decoded.extend(block.records())
+            decoded.extend(reader.chunk_block(chunk).records())
     assert len(decoded) == len(records)
     for original, copy in zip(records, decoded):
         assert copy.cycle == original.cycle
@@ -145,7 +139,7 @@ def test_property_block_round_trip(records):
              for c in original.committed]
 
 
-# -- golden trace: block engine, serial and sharded ------------------------------
+# -- golden trace: block replay, serial and sharded ---------------------------
 
 
 @pytest.fixture(scope="module")
@@ -177,10 +171,8 @@ def _check_against_golden(result, expected):
 
 def test_golden_block_engine_serial(golden):
     trace, expected, image, _spec, configs = golden
-    result = replay_experiment(io.BytesIO(trace), image, configs,
-                               engine="block")
+    result = replay_experiment(io.BytesIO(trace), image, configs)
     assert result.replay.cycles == expected["cycles"]
-    assert result.replay.engine == "block"
     _check_against_golden(result, expected)
     oracle = {hex(addr): weight
               for addr, weight in result.oracle.profile.items()}
@@ -191,7 +183,7 @@ def test_golden_block_engine_serial(golden):
 def test_golden_block_engine_sharded(golden, jobs):
     trace, expected, image, spec, configs = golden
     outcome = replay_sharded(io.BytesIO(trace), spec, configs, jobs,
-                             image=image, engine="block")
+                             image=image)
     assert outcome.mode == "sharded"
     assert outcome.cycles == expected["cycles"]
     for name, want in expected["profilers"].items():
@@ -201,82 +193,22 @@ def test_golden_block_engine_sharded(golden, jobs):
 
 
 def test_golden_cycle_engine_still_available(golden):
+    """The per-record reference replay reproduces the golden too."""
     trace, expected, image, _spec, configs = golden
-    result = replay_experiment(io.BytesIO(trace), image, configs,
-                               engine="cycle")
-    assert result.replay.engine == "cycle"
-    _check_against_golden(result, expected)
+    profilers = {config.name: config.build(image) for config in configs}
+    assert replay_trace(trace, *profilers.values()) == expected["cycles"]
+    _check_against_golden(SimpleNamespace(profilers=profilers), expected)
 
 
-# -- engine selection and fallback ----------------------------------------------
-
-
-def test_validate_engine_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown replay engine"):
-        validate_engine("turbo")
-
-
-def test_v1_trace_falls_back_to_cycle_engine():
-    from repro.cpu.tracefile import TraceWriter
-    machine = Machine(assemble(TINY, name="tiny.s"))
-    buffer = io.BytesIO()
-    machine.attach(TraceWriter(buffer, machine.config.rob_banks))
-    machine.run(10_000)
+def test_validate_engine_rejects_unknown(golden):
+    """The engine-naming entry point knows one engine, ``"block"``."""
+    trace, expected, image, _spec, _configs = golden
     profiler = SoftwareProfiler(SampleSchedule(5))
-    stream = io.BytesIO(buffer.getvalue())
-    cycles, engine = replay_with_engine(stream, [profiler],
-                                        engine="block")
-    assert engine == "cycle"
-    assert cycles > 0
+    assert replay_with_engine(trace, [profiler]) == expected["cycles"]
     assert profiler.samples
-
-
-# -- simulation-side batching ----------------------------------------------------
-
-
-def test_block_assembler_matches_direct_attachment():
-    def run(wrap):
-        program = assemble(TINY, name="tiny.s")
-        machine = Machine(program)
-        profilers = list(_profilers_under_test(machine.image))
-        if wrap:
-            machine.attach(BlockAssembler(profilers,
-                                          machine.config.rob_banks,
-                                          block_cycles=16))
-        else:
-            for profiler in profilers:
-                machine.attach(profiler)
-        machine.run(10_000)
-        return profilers
-
-    for direct, batched in zip(run(False), run(True)):
-        name = type(direct).__name__
-        if isinstance(direct, OracleProfiler):
-            assert oracle_tables(direct.report) == \
-                oracle_tables(batched.report)
-        else:
-            assert profile_checksum(direct.samples) == \
-                profile_checksum(batched.samples), name
-
-
-def test_block_assembler_rejects_empty_blocks():
-    with pytest.raises(ValueError, match="block_cycles"):
-        BlockAssembler([], 4, block_cycles=0)
-
-
-def test_from_records_round_trip():
-    records = [make_record(3, committed=[(0x40, True, False)],
-                           dispatched=[0x44, 0x48], fetch_pc=0x4C,
-                           dispatch_pc=0x44, banks=4),
-               make_record(4, rob_head=0x50, fetch_pc=0x54, banks=4)]
-    block = CycleBlock.from_records(records, banks=4)
-    assert block.start_cycle == 3
-    assert block.n == 2
-    copies = list(block.records())
-    assert copies[0].committed[0].addr == 0x40
-    assert copies[0].committed[0].mispredicted
-    assert copies[1].rob_head == 0x50
-    assert not copies[1].rob_empty
+    for engine in ("cycle", "turbo"):
+        with pytest.raises(ValueError, match="unknown replay engine"):
+            replay_with_engine(trace, [], engine=engine)
 
 
 # -- hot-path benchmark -----------------------------------------------------------
@@ -294,6 +226,7 @@ def test_hotpath_bench_quick(golden, tmp_path):
     assert set(result["rows"]) == {"TIP", "LCI", "Oracle", "all"}
     for entry in result["rows"].values():
         assert entry["checksums_equal"]
-        assert entry["cycle_s"] > 0 and entry["block_s"] > 0
+        assert entry["cycle_s"] > 0 and entry["v3_s"] > 0
+    assert result["v3_vs_cycle"] > 1
     with open(output) as handle:
         assert json.load(handle)["checksums_equal"]

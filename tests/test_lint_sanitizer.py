@@ -13,7 +13,7 @@ from conftest import COUNT_LOOP, make_record
 from repro.cpu.config import CoreConfig
 from repro.cpu.machine import Machine
 from repro.cpu.trace import CommittedInst, CycleRecord, HeadEntry
-from repro.cpu.tracefile import TraceWriter, read_trace
+from repro.cpu.tracefile import TraceWriterV3, read_trace
 from repro.isa.assembler import assemble
 from repro.lint import TraceInvariantError, TraceSanitizer, sanitize_trace
 
@@ -276,7 +276,7 @@ def test_recorded_trace_sanitizes_clean():
     program = assemble(COUNT_LOOP.format(n=300), name="roundtrip")
     machine = Machine(program)
     buffer = io.BytesIO()
-    machine.attach(TraceWriter(buffer, machine.config.rob_banks))
+    machine.attach(TraceWriterV3(buffer, machine.config.rob_banks))
     machine.run(100_000)
 
     records = list(read_trace(io.BytesIO(buffer.getvalue())))

@@ -2,8 +2,8 @@
 
 The contract under test: when the fast path detects a fully periodic
 pipeline steady state and skips whole loop iterations, every externally
-observable artifact stays bit-identical to single-stepping -- trace
-bytes in all three writer formats, block-assembled replay, sanitizer
+observable artifact stays bit-identical to single-stepping -- v3 trace
+bytes (with chunk boundaries inside memoized periods), sanitizer
 verdicts and the core statistics (modulo the driver-side
 ``CoreStats.DRIVER_FIELDS``, which record *how* the run was driven) --
 including when sampling interrupts land mid-period, and with
@@ -15,11 +15,9 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu import (Machine, TraceWriter, TraceWriterV2, TraceWriterV3,
+from repro.cpu import (DEFAULT_CHUNK_CYCLES, Machine, TraceWriterV3,
                        shifted_record)
 from repro.cpu.core import CoreStats
-from repro.cpu.trace import TraceCollector
-from repro.fastpath.engine import BlockAssembler
 from repro.isa.assembler import assemble
 from repro.lint.sanitizer import TraceSanitizer
 from repro.workloads import build_workload, k_dep_chain, k_int_ilp
@@ -47,12 +45,15 @@ loop:
 """
 
 
-def _run(program, sim, writer_cls=TraceWriterV3, paranoid=False,
+def _run(program, sim, chunk_cycles=4, paranoid=False,
          perf_sampling=None, premapped=None):
+    """Run *program* recording a v3 trace.  The default 4-cycle chunks
+    put chunk boundaries inside stall runs and memoized periods."""
     machine = Machine(program, premapped_data=premapped,
                       perf_sampling=perf_sampling)
     buffer = io.BytesIO()
-    machine.attach(writer_cls(buffer, machine.config.rob_banks))
+    machine.attach(TraceWriterV3(buffer, machine.config.rob_banks,
+                                 chunk_cycles=chunk_cycles))
     stats = machine.run(2_000_000, sim=sim, paranoid=paranoid)
     return buffer.getvalue(), stats, machine
 
@@ -70,12 +71,12 @@ def test_memoizer_fires_and_traces_bit_identical():
     program = assemble(ILP_LOOP, name="ilp-loop")
     step_stats = fast_stats = None
     step_m = fast_m = None
-    for writer_cls in (TraceWriter, TraceWriterV2, TraceWriterV3):
+    for chunk_cycles in (4, DEFAULT_CHUNK_CYCLES):
         step_trace, step_stats, step_m = _run(program, "step",
-                                              writer_cls)
+                                              chunk_cycles)
         fast_trace, fast_stats, fast_m = _run(program, "fast",
-                                              writer_cls)
-        assert fast_trace == step_trace, writer_cls
+                                              chunk_cycles)
+        assert fast_trace == step_trace, chunk_cycles
         assert _content_stats(fast_stats) == _content_stats(step_stats)
     # The loop is compute-bound: the skipped cycles must come from the
     # memoizer, and the skip must not disturb architectural state.
@@ -170,65 +171,24 @@ def _period_records(n=3, base_cycle=1, commits=True):
 
 
 @pytest.mark.parametrize("commits", (True, False))
-@pytest.mark.parametrize("writer_cls,kwargs", [
-    (TraceWriter, {}),
-    (TraceWriterV2, {"chunk_cycles": 4}),
-    (TraceWriterV3, {"chunk_cycles": 4}),
-])
-def test_on_cycle_run_matches_repeated_on_cycle(writer_cls, kwargs,
-                                                commits):
+@pytest.mark.parametrize("chunk_cycles", (1, 4, 5))
+def test_on_cycle_run_matches_repeated_on_cycle(chunk_cycles, commits):
     """One batched period call == n*repeats single-cycle calls, with
-    chunk boundaries landing mid-period (chunk_cycles=4, period=3)."""
+    chunk boundaries landing mid-period (period 3)."""
     records = _period_records(commits=commits)
     n, repeats = len(records), 5
 
     stepped = io.BytesIO()
-    writer = writer_cls(stepped, 2, **kwargs)
+    writer = TraceWriterV3(stepped, 2, chunk_cycles=chunk_cycles)
     writer.on_cycle(make_record(0))
     for t in range(n * repeats):
         writer.on_cycle(shifted_record(records[t % n], n * (t // n)))
     writer.on_finish(n * repeats)
 
     batched = io.BytesIO()
-    writer = writer_cls(batched, 2, **kwargs)
+    writer = TraceWriterV3(batched, 2, chunk_cycles=chunk_cycles)
     writer.on_cycle(make_record(0))
     writer.on_cycle_run(records, repeats)
     writer.on_finish(n * repeats)
     assert stepped.getvalue() == batched.getvalue()
 
-
-def _record_key(record):
-    return (record.cycle,
-            tuple((c.addr, c.bank, c.mispredicted, c.flushes)
-                  for c in record.committed),
-            record.rob_head, record.rob_empty, record.exception,
-            record.exception_is_ordering, tuple(record.dispatched),
-            record.dispatch_pc, record.fetch_pc,
-            tuple(h and (h.addr, h.committing)
-                  for h in record.head_banks),
-            record.oldest_bank)
-
-
-def test_block_assembler_on_cycle_run_matches_per_cycle():
-    """Template splicing at block boundaries reconstructs the same
-    cycles as buffering one record at a time."""
-    records = _period_records()
-    n, repeats = len(records), 7
-
-    def collect(batched):
-        collector = TraceCollector()
-        assembler = BlockAssembler([collector], banks=2, block_cycles=4)
-        assembler.on_cycle(make_record(0))
-        if batched:
-            assembler.on_cycle_run(records, repeats)
-        else:
-            for t in range(n * repeats):
-                assembler.on_cycle(
-                    shifted_record(records[t % n], n * (t // n)))
-        assembler.on_finish(n * repeats)
-        return collector
-
-    stepped, spliced = collect(False), collect(True)
-    assert len(spliced) == len(stepped) == n * repeats + 1
-    for a, b in zip(stepped, spliced):
-        assert _record_key(a) == _record_key(b)

@@ -1,12 +1,11 @@
 """Parallel subsystem tests: pool, sharded replay, parallel suite.
 
 The centerpiece is the golden-trace differential harness: a small
-recorded v2 trace plus expected per-instruction profiles for all seven
+recorded v3 trace plus expected per-instruction profiles for all seven
 sampling profilers are checked in under ``tests/data/``, and serial,
 2-shard and 7-shard replays must all reproduce them bit-for-bit.
 """
 
-import io
 import json
 import os
 import time
@@ -15,9 +14,7 @@ import pytest
 
 from conftest import oracle_tables
 from repro.analysis.profiles import profile_checksum
-from repro.cpu.machine import Machine
-from repro.cpu.tracefile import (TraceWriter, TraceWriterV2, read_index,
-                                 replay_trace)
+from repro.cpu.tracefile import read_index
 from repro.harness import (ProfilerConfig, default_profilers,
                            replay_experiment, run_suite)
 from repro.isa import assemble
@@ -128,19 +125,15 @@ def test_sharded_oracle_report_equals_serial(golden, jobs):
 # -- fallback paths --------------------------------------------------------------
 
 
-def test_v1_trace_falls_back_to_serial(golden):
-    _trace, expected, image, spec, configs = golden
-    program = image  # already booted; simulate a fresh v1 recording
-    machine = Machine(assemble(open(os.path.join(DATA, "golden.s"))
-                               .read(), name="golden.s"))
-    buffer = io.BytesIO()
-    machine.attach(TraceWriter(buffer, machine.config.rob_banks))
-    machine.run()
-    outcome = replay_sharded(buffer.getvalue(), spec, configs, jobs=2,
-                             image=program)
-    assert outcome.mode == "serial"
-    assert "v1" in outcome.fallback_reason
-    assert outcome.cycles == expected["cycles"]
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_legacy_trace_is_rejected(golden, jobs):
+    """Legacy traces are not replayed, sharded or serially; the error
+    names the upgrade path."""
+    _trace, _expected, image, spec, configs = golden
+    for name in ("golden_v1.tiptrace", "golden_v2.tiptrace"):
+        path = os.path.join(DATA, name)
+        with pytest.raises(ValueError, match="repro convert-trace"):
+            replay_sharded(path, spec, configs, jobs=jobs, image=image)
 
 
 def test_software_skid_falls_back_to_serial(golden):
@@ -460,7 +453,7 @@ def test_path_replay_does_not_leak_fds(golden, tmp_path):
 
     trace, expected, image, spec, configs = golden
     path = str(tmp_path / "golden_v3.tiptrace")
-    convert_trace(trace, path, version=3)
+    convert_trace(trace, path)
     # Warm-up covers lazy imports and pool machinery so the snapshot
     # below only sees replay-owned descriptors.
     replay_serial(path, image, configs)

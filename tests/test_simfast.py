@@ -2,7 +2,7 @@
 
 The contract under test: ``sim="fast"``, paranoid mode and a
 simulation-cache hit all produce results bit-identical to plain
-single-stepping -- the same v2 trace bytes and the same profiler
+single-stepping -- the same v3 trace bytes and the same profiler
 reports, floating point included.
 """
 
@@ -13,8 +13,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu import (Machine, MaxCyclesExceeded, TraceWriter,
-                       TraceWriterV2, shifted_record)
+from repro.cpu import (Machine, MaxCyclesExceeded, TraceWriterV3,
+                       shifted_record)
 from repro.cpu.tracefile import replay_trace
 from repro.cpu.trace import TraceCollector
 from repro.harness.experiment import default_profilers
@@ -53,12 +53,14 @@ def _random_program(seed: int):
     return program
 
 
-def _trace_of(program, sim, paranoid=False, premapped=None,
-              writer_cls=TraceWriterV2):
+def _trace_of(program, sim, paranoid=False, premapped=None):
+    """Run *program* recording a v3 trace in 4-cycle chunks, so chunk
+    boundaries land inside fast-forwarded stall runs."""
     machine = Machine(program, premapped_data=premapped or
                       [(DATA_BASE, DATA_BASE + 8 * DATA_WORDS)])
     buffer = io.BytesIO()
-    machine.attach(writer_cls(buffer, machine.config.rob_banks))
+    machine.attach(TraceWriterV3(buffer, machine.config.rob_banks,
+                                 chunk_cycles=4))
     stats = machine.run(2_000_000, sim=sim, paranoid=paranoid)
     return buffer.getvalue(), stats
 
@@ -96,20 +98,13 @@ def test_fast_forward_fires_on_stall_heavy_program():
                                        premapped=STALL_HEAVY_MAP)
     assert fast_trace == step_trace
     assert fast_stats.fast_forwarded > 0
-    # The v1 (flat) writer batches stall runs too.
-    v1_step, _ = _trace_of(program, "step", premapped=STALL_HEAVY_MAP,
-                           writer_cls=TraceWriter)
-    v1_fast, _ = _trace_of(program, "fast", premapped=STALL_HEAVY_MAP,
-                           writer_cls=TraceWriter)
-    assert v1_fast == v1_step
 
 
 def test_fast_experiment_results_identical():
     workload, = build_suite(["mcf"], scale=0.05)
     profilers = default_profilers(53)
-    r_step = run_workload(workload, profilers, engine="block")
-    r_fast = run_workload(workload, profilers, engine="block",
-                          sim="fast")
+    r_step = run_workload(workload, profilers)
+    r_fast = run_workload(workload, profilers, sim="fast")
     assert _result_checksum(r_step) == _result_checksum(r_fast)
     assert oracle_tables(r_step.oracle) == oracle_tables(r_fast.oracle)
     assert r_fast.stats.fast_forwarded > 0
@@ -126,12 +121,12 @@ def test_unknown_sim_mode_rejected():
 
 
 def test_on_stall_run_matches_repeated_on_cycle():
-    """One batched call == N single-cycle calls, for both writers."""
+    """One batched call == N single-cycle calls, with the run crossing
+    chunk boundaries or not."""
     stall = make_record(3, rob_head=0x40, fetch_pc=0x80)
-    for writer_cls, kwargs in ((TraceWriter, {}),
-                               (TraceWriterV2, {"chunk_cycles": 4})):
+    for chunk_cycles in (1, 4, 64):
         stepped = io.BytesIO()
-        writer = writer_cls(stepped, 2, **kwargs)
+        writer = TraceWriterV3(stepped, 2, chunk_cycles=chunk_cycles)
         writer.on_cycle(make_record(0, committed=[(0x40, False, False)]))
         writer.on_cycle(make_record(1, dispatched=[0x44]))
         writer.on_cycle(make_record(2))
@@ -140,13 +135,13 @@ def test_on_stall_run_matches_repeated_on_cycle():
         writer.on_finish(12)
 
         batched = io.BytesIO()
-        writer = writer_cls(batched, 2, **kwargs)
+        writer = TraceWriterV3(batched, 2, chunk_cycles=chunk_cycles)
         writer.on_cycle(make_record(0, committed=[(0x40, False, False)]))
         writer.on_cycle(make_record(1, dispatched=[0x44]))
         writer.on_cycle(make_record(2))
         writer.on_stall_run(stall, 10)
         writer.on_finish(12)
-        assert stepped.getvalue() == batched.getvalue(), writer_cls
+        assert stepped.getvalue() == batched.getvalue(), chunk_cycles
 
 
 # -- the content-addressed cache ---------------------------------------------------
@@ -156,12 +151,10 @@ def test_cache_round_trip_bit_identical(tmp_path):
     workload, = build_suite(["mcf"], scale=0.05)
     profilers = default_profilers(53)
     cache = SimCache(str(tmp_path))
-    r_miss = run_workload(workload, profilers, engine="block",
-                          sim="fast", cache=cache)
+    r_miss = run_workload(workload, profilers, sim="fast", cache=cache)
     assert not r_miss.cached
     assert len(cache.keys()) == 1
-    r_hit = run_workload(workload, profilers, engine="block",
-                         sim="fast", cache=cache)
+    r_hit = run_workload(workload, profilers, sim="fast", cache=cache)
     assert r_hit.cached
     assert _result_checksum(r_miss) == _result_checksum(r_hit)
     assert oracle_tables(r_miss.oracle) == oracle_tables(r_hit.oracle)
@@ -254,12 +247,12 @@ def test_suite_surfaces_max_cycles_failure():
 # -- atomic path-mode trace writer -------------------------------------------------
 
 
-def test_writer_v2_path_mode_is_atomic(tmp_path):
+def test_writer_v3_path_mode_is_atomic(tmp_path):
     destination = tmp_path / "run.tiptrace"
     program = _random_program(1)
     machine = Machine(program, premapped_data=[
         (DATA_BASE, DATA_BASE + 8 * DATA_WORDS)])
-    writer = TraceWriterV2(str(destination), machine.config.rob_banks)
+    writer = TraceWriterV3(str(destination), machine.config.rob_banks)
     machine.attach(writer)
     assert not destination.exists()  # only the .tmp sibling exists
     machine.run(2_000_000, sim="fast")
@@ -270,9 +263,9 @@ def test_writer_v2_path_mode_is_atomic(tmp_path):
     assert len(collector) == machine.stats.cycles
 
 
-def test_writer_v2_abort_leaves_nothing(tmp_path):
+def test_writer_v3_abort_leaves_nothing(tmp_path):
     destination = tmp_path / "run.tiptrace"
-    writer = TraceWriterV2(str(destination), 2)
+    writer = TraceWriterV3(str(destination), 2)
     writer.on_cycle(make_record(0))
     writer.abort()
     assert list(tmp_path.iterdir()) == []

@@ -1,17 +1,26 @@
 """Trace serialization tests: record once, analyze many times."""
 
 import io
+import os
+import struct
+import tempfile
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.oracle import OracleProfiler
 from repro.core.sampling import SampleSchedule
 from repro.core.tip import TipProfiler
 from repro.cpu.machine import Machine
 from repro.cpu.trace import TraceCollector
-from repro.cpu.tracefile import (TraceWriter, read_trace, replay_trace)
+from repro.cpu.tracefile import (MAGIC, MAGIC_V2, ChunkCarry,
+                                 TraceReaderV3, TraceWriterV3,
+                                 convert_trace, open_reader, read_index,
+                                 read_trace, replay_trace)
 from repro.isa import assemble
-from repro.workloads import build_workload, k_csr_flush, k_int_ilp
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 SRC = """
 .data 0x2000 1
@@ -30,12 +39,17 @@ loop:
 """
 
 
+def _fixture(name):
+    with open(os.path.join(DATA, name), "rb") as handle:
+        return handle.read()
+
+
 @pytest.fixture(scope="module")
 def recorded():
     program = assemble(SRC)
     machine = Machine(program, premapped_data=[(0x2000, 0x2200)])
     buffer = io.BytesIO()
-    writer = TraceWriter(buffer, banks=4)
+    writer = TraceWriterV3(buffer, banks=4)
     collector = TraceCollector()
     machine.attach(writer)
     machine.attach(collector)
@@ -65,8 +79,6 @@ def test_round_trip_every_field(recorded):
 
 def test_replay_reproduces_oracle_exactly(recorded):
     data, _, machine = recorded
-    live_oracle = OracleProfiler(machine.image)
-    from repro.cpu.trace import replay as replay_records
     # Replay from the binary stream and compare against a live pass.
     replayed_oracle = OracleProfiler(machine.image)
     replay_trace(data, replayed_oracle)
@@ -104,14 +116,12 @@ def test_bad_magic_rejected():
 
 
 def test_truncated_stream_rejected(recorded):
+    """A trace cut mid-record is an error in every readable format."""
     data, _, _ = recorded
-    with pytest.raises((ValueError, struct_error_types())):
-        list(read_trace(io.BytesIO(data[:len(data) // 2 + 1])))
-
-
-def struct_error_types():
-    import struct
-    return struct.error
+    for trace in (data, _fixture("golden_v1.tiptrace"),
+                  _fixture("golden_v2.tiptrace")):
+        with pytest.raises(ValueError):
+            list(read_trace(io.BytesIO(trace[:len(trace) // 2 + 1])))
 
 
 def test_compactness(recorded):
@@ -121,9 +131,69 @@ def test_compactness(recorded):
     assert per_cycle < 64  # bytes/cycle, vs ~56 B the paper assumes
 
 
-# -- property-based round trip -------------------------------------------------
+# -- legacy v1/v2 input -------------------------------------------------------
+#
+# Nothing in the package writes v1 or v2 any more; read_trace and
+# convert_trace still read them.  This encoder produces them from
+# records so the property tests can feed random legacy traces in.
+# test_legacy_encoder_matches_frozen_fixtures pins it to the frozen
+# golden files the old writers produced.
 
-from hypothesis import given, settings, strategies as st
+
+def _encode_legacy_record(record) -> bytes:
+    flags = ((1 if record.rob_empty else 0)
+             | (2 if record.exception is not None else 0)
+             | (4 if record.exception_is_ordering else 0)
+             | (8 if record.dispatch_pc is not None else 0)
+             | (16 if record.rob_head is not None else 0))
+    counts = len(record.committed) | len(record.dispatched) << 4
+    parts = [struct.pack("<BBBQ", flags, counts, record.oldest_bank,
+                         record.fetch_pc)]
+    for value in (record.rob_head, record.exception, record.dispatch_pc):
+        if value is not None:
+            parts.append(struct.pack("<Q", value))
+    for c in record.committed:
+        parts.append(struct.pack(
+            "<QB", c.addr, c.bank | c.mispredicted << 6 | c.flushes << 7))
+    for addr in record.dispatched:
+        parts.append(struct.pack("<Q", addr))
+    return b"".join(parts)
+
+
+def _legacy_trace(records, version, chunk_cycles=8, compress=False,
+                  banks=4) -> bytes:
+    """*records* serialized in legacy format v1 or v2."""
+    encoded = [_encode_legacy_record(r) for r in records]
+    if version == 1:
+        return MAGIC + bytes([banks]) + b"".join(encoded)
+    parts = [MAGIC_V2, struct.pack("<BBI", banks, int(compress),
+                                   chunk_cycles)]
+    carry = ChunkCarry()
+    for start in range(0, len(records), chunk_cycles):
+        chunk = records[start:start + chunk_cycles]
+        raw = b"".join(encoded[start:start + chunk_cycles])
+        payload = zlib.compress(raw) if compress else raw
+        parts.append(struct.pack(
+            "<QIIIBBBQQ", start, len(chunk), len(payload), len(raw),
+            (carry.oir_addr is not None)
+            | (carry.last_committed is not None) << 1
+            | carry.drain_pending << 2,
+            carry.oir_flag, carry.oir_kind, carry.oir_addr or 0,
+            carry.last_committed or 0))
+        parts.append(payload)
+        for record in chunk:
+            carry.update(record)
+    return b"".join(parts)
+
+
+def test_legacy_encoder_matches_frozen_fixtures():
+    records = list(read_trace(io.BytesIO(_fixture("golden.tiptrace"))))
+    assert _legacy_trace(records, 1) == _fixture("golden_v1.tiptrace")
+    assert _legacy_trace(records, 2, chunk_cycles=256) == \
+        _fixture("golden_v2.tiptrace")
+
+
+# -- property-based round trips -----------------------------------------------
 
 
 @st.composite
@@ -155,34 +225,6 @@ def _random_records(draw):
     return records
 
 
-@given(records=_random_records())
-@settings(max_examples=40, deadline=None)
-def test_property_round_trip(records):
-    buffer = io.BytesIO()
-    writer = TraceWriter(buffer, banks=4)
-    for record in records:
-        writer.on_cycle(record)
-    writer.on_finish(records[-1].cycle)
-    decoded = list(read_trace(io.BytesIO(buffer.getvalue())))
-    assert len(decoded) == len(records)
-    for original, copy in zip(records, decoded):
-        assert copy.fetch_pc == original.fetch_pc
-        assert copy.rob_head == original.rob_head
-        assert copy.exception == original.exception
-        assert tuple(copy.dispatched) == tuple(original.dispatched)
-        assert [c.addr for c in copy.committed] == \
-            [c.addr for c in original.committed]
-        assert [c.mispredicted for c in copy.committed] == \
-            [c.mispredicted for c in original.committed]
-
-
-# -- format v2: chunk-indexed traces --------------------------------------------
-
-from repro.cpu.tracefile import (ChunkCarry, TraceWriterV2,
-                                 convert_v1_to_v2, read_chunk,
-                                 read_index)
-
-
 def _records_equal(a, b):
     assert a.cycle == b.cycle
     assert a.rob_empty == b.rob_empty
@@ -199,9 +241,9 @@ def _records_equal(a, b):
          for c in b.committed]
 
 
-def _write_v2(records, chunk_cycles, compress):
+def _write_v3(records, chunk_cycles, compress=False):
     buffer = io.BytesIO()
-    writer = TraceWriterV2(buffer, banks=4, chunk_cycles=chunk_cycles,
+    writer = TraceWriterV3(buffer, banks=4, chunk_cycles=chunk_cycles,
                            compress=compress)
     for record in records:
         writer.on_cycle(record)
@@ -209,13 +251,30 @@ def _write_v2(records, chunk_cycles, compress):
     return buffer.getvalue()
 
 
+@given(records=_random_records())
+@settings(max_examples=40, deadline=None)
+def test_property_round_trip(records):
+    decoded = list(read_trace(io.BytesIO(_write_v3(records, 4096))))
+    assert len(decoded) == len(records)
+    for original, copy in zip(records, decoded):
+        assert copy.fetch_pc == original.fetch_pc
+        assert copy.rob_head == original.rob_head
+        assert copy.exception == original.exception
+        assert tuple(copy.dispatched) == tuple(original.dispatched)
+        assert [c.addr for c in copy.committed] == \
+            [c.addr for c in original.committed]
+        assert [c.mispredicted for c in copy.committed] == \
+            [c.mispredicted for c in original.committed]
+
+
 @given(records=_random_records(),
        chunk_cycles=st.integers(1, 40),
        compress=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_property_v2_round_trip(records, chunk_cycles, compress):
-    """v2 streams decode identically across chunk sizes/compression."""
-    data = _write_v2(records, chunk_cycles, compress)
+    """Legacy v2 streams decode identically across chunk sizes and
+    compression."""
+    data = _legacy_trace(records, 2, chunk_cycles, compress)
     decoded = list(read_trace(io.BytesIO(data)))
     assert len(decoded) == len(records)
     for original, copy in zip(records, decoded):
@@ -226,11 +285,11 @@ def test_property_v2_round_trip(records, chunk_cycles, compress):
        chunk_cycles=st.integers(1, 40),
        compress=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_property_v2_index_and_chunks(records, chunk_cycles, compress):
+def test_property_v3_index_and_chunks(records, chunk_cycles, compress):
     """The chunk directory tiles the trace: dense cycle ranges, carry
-    state derivable from the record prefix, chunk payloads decodable in
+    state derivable from the record prefix, chunks decodable in
     isolation."""
-    data = _write_v2(records, chunk_cycles, compress)
+    data = _write_v3(records, chunk_cycles, compress)
     index = read_index(data)
     assert index.banks == 4
     assert index.compressed == compress
@@ -240,100 +299,52 @@ def test_property_v2_index_and_chunks(records, chunk_cycles, compress):
     rebuilt = []
     expected_start = 0
     reference = ChunkCarry()
-    for chunk in index.chunks:
-        assert chunk.start_cycle == expected_start
-        assert 0 < chunk.n_records <= chunk_cycles
-        expected_start += chunk.n_records
-        # The header carry equals the carry at the chunk's first cycle.
-        carry = chunk.carry
-        assert (carry.oir_addr, carry.oir_flag, carry.oir_kind,
-                carry.last_committed, carry.drain_pending) == \
-            (reference.oir_addr, reference.oir_flag, reference.oir_kind,
-             reference.last_committed, reference.drain_pending)
-        chunk_records = read_chunk(data, index, chunk)
-        for record in chunk_records:
-            reference.update(record)
-        rebuilt.extend(chunk_records)
+    with TraceReaderV3(data) as reader:
+        for chunk in reader.index.chunks:
+            assert chunk.start_cycle == expected_start
+            assert 0 < chunk.n_records <= chunk_cycles
+            expected_start += chunk.n_records
+            # The header carry equals the carry at the chunk's first
+            # cycle.
+            assert chunk.carry == reference
+            chunk_records = reader.chunk_records(chunk)
+            for record in chunk_records:
+                reference.update(record)
+            rebuilt.extend(chunk_records)
     assert len(rebuilt) == len(records)
     for original, copy in zip(records, rebuilt):
         _records_equal(original, copy)
 
 
-@given(records=_random_records(),
-       chunk_cycles=st.integers(1, 40),
-       compress=st.booleans())
-@settings(max_examples=30, deadline=None)
-def test_property_v1_to_v2_conversion_preserves_records(
-        records, chunk_cycles, compress):
-    v1 = io.BytesIO()
-    writer = TraceWriter(v1, banks=4)
-    for record in records:
-        writer.on_cycle(record)
-    writer.on_finish(records[-1].cycle)
-
-    v2 = io.BytesIO()
-    converted = convert_v1_to_v2(v1.getvalue(), v2,
-                                 chunk_cycles=chunk_cycles,
-                                 compress=compress)
-    assert converted == len(records)
-    decoded = list(read_trace(io.BytesIO(v2.getvalue())))
-    assert len(decoded) == len(records)
-    for original, copy in zip(records, decoded):
-        _records_equal(original, copy)
+def test_read_index_rejects_v1():
+    """Legacy traces have no v3 chunk directory; the error names the
+    upgrade path."""
+    for name, version in (("golden_v1.tiptrace", "v1"),
+                          ("golden_v2.tiptrace", "v2")):
+        with pytest.raises(ValueError, match=version) as info:
+            read_index(_fixture(name))
+        assert "repro convert-trace" in str(info.value)
 
 
-def test_read_index_rejects_v1(recorded):
-    data, _, _ = recorded
-    with pytest.raises(ValueError, match="v1"):
-        read_index(data)
-
-
-def test_convert_rejects_v2():
-    data = _write_v2([], 8, False)
-
-    with pytest.raises(ValueError, match="not format v1"):
-        convert_v1_to_v2(data, io.BytesIO())
-
-
-def test_v2_replay_drives_profilers(recorded):
-    """A v2 re-encoding of a v1 trace replays identically."""
-    data, _, machine = recorded
-    v2 = io.BytesIO()
-    convert_v1_to_v2(data, v2, chunk_cycles=64)
-    v1_tip = TipProfiler(SampleSchedule(7), machine.image)
-    v2_tip = TipProfiler(SampleSchedule(7), machine.image)
-    assert replay_trace(data, v1_tip) == \
-        replay_trace(v2.getvalue(), v2_tip)
-    assert [(s.cycle, s.weights) for s in v1_tip.samples] == \
-        [(s.cycle, s.weights) for s in v2_tip.samples]
-
-
-def test_v2_compression_shrinks_trace(recorded):
-    data, _, _ = recorded
-    plain, packed = io.BytesIO(), io.BytesIO()
-    convert_v1_to_v2(data, plain, chunk_cycles=256, compress=False)
-    convert_v1_to_v2(data, packed, chunk_cycles=256, compress=True)
-    assert len(packed.getvalue()) < len(plain.getvalue()) / 2
+def test_v2_replay_drives_profilers():
+    """The per-record replay reads legacy traces: the frozen v1 and v2
+    goldens drive a profiler exactly like the v3 golden."""
+    from repro.kernel import Kernel
+    with open(os.path.join(DATA, "golden.s")) as handle:
+        image = Kernel().boot(assemble(handle.read(), name="golden.s"))
+    streams = []
+    for name in ("golden.tiptrace", "golden_v1.tiptrace",
+                 "golden_v2.tiptrace"):
+        tip = TipProfiler(SampleSchedule(7), image)
+        cycles = replay_trace(_fixture(name), tip)
+        streams.append((cycles, [(s.cycle, s.weights)
+                                 for s in tip.samples]))
+    assert streams[0][1]
+    assert streams[1] == streams[0]
+    assert streams[2] == streams[0]
 
 
 # -- format v3: zero-copy columnar traces ---------------------------------------
-
-import os
-import tempfile
-
-from repro.cpu.tracefile import (TraceReaderV2, TraceReaderV3,
-                                 TraceWriterV3, convert_trace,
-                                 open_reader)
-
-
-def _write_v3(records, chunk_cycles, compress):
-    buffer = io.BytesIO()
-    writer = TraceWriterV3(buffer, banks=4, chunk_cycles=chunk_cycles,
-                           compress=compress)
-    for record in records:
-        writer.on_cycle(record)
-    writer.on_finish(records[-1].cycle if records else 0)
-    return buffer.getvalue()
 
 
 @given(records=_random_records(),
@@ -341,12 +352,10 @@ def _write_v3(records, chunk_cycles, compress):
        compress=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_property_v3_mmap_round_trip(records, chunk_cycles, compress):
-    """An mmap-ed v3 file decodes to exactly what the v2 path yields,
-    and the layout invariants hold: 8-aligned chunk payloads, raw size
-    equal to payload size unless zlib ran."""
+    """An mmap-ed v3 file decodes to the records written, and the
+    layout invariants hold: 8-aligned chunk payloads, raw size equal to
+    payload size unless zlib ran."""
     data = _write_v3(records, chunk_cycles, compress)
-    via_v2 = list(read_trace(io.BytesIO(
-        _write_v2(records, chunk_cycles, compress))))
     fd, path = tempfile.mkstemp(suffix=".tiptrace")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -360,10 +369,8 @@ def test_property_v3_mmap_round_trip(records, chunk_cycles, compress):
             decoded = list(reader.records())
     finally:
         os.unlink(path)
-    assert len(decoded) == len(records) == len(via_v2)
+    assert len(decoded) == len(records)
     for original, copy in zip(records, decoded):
-        _records_equal(original, copy)
-    for original, copy in zip(via_v2, decoded):
         _records_equal(original, copy)
 
 
@@ -422,9 +429,8 @@ def test_v3_zlib_fallback_decodes_identically(recorded):
     """Compressed v3 traces lose zero-copy but not correctness."""
     data, collector, _ = recorded
     plain, packed = io.BytesIO(), io.BytesIO()
-    convert_trace(data, plain, version=3, chunk_cycles=256)
-    convert_trace(data, packed, version=3, chunk_cycles=256,
-                  compress=True)
+    convert_trace(data, plain, chunk_cycles=256)
+    convert_trace(data, packed, chunk_cycles=256, compress=True)
     assert len(packed.getvalue()) < len(plain.getvalue()) / 2
     with TraceReaderV3(packed.getvalue()) as reader:
         decoded = list(reader.records())
@@ -434,47 +440,53 @@ def test_v3_zlib_fallback_decodes_identically(recorded):
 
 
 def test_open_reader_dispatches_on_magic(recorded):
+    """v3 opens; legacy traces are rejected with the upgrade path named;
+    anything else is not a trace."""
     data, _, _ = recorded
-    v2, v3 = io.BytesIO(), io.BytesIO()
-    convert_trace(data, v2, version=2)
-    convert_trace(data, v3, version=3)
-    with open_reader(v2.getvalue()) as reader:
-        assert isinstance(reader, TraceReaderV2)
-    with open_reader(v3.getvalue()) as reader:
+    with open_reader(data) as reader:
         assert isinstance(reader, TraceReaderV3)
-    with pytest.raises(ValueError):
-        open_reader(data)  # v1 has no chunk index
+    for name in ("golden_v1.tiptrace", "golden_v2.tiptrace"):
+        with pytest.raises(ValueError, match="repro convert-trace"):
+            open_reader(_fixture(name))
+    with pytest.raises(ValueError, match="not a TIP trace"):
+        open_reader(b"BOGUS123" + bytes(64))
 
 
-# -- conversion round trips -----------------------------------------------------
+# -- conversion ---------------------------------------------------------------
 
 
-def test_convert_v1_to_v3_preserves_records(recorded):
-    data, collector, _ = recorded
+def test_convert_v1_to_v3_preserves_records():
     v3 = io.BytesIO()
-    converted = convert_trace(data, v3, version=3, chunk_cycles=64)
-    assert converted == len(collector.records)
+    converted = convert_trace(_fixture("golden_v1.tiptrace"), v3,
+                              chunk_cycles=64)
+    reference = list(read_trace(io.BytesIO(_fixture("golden.tiptrace"))))
+    assert converted == len(reference) == 4131
     decoded = list(read_trace(io.BytesIO(v3.getvalue())))
-    assert len(decoded) == len(collector.records)
-    for original, copy in zip(collector.records, decoded):
+    assert len(decoded) == len(reference)
+    for original, copy in zip(reference, decoded):
         _records_equal(original, copy)
 
 
 def test_convert_round_trips_are_byte_identical(recorded):
-    """v2 -> v3 -> v2 and v3 -> v2 -> v3 reproduce the input bytes
-    exactly when the chunk parameters match."""
+    """Re-chunking a v3 trace and back reproduces its bytes, and both
+    legacy goldens convert to the v3 golden byte for byte."""
     data, _, _ = recorded
-    v2 = io.BytesIO()
-    convert_trace(data, v2, version=2, chunk_cycles=64)
-    v3 = io.BytesIO()
-    convert_trace(v2.getvalue(), v3, version=3, chunk_cycles=64)
-    v2_again = io.BytesIO()
-    convert_trace(v3.getvalue(), v2_again, version=2, chunk_cycles=64)
-    assert v2_again.getvalue() == v2.getvalue()
-    v3_again = io.BytesIO()
-    convert_trace(v2_again.getvalue(), v3_again, version=3,
-                  chunk_cycles=64)
-    assert v3_again.getvalue() == v3.getvalue()
+    v3_64 = io.BytesIO()
+    convert_trace(data, v3_64, chunk_cycles=64)
+    v3_256 = io.BytesIO()
+    convert_trace(v3_64.getvalue(), v3_256, chunk_cycles=256)
+    again = io.BytesIO()
+    convert_trace(v3_256.getvalue(), again, chunk_cycles=64)
+    assert again.getvalue() == v3_64.getvalue()
+    same = io.BytesIO()
+    convert_trace(data, same)
+    assert same.getvalue() == data
+
+    golden = _fixture("golden.tiptrace")
+    for name in ("golden_v1.tiptrace", "golden_v2.tiptrace"):
+        out = io.BytesIO()
+        convert_trace(_fixture(name), out, chunk_cycles=256)
+        assert out.getvalue() == golden, name
 
 
 @given(records=_random_records(),
@@ -483,25 +495,47 @@ def test_convert_round_trips_are_byte_identical(recorded):
 @settings(max_examples=30, deadline=None)
 def test_property_v2_v3_conversion_round_trip(records, chunk_cycles,
                                               compress):
-    v2 = _write_v2(records, chunk_cycles, compress)
-    v3 = io.BytesIO()
-    convert_trace(v2, v3, version=3, chunk_cycles=chunk_cycles,
-                  compress=compress)
-    assert v3.getvalue() == _write_v3(records, chunk_cycles, compress)
-    back = io.BytesIO()
-    convert_trace(v3.getvalue(), back, version=2,
-                  chunk_cycles=chunk_cycles, compress=compress)
-    assert back.getvalue() == v2
+    """Converting a legacy v1 or v2 trace writes exactly what the v3
+    writer writes for the same records."""
+    expected = _write_v3(records, chunk_cycles, compress)
+    for legacy in (_legacy_trace(records, 1),
+                   _legacy_trace(records, 2, chunk_cycles, compress)):
+        v3 = io.BytesIO()
+        converted = convert_trace(legacy, v3, chunk_cycles=chunk_cycles,
+                                  compress=compress)
+        assert converted == len(records)
+        assert v3.getvalue() == expected
 
 
 def test_v3_replay_drives_profilers(recorded):
-    """A v3 re-encoding of a v1 trace replays identically."""
+    """A re-chunked v3 trace replays identically, per record and in
+    blocks."""
+    from repro.fastpath import replay_blocks
     data, _, machine = recorded
     v3 = io.BytesIO()
-    convert_trace(data, v3, version=3, chunk_cycles=64)
-    v1_tip = TipProfiler(SampleSchedule(7), machine.image)
-    v3_tip = TipProfiler(SampleSchedule(7), machine.image)
-    assert replay_trace(data, v1_tip) == \
-        replay_trace(v3.getvalue(), v3_tip)
-    assert [(s.cycle, s.weights) for s in v1_tip.samples] == \
-        [(s.cycle, s.weights) for s in v3_tip.samples]
+    convert_trace(data, v3, chunk_cycles=64)
+    profilers = [TipProfiler(SampleSchedule(7), machine.image)
+                 for _ in range(3)]
+    assert replay_trace(data, profilers[0]) == \
+        replay_trace(v3.getvalue(), profilers[1]) == \
+        replay_blocks(v3.getvalue(), profilers[2])
+    streams = [[(s.cycle, s.weights) for s in p.samples]
+               for p in profilers]
+    assert streams[0] and streams[1] == streams[0] == streams[2]
+
+
+@pytest.mark.parametrize("source", ["garbage", "cut"])
+def test_convert_keeps_destination_on_bad_input(tmp_path, source):
+    """A source that is not a trace, or is cut short, leaves an existing
+    destination byte-identical and no temporary file behind."""
+    golden_v2 = _fixture("golden_v2.tiptrace")
+    src = tmp_path / "in.tiptrace"
+    src.write_bytes(b"not a trace at all" if source == "garbage"
+                    else golden_v2[:1000])
+    dest = tmp_path / "out.tiptrace"
+    dest.write_bytes(golden_v2)
+    with pytest.raises(ValueError):
+        convert_trace(str(src), str(dest))
+    assert dest.read_bytes() == golden_v2
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["in.tiptrace", "out.tiptrace"]
