@@ -1006,7 +1006,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lint assembly files, directories of .s files, "
                     "suite benchmark names, or imagick-orig/imagick-opt. "
                     "With --observers, targets are Python sources checked "
-                    "against the observer/profiler contracts (C001-C005). "
+                    "against the observer/profiler contracts (C001, C003, "
+                    "C004). "
                     "Exit status: 0 clean, 1 diagnostics found, 2 "
                     "usage/internal error.")
     lint.add_argument("targets", nargs="*")

@@ -82,16 +82,6 @@ class SoftwareProfiler(SamplingProfiler):
         self._deliver_at = None
         return [(block.fetch_pc[i], 1.0)], None
 
-    def _next_resolve_cycle(self, record: CycleRecord,
-                            end: int) -> Optional[int]:
-        # Skidded delivery is time-driven: the pending sample resolves
-        # at the first cycle >= _deliver_at even if every record in the
-        # stall run is identical.
-        if self._deliver_at is None:
-            return None
-        nxt = max(self._deliver_at, record.cycle + 1)
-        return nxt if nxt < end else None
-
 
 class DispatchProfiler(SamplingProfiler):
     """Tag at dispatch, as AMD IBS and Arm SPE do."""

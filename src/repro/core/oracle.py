@@ -198,25 +198,6 @@ class OracleProfiler(TraceObserver):
             return
         self._empty(cycle, 1)
 
-    def on_stall_run(self, record: CycleRecord, count: int) -> None:
-        """Attribute *count* identical stall cycles in one credit.
-
-        The classification of a stall record (constant head-of-ROB
-        stall, flush penalty, or front-end drain) cannot change within
-        the run -- the OIR mirror only moves on commits and exceptions,
-        which a stall record has none of.
-        """
-        if record.committed or record.exception is not None \
-                or record.dispatched:
-            # Not a pure stall record; take the per-cycle default.
-            TraceObserver.on_stall_run(self, record, count)
-            return
-        if record.rob_empty:
-            self._empty(record.cycle, count)
-        else:
-            self._credit(record.cycle, count, record.rob_head,
-                         self._stall_tag(record.rob_head))
-
     def on_block(self, block) -> None:
         """Vectorized columnar attribution.
 

@@ -9,24 +9,27 @@ commit; TIP's drained samples wait for the next dispatch) -- those become
 resolve before the run ends keep an empty attribution and count as
 misattributed, which is the conservative choice.
 
-Profilers are driven two ways.  Live simulation and the per-record
+Profilers are driven two ways.  Stepped simulation and the per-record
 reference replay call :meth:`SamplingProfiler.on_cycle` once per cycle.
-Block replay (:mod:`repro.fastpath`) hands whole columnar
-:class:`~repro.fastpath.block.CycleBlock` batches to
+Every batch of cycles -- a fast-forwarded stall run or a memoized loop
+period under ``sim="fast"``, or a replayed trace chunk -- arrives as
+one columnar :class:`~repro.fastpath.block.CycleBlock` through
 :meth:`SamplingProfiler.on_block`; profilers that set ``block_native``
 and implement the ``_block_*`` hooks then touch only the cycles that
 matter -- sample points and pending-resolution events, located by
 bisecting the block's sparse index lists -- instead of paying a Python
-call per cycle.  The driver reproduces the per-cycle semantics exactly
-(state update, then pending resolution, then sampling, in cycle
-order), so both paths emit bit-identical sample streams.
+call per cycle, and all others get every record of the block through
+:meth:`~SamplingProfiler.on_cycle`.  The block loop reproduces the
+per-cycle semantics exactly (state update, then pending resolution,
+then sampling, in cycle order), so both paths emit bit-identical
+sample streams.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..cpu.trace import CycleRecord, TraceObserver, shifted_record
+from ..cpu.trace import CycleRecord, TraceObserver
 from .samples import Attribution, Category, Sample
 from .sampling import SampleSchedule
 
@@ -84,50 +87,6 @@ class SamplingProfiler(TraceObserver):
                 self._pending.clear()
         if self.schedule.is_sample(record.cycle):
             self._take_sample(record)
-
-    def on_stall_run(self, record: CycleRecord, count: int) -> None:
-        """Consume *count* identical stall cycles, visiting only the
-        cycles where something can happen.
-
-        For a pure stall record (nothing committed, nothing dispatched,
-        no exception) every skipped ``on_cycle`` call would update
-        state with an identical record and return: ``_update_state``
-        implementations are content-driven (idempotent on identical
-        records), ``_resolve`` can only newly fire at cycles named by
-        :meth:`_next_resolve_cycle`, and the schedule cannot fire
-        before ``schedule.next_sample``.  Records that commit or fault
-        fall back to the per-cycle loop.
-
-        Subclasses whose ``_update_state`` is *not* idempotent on
-        identical records must override this method (the C002 contract
-        check flags block-native profilers that forget).
-        """
-        if record.committed or record.dispatched \
-                or record.exception is not None:
-            TraceObserver.on_stall_run(self, record, count)
-            return
-        end = record.cycle + count
-        current = record
-        while True:
-            self.on_cycle(current)
-            nxt = self.schedule.next_sample
-            if self._pending:
-                resolve = self._next_resolve_cycle(current, end)
-                if resolve is not None and resolve < nxt:
-                    nxt = resolve
-            if nxt >= end:
-                break
-            current = shifted_record(record, nxt - record.cycle)
-
-    def _next_resolve_cycle(self, record: CycleRecord,
-                            end: int) -> Optional[int]:
-        """First cycle in ``(record.cycle, end)`` where ``_resolve``
-        could newly fire on identical records; ``None`` when resolution
-        is content-driven (identical records give identical answers).
-        Profilers with time-dependent resolution (interrupt skid)
-        override this.
-        """
-        return None
 
     def on_finish(self, final_cycle: int) -> None:
         self._pending.clear()

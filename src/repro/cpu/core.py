@@ -3,10 +3,11 @@
 A cycle-driven model of a BOOM-style superscalar processor: in-order
 front-end (fetch with branch prediction, decode, dispatch), out-of-order
 issue and execution, and in-order commit through a banked ROB.  Every
-cycle the core emits a :class:`~repro.cpu.trace.CycleRecord` to its
-attached trace observers -- the commit-stage trace that the Oracle, TIP
-and all baseline profilers consume out-of-band, exactly mirroring the
-paper's FireSim methodology.
+stepped cycle the core emits a :class:`~repro.cpu.trace.CycleRecord` to
+its attached trace observers, and every batch of cycles it skips under
+``sim="fast"`` one columnar block -- the commit-stage trace that the
+Oracle, TIP and all baseline profilers consume out-of-band, exactly
+mirroring the paper's FireSim methodology.
 
 The model is a *timing* simulator with embedded functional execution:
 instruction semantics run when a uop issues, architectural state (register
@@ -19,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from ..fastpath.block import CycleBlock
 from ..isa.instruction import Instruction, Register
 from ..isa.opcodes import Kind, Op, Unit
 from ..isa.program import Program
@@ -215,13 +217,14 @@ class Core:
         ``sim="fast"`` enables the event-driven stall fast-forward:
         whenever :meth:`_quiet_until` proves that no pipeline stage can
         make progress before a known future event, the intervening
-        identical stall records are emitted as one batch
-        (``on_stall_run``) instead of ticking cycle by cycle.  It also
-        enables the steady-state loop memoizer
+        identical stall cycles reach observers as one
+        :class:`~repro.fastpath.block.CycleBlock` (``on_block``)
+        instead of one ``on_cycle`` each.  It also enables the
+        steady-state loop memoizer
         (:class:`~repro.cpu.memo.LoopMemoizer`): once the full pipeline
         state is proven periodic, whole loop iterations are skipped and
-        emitted as one batch (``on_cycle_run``).  The emitted trace and
-        all observer results are bit-identical to ``sim="step"``.
+        handed to observers as one block as well.  The emitted trace
+        and all observer results are bit-identical to ``sim="step"``.
         *paranoid* cross-checks every fast-forwarded region and every
         memoized skip against single-stepping (raising
         :class:`SimFastError` on divergence) at single-step speed.
@@ -435,10 +438,13 @@ class Core:
         )
 
     def _fast_forward(self, count: int) -> None:
-        """Emit *count* identical stall cycles in one batch."""
-        record = self._stall_record(self.cycle)
-        for observer in self.observers:
-            observer.on_stall_run(record, count)
+        """Emit *count* identical stall cycles as one block."""
+        if self.observers:
+            block = CycleBlock.from_runs(
+                [(self._stall_record(self.cycle), count)],
+                self.config.rob_banks)
+            for observer in self.observers:
+                observer.on_block(block)
         self.cycle += count
 
     def _paranoid_forward(self, count: int) -> None:

@@ -37,13 +37,15 @@ The scheme has four phases:
    margin, further capped so the skip never crosses the next sampling
    interrupt or the ``max_cycles`` budget.
 
-4. **Skip.**  The ``K`` iterations are emitted to observers as one
-   batched :meth:`~repro.cpu.trace.TraceObserver.on_cycle_run` call,
-   the architectural state (registers, memory) jumps to the projected
-   values, the frozen in-flight uops are re-interpreted as their
-   ``K``-iterations-later instances (results and future-relative
-   timing fields patched), and all statistics counters advance by
-   ``K`` times the measured per-period delta.
+4. **Skip.**  The ``K`` iterations reach observers as one
+   :class:`~repro.fastpath.block.CycleBlock` (the template period
+   columnarized once and repeated ``K`` times) through
+   :meth:`~repro.cpu.trace.TraceObserver.on_block`, the architectural
+   state (registers, memory) jumps to the projected values, the frozen
+   in-flight uops are re-interpreted as their ``K``-iterations-later
+   instances (results and future-relative timing fields patched), and
+   all statistics counters advance by ``K`` times the measured
+   per-period delta.
 
 Soundness rests on counter gating at confirmation: zero exceptions,
 flushes, cache/TLB misses, DRAM accesses and page walks in the window,
@@ -67,6 +69,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
+from ..fastpath.block import CycleBlock
 from ..isa.opcodes import Kind
 from ..isa.semantics import evaluate
 from .core import SimFastError
@@ -631,12 +634,19 @@ class LoopMemoizer:
     # -- the skip ----------------------------------------------------------------
 
     def _emit(self, period: int, repeats: int) -> None:
+        observers = self.core.observers
+        if not observers:
+            return
         # The template records cover ``[t0 - P, t0)`` and confirmation
         # stepped (and emitted) ``[t0, t0 + P)``, so the batch starts
         # two periods past the template base.
-        rebased = [shifted_record(r, 2 * period) for r in self._expected]
-        for observer in self.core.observers:
-            observer.on_cycle_run(rebased, repeats)
+        template = self._expected
+        runs = [(shifted_record(template[0], 2 * period), 1)]
+        runs += [(record, 1) for record in template[1:]]
+        one = CycleBlock.from_runs(runs, self.core.config.rob_banks)
+        block = CycleBlock.concat([(one, 0, period)] * repeats)
+        for observer in observers:
+            observer.on_block(block)
 
     def _apply_skip(self, plan: dict, period: int, inflight: list,
                     d_committed: int, d_fetched: int,

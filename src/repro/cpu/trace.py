@@ -4,14 +4,14 @@ The paper modified FireSim to "trace out the instruction address and the
 valid, commit, exception, flush, and mispredicted flags of the head
 ROB-entry in each ROB bank every cycle" and modelled all profilers
 out-of-band on that trace.  :class:`CycleRecord` is our equivalent.  The
-core produces one record per cycle and hands it to every attached
-:class:`TraceObserver`; records are transient, so arbitrarily long runs
-need no trace storage.
+core hands every attached :class:`TraceObserver` one record per stepped
+cycle and one columnar block per batch of cycles it skips; records are
+transient, so arbitrarily long runs need no trace storage.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 
 class CommittedInst:
@@ -95,9 +95,8 @@ class CycleRecord:
 def shifted_record(record: CycleRecord, offset: int) -> CycleRecord:
     """A copy of *record* at ``record.cycle + offset``.
 
-    All content fields are shared -- stall records carry only immutable
-    tuples and ints -- so rematerializing a fast-forwarded run is one
-    object allocation per cycle.
+    All content fields are shared -- records carry only immutable
+    tuples and ints -- so the copy is one object allocation.
     """
     return CycleRecord(
         cycle=record.cycle + offset, committed=record.committed,
@@ -110,65 +109,34 @@ def shifted_record(record: CycleRecord, offset: int) -> CycleRecord:
 
 
 class TraceObserver:
-    """Interface for out-of-band trace consumers (profilers, collectors)."""
+    """Interface for out-of-band trace consumers (profilers, collectors).
+
+    The trace reaches an observer in two forms only: :meth:`on_cycle`
+    for each single-stepped cycle and :meth:`on_block` for every batch
+    of consecutive cycles -- a fast-forwarded stall run or a memoized
+    loop period under ``sim="fast"`` (:mod:`repro.simfast`,
+    :mod:`repro.cpu.memo`), or a replayed trace chunk
+    (:mod:`repro.fastpath`).  Both forms carry the same cycles, so an
+    observer that implements only :meth:`on_cycle` sees exactly what a
+    stepped run would show it.
+    """
 
     def on_cycle(self, record: CycleRecord) -> None:
         raise NotImplementedError
 
-    def on_stall_run(self, record: CycleRecord, count: int) -> None:
-        """Consume *count* consecutive cycles identical to *record*.
-
-        The simulator's event-driven fast path (:mod:`repro.simfast`)
-        emits whole stall regions -- cycles during which no pipeline
-        stage makes progress -- as one call instead of *count*
-        ``on_cycle`` calls.  *record* is the first cycle of the run;
-        cycles ``record.cycle .. record.cycle + count - 1`` differ only
-        in their cycle number.  The default rematerializes each cycle
-        and falls back to :meth:`on_cycle`, so observers that never opt
-        in behave identically; observers with a batch fast path (the
-        trace writer, the sampling profilers, the Oracle, the sanitizer)
-        override this.
-        """
-        self.on_cycle(record)
-        for offset in range(1, count):
-            self.on_cycle(shifted_record(record, offset))
-
-    def on_cycle_run(self, records: Sequence[CycleRecord],
-                     repeats: int) -> None:
-        """Consume *repeats* periods identical to the *records* template.
-
-        The steady-state loop memoizer (:mod:`repro.cpu.memo`) emits
-        whole memoized loop iterations as one call instead of
-        ``repeats * len(records)`` ``on_cycle`` calls.  *records* is one
-        full period of consecutive cycles (dense: record ``j`` is at
-        ``records[0].cycle + j``); repeat ``r`` covers cycles
-        ``records[0].cycle + r*P .. records[0].cycle + (r+1)*P - 1``
-        (``P = len(records)``), each cycle differing from its template
-        record only in the cycle number.  The first repeat is the
-        template itself, unshifted.  The default rematerializes every
-        cycle and falls back to :meth:`on_cycle`, so observers that
-        never opt in behave identically; observers with a batch fast
-        path (the trace writer and the sanitizer) override this.
-        """
-        period = len(records)
-        for repeat in range(repeats):
-            offset = repeat * period
-            if offset:
-                for record in records:
-                    self.on_cycle(shifted_record(record, offset))
-            else:
-                for record in records:
-                    self.on_cycle(record)
-
     def on_block(self, block) -> None:
         """Consume a :class:`~repro.fastpath.CycleBlock` of records.
 
-        Block replay (:mod:`repro.fastpath`) hands observers whole
-        chunks of consecutive cycles at once.  The default implementation
-        materializes each record and falls back to :meth:`on_cycle`, so
-        observers that never opt in behave identically under block and
-        per-record replay; observers with a columnar fast path override
-        this.
+        The simulator's fast path and block replay hand observers whole
+        batches of consecutive cycles at once.  The default
+        implementation materializes each record and falls back to
+        :meth:`on_cycle`, so observers that never opt in behave as they
+        would on a stepped run; observers with a columnar fast path
+        override this.  A materialized record carries only the oldest
+        bank's head entry in ``head_banks`` (the other banks are
+        ``None``), exactly as a record decoded from a v3 trace does; a
+        per-record observer sees the batched cycles of a ``sim="fast"``
+        run that way too.  No shipped observer reads another bank.
         """
         for record in block.records():
             self.on_cycle(record)

@@ -67,10 +67,12 @@ import struct
 import sys
 import zlib
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (Any, BinaryIO, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
+from ..fastpath.block import CycleBlock
 from .trace import CommittedInst, CycleRecord, HeadEntry, TraceObserver
 
 MAGIC = b"TIPTRC01"
@@ -111,6 +113,10 @@ _F_EXC = 1 << 1
 _F_ORD = 1 << 2
 _F_DISP_PC = 1 << 3
 _F_HEAD = 1 << 4
+
+#: Commit-meta bits (``bank | mispredicted << 6 | flushes << 7``).
+_M_MISPREDICT = 1 << 6
+_M_FLUSHES = 1 << 7
 
 #: File-header flags.
 _FILE_F_ZLIB = 1 << 0
@@ -156,57 +162,44 @@ class ChunkCarry:
     #: cycle must commit nothing -- sanitizer invariant S005/S006).
     drain_pending: bool = False
 
-    def update(self, record: CycleRecord) -> None:
-        """Advance the carry past *record* (the OIR update unit)."""
-        if record.committed:
-            youngest = record.committed[-1]
-            self.last_committed = youngest.addr
-            self.oir_addr = youngest.addr
-            if youngest.mispredicted:
-                self.oir_flag = OIR_MISPREDICT
-                self.oir_kind = KIND_MISPREDICT
-            elif youngest.flushes:
-                self.oir_flag = OIR_FLUSH
-                self.oir_kind = KIND_CSR
-            else:
-                self.oir_flag = OIR_NONE
-                self.oir_kind = KIND_NONE
-        if record.exception is not None:
-            self.oir_addr = record.exception
-            self.oir_flag = OIR_EXCEPTION
-            self.oir_kind = (KIND_ORDERING if record.exception_is_ordering
-                             else KIND_EXCEPTION)
-        self.drain_pending = (record.exception is not None
-                              or any(c.flushes for c in record.committed))
 
-    def copy(self) -> "ChunkCarry":
-        return ChunkCarry(self.oir_addr, self.oir_flag, self.oir_kind,
-                          self.last_committed, self.drain_pending)
+def _carry_after(carry: ChunkCarry, block: Any) -> ChunkCarry:
+    """The carry past the last record of *block*, entered with *carry*.
 
-
-def _carry_snapshots(carry: "ChunkCarry", records: Sequence[CycleRecord]
-                     ) -> Optional[Tuple[List["ChunkCarry"],
-                                         List["ChunkCarry"]]]:
-    """Per-record carry snapshots for a periodic batch of *records*.
-
-    Returns ``(transient, steady)`` -- the carry after record ``i`` of
-    the first repeat (starting from *carry*) and of every later repeat
-    -- or ``None`` when the carry does not reach a fixpoint after one
-    period (possible only for a template with no commits, which the
-    memoizer never emits); callers then fall back to per-cycle updates.
+    Read off the block's columns: the youngest commit of the last
+    committing record, or the exception of a later (or the same)
+    excepting record, sets the OIR mirror; the last record alone sets
+    the drain flag.
     """
-    c = carry.copy()
-    transient = []
-    for record in records:
-        c.update(record)
-        transient.append(c.copy())
-    steady = []
-    for record in records:
-        c.update(record)
-        steady.append(c.copy())
-    if steady[-1] != transient[-1]:
-        return None
-    return transient, steady
+    n = block.n
+    commit_base = block.commit_base
+    commits = commit_base[n]
+    flags = block.flags
+    after = ChunkCarry(carry.oir_addr, carry.oir_flag, carry.oir_kind,
+                       carry.last_committed)
+    last = -1  # the last committing record
+    if commits:
+        after.last_committed = block.commit_addr[commits - 1]
+        last = bisect_left(commit_base, commits) - 1
+    excepting = block.exc_mask.rfind(1)
+    if excepting >= last and excepting >= 0:
+        after.oir_addr = block.exception_at(excepting)
+        after.oir_flag = OIR_EXCEPTION
+        after.oir_kind = (KIND_ORDERING if flags[excepting] & _F_ORD
+                          else KIND_EXCEPTION)
+    elif last >= 0:
+        meta = block.commit_meta[commits - 1]
+        after.oir_addr = after.last_committed
+        if meta & _M_MISPREDICT:
+            after.oir_flag, after.oir_kind = OIR_MISPREDICT, KIND_MISPREDICT
+        elif meta & _M_FLUSHES:
+            after.oir_flag, after.oir_kind = OIR_FLUSH, KIND_CSR
+        else:
+            after.oir_flag, after.oir_kind = OIR_NONE, KIND_NONE
+    after.drain_pending = bool(flags[n - 1] & _F_EXC) or any(
+        block.commit_meta[k] & _M_FLUSHES
+        for k in range(commit_base[n - 1], commits))
+    return after
 
 
 @dataclass
@@ -440,7 +433,6 @@ def _block_from_columns(view: memoryview, start_cycle: int,
                         counts: Tuple[int, int, int],
                         columns: Tuple[int, ...]) -> Any:
     """Build a :class:`CycleBlock` over a v3 column buffer, zero-copy."""
-    from ..fastpath.block import CycleBlock
     n_opt, n_commit, n_disp = counts
     n = n_records
     total = len(view)
@@ -467,13 +459,15 @@ def _block_from_columns(view: memoryview, start_cycle: int,
 class TraceWriterV3(TraceObserver):
     """Observer that serializes the trace in the columnar v3 format.
 
-    Buffers ``(record, count)`` runs and flushes chunks of
-    *chunk_cycles* records whose payload **is** the chunk's
+    Buffers stepped records and record ranges of blocks, and flushes
+    chunks of *chunk_cycles* records whose payload **is** the chunk's
     :class:`~repro.fastpath.block.CycleBlock` columns, 8-byte aligned
     behind a per-column offset table, so readers decode by casting an
-    ``mmap`` of the file instead of looping over records.  Each chunk
-    header stores the cycle range and the machine state carried into
-    the chunk, so parallel workers can replay any chunk range
+    ``mmap`` of the file instead of looping over records.  A block that
+    crosses a chunk boundary is sliced there.  Each chunk header stores
+    the cycle range and the machine state carried into the chunk --
+    computed once per chunk, at flush, from the previous chunk's
+    columns -- so parallel workers can replay any chunk range
     independently (:mod:`repro.parallel.shard`).
 
     *stream* may be an open binary stream or a filesystem path.  In
@@ -505,13 +499,14 @@ class TraceWriterV3(TraceObserver):
         self.compress = compress
         self.records_written = 0
         self.chunks_written = 0
+        #: Stepped records not yet columnarized, as count-1 runs.
         self._runs: List[Tuple[CycleRecord, int]] = []
+        #: ``(block, lo, hi)`` record ranges of the buffered chunk.
+        self._parts: List[Tuple[CycleBlock, int, int]] = []
         self._buffered = 0
         self._chunk_start = 0
         #: Carry as of the start of the buffered chunk.
         self._chunk_carry = ChunkCarry()
-        #: Carry advanced past every record seen so far.
-        self._carry = ChunkCarry()
         self.stream.write(MAGIC_V3)
         self.stream.write(_FILE_HDR_V2.pack(
             banks, _FILE_F_ZLIB if compress else 0, chunk_cycles))
@@ -520,70 +515,28 @@ class TraceWriterV3(TraceObserver):
     def on_cycle(self, record: CycleRecord) -> None:
         self._runs.append((record, 1))
         self._buffered += 1
-        self._carry.update(record)
         self.records_written += 1
         if self._buffered >= self.chunk_cycles:
             self._flush_chunk()
 
-    def on_stall_run(self, record: CycleRecord, count: int) -> None:
-        # One run entry per chunk the stall spans: columnarization
-        # expands it by C-speed sequence multiplication.
-        self._carry.update(record)
-        self.records_written += count
-        while count:
-            space = self.chunk_cycles - self._buffered
-            take = count if count < space else space
-            self._runs.append((record, take))
-            self._buffered += take
-            count -= take
-            if self._buffered >= self.chunk_cycles:
-                self._flush_chunk()
-
-    def on_cycle_run(self, records: Sequence[CycleRecord],
-                     repeats: int) -> None:
+    def on_block(self, block: CycleBlock) -> None:
         # The serialized columns carry no cycle numbers (the chunk
-        # header provides the start cycle), so template records are
-        # appended as-is, whole periods at a time via C-level list
-        # multiplication; the chunk carry is restored from precomputed
-        # snapshots at every chunk boundary the run crosses.
-        n = len(records)
-        if not n or repeats <= 0:
-            return
-        snapshots = _carry_snapshots(self._carry, records)
-        if snapshots is None:
-            super().on_cycle_run(records, repeats)
-            return
-        transient, steady = snapshots
-        template = [(r, 1) for r in records]
-        total = n * repeats
-        t = 0
-        while t < total:
-            space = self.chunk_cycles - self._buffered
-            take = min(space, total - t)
-            i = t % n
-            done = 0
-            if i:
-                done = min(take, n - i)
-                self._runs.extend(template[i:i + done])
-            whole, tail = divmod(take - done, n)
-            if whole:
-                self._runs.extend(template * whole)
-            if tail:
-                self._runs.extend(template[:tail])
-            self._buffered += take
-            t += take
+        # header provides the start cycle), so a block is buffered as
+        # record ranges, cut wherever a chunk fills.
+        n = block.n
+        self.records_written += n
+        lo = 0
+        while lo < n:
+            hi = min(n, lo + self.chunk_cycles - self._buffered)
+            self._seal_runs()
+            self._parts.append((block, lo, hi))
+            self._buffered += hi - lo
+            lo = hi
             if self._buffered >= self.chunk_cycles:
-                last = t - 1
-                snap = transient[last] if last < n else steady[last % n]
-                self._carry = snap.copy()
                 self._flush_chunk()
-        last = total - 1
-        self._carry = (transient[last] if last < n
-                       else steady[last % n]).copy()
-        self.records_written += total
 
     def on_finish(self, final_cycle: int) -> None:
-        if self._runs:
+        if self._buffered:
             self._flush_chunk()
         self.stream.flush()
         if self._path is not None and not self._closed:
@@ -610,9 +563,16 @@ class TraceWriterV3(TraceObserver):
             except OSError:
                 pass
 
+    def _seal_runs(self) -> None:
+        """Columnarize the buffered stepped records as one range."""
+        if self._runs:
+            block = CycleBlock.from_runs(self._runs, self.banks)
+            self._parts.append((block, 0, block.n))
+            self._runs = []
+
     def _flush_chunk(self) -> None:
-        from ..fastpath.block import CycleBlock
-        block = CycleBlock.from_runs(self._runs, self.banks)
+        self._seal_runs()
+        block = CycleBlock.concat(self._parts)
         raw, offsets, (n_opt, n_commit, n_disp) = \
             _serialize_block_columns(block)
         payload = zlib.compress(raw) if self.compress else raw
@@ -636,9 +596,9 @@ class TraceWriterV3(TraceObserver):
             # produced an odd-sized payload.
             self.stream.write(b"\x00" * pad)
         self._chunk_start += self._buffered
-        self._runs = []
+        self._parts = []
         self._buffered = 0
-        self._chunk_carry = self._carry.copy()
+        self._chunk_carry = _carry_after(carry, block)
         self.chunks_written += 1
 
 
@@ -894,20 +854,21 @@ def open_reader(source: Union[BinaryIO, bytes, str]) -> TraceReaderV3:
 
 def replay_trace(source: Union[BinaryIO, bytes, str],
                  *observers: TraceObserver) -> int:
-    """Replay a serialized trace through *observers*; returns cycles."""
+    """Replay a serialized trace through *observers*; returns cycles
+    (0 for a trace without records)."""
     stream, owns = _open_source(source)
-    final_cycle = 0
+    cycles = 0
     try:
         for record in read_trace(stream):
-            final_cycle = record.cycle
+            cycles = record.cycle + 1
             for observer in observers:
                 observer.on_cycle(record)
     finally:
         if owns:
             stream.close()
     for observer in observers:
-        observer.on_finish(final_cycle)
-    return final_cycle + 1
+        observer.on_finish(max(cycles - 1, 0))
+    return cycles
 
 
 def convert_trace(source: Union[BinaryIO, bytes, str],

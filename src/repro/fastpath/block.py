@@ -38,14 +38,18 @@ finds the next committing/dispatching record in O(log n), and the
 cached flag masks (``exc_mask``, ``disp_pc_mask``) answer "next
 record with this flag" through C-speed ``bytes.find``/``rfind``.
 
-Blocks are built two ways.  :meth:`CycleBlock.from_runs` columnarizes
-``(record, count)`` runs into Python containers; the v3 trace writer
-(:mod:`repro.cpu.tracefile`) serializes exactly those columns as a
-chunk's payload.  Reading a v3 chunk back wraps the stored columns in
-place as zero-copy ``memoryview`` casts over the mmap-ed file; both
-forms support the indexing, slicing and bisection the fast paths rely
-on.  ``record(i)``/``records()`` materialize classic ``CycleRecord``
-objects on demand for observers without a columnar fast path.
+Blocks are built three ways.  :meth:`CycleBlock.from_runs` columnarizes
+``(record, count)`` runs into Python containers -- the simulator's
+stall fast-forward and loop memoizer hand observers such blocks -- and
+:meth:`CycleBlock.concat` joins record ranges of existing blocks (a
+memoized period repeated, a trace chunk assembled from pieces); the v3
+trace writer (:mod:`repro.cpu.tracefile`) serializes exactly those
+columns as a chunk's payload.  Reading a v3 chunk back wraps the
+stored columns in place as zero-copy ``memoryview`` casts over the
+mmap-ed file; all forms support the indexing, slicing and bisection
+the fast paths rely on.  ``record(i)``/``records()`` materialize
+classic ``CycleRecord`` objects on demand for observers without a
+columnar fast path.
 """
 
 from __future__ import annotations
@@ -252,11 +256,11 @@ class CycleBlock:
         """Columnarize ``(record, count)`` runs of consecutive cycles.
 
         A run stands for *count* cycles identical to its record except
-        for the cycle number -- the shape the simulator's stall
-        fast-forward emits (:meth:`~repro.cpu.trace.TraceObserver.
-        on_stall_run`).  Columns for repeated records expand through
-        C-speed sequence multiplication instead of per-cycle appends;
-        a run of count 1 is one plain cycle.
+        for the cycle number -- a fast-forwarded stall region is one
+        run; a run of count 1 is one plain cycle.  The block starts at
+        the first record's cycle; later records' cycle numbers are not
+        read.  Columns for repeated records expand through C-speed
+        sequence multiplication instead of per-cycle appends.
         """
         flags = bytearray()
         oldest = bytearray()
@@ -309,6 +313,58 @@ class CycleBlock:
         return cls(start, n, banks, flags, oldest, fetch_pc, opt_vals,
                    opt_base, commit_base, commit_addr, commit_meta,
                    disp_base, disp_addr)
+
+    @classmethod
+    def concat(cls, parts: Sequence[Tuple["CycleBlock", int, int]]
+               ) -> "CycleBlock":
+        """Join record ranges ``[lo, hi)`` of blocks into one block.
+
+        The result starts at the first range's first cycle and takes
+        the first block's bank count; every column is copied by slice,
+        and only the prefix-sum bases are rebased one value at a time.
+        """
+        first, first_lo, _ = parts[0]
+        flags = bytearray()
+        oldest = bytearray()
+        fetch_pc: List[int] = []
+        opt_vals: List[int] = []
+        opt_base = array("I", [0])
+        commit_base = array("I", [0])
+        commit_addr: List[int] = []
+        commit_meta = bytearray()
+        disp_base = array("I", [0])
+        disp_addr: List[int] = []
+        n = 0
+        for block, lo, hi in parts:
+            flags += block.flags[lo:hi]
+            oldest += block.oldest_bank[lo:hi]
+            fetch_pc += block.fetch_pc[lo:hi]
+            _extend_range(opt_base, opt_vals, block.opt_base,
+                          block.opt_vals, lo, hi)
+            c_lo, c_hi = _extend_range(commit_base, commit_addr,
+                                       block.commit_base,
+                                       block.commit_addr, lo, hi)
+            commit_meta += block.commit_meta[c_lo:c_hi]
+            _extend_range(disp_base, disp_addr, block.disp_base,
+                          block.disp_addr, lo, hi)
+            n += hi - lo
+        return cls(first.start_cycle + first_lo, n, first.banks, flags,
+                   oldest, fetch_pc, opt_vals, opt_base, commit_base,
+                   commit_addr, commit_meta, disp_base, disp_addr)
+
+
+def _extend_range(base: "array", values: List[int], src_base,
+                  src_values, lo: int, hi: int) -> Tuple[int, int]:
+    """Append records ``[lo, hi)`` of one flattened column and its
+    prefix-sum *src_base*; returns the copied value range."""
+    v_lo, v_hi = src_base[lo], src_base[hi]
+    values += src_values[v_lo:v_hi]
+    shift = base[-1] - v_lo
+    if shift:
+        base.extend(map(shift.__add__, src_base[lo + 1:hi + 1]))
+    else:
+        base.extend(src_base[lo + 1:hi + 1])
+    return v_lo, v_hi
 
 
 def _extend_prefix(base: "array", k: int, count: int) -> None:

@@ -27,11 +27,11 @@ def replay_blocks(source: TraceSource,
 
     *source* may also be an already-open :class:`TraceReaderV3`; the
     reader is then reused (one fd/mmap across repeated replays) and
-    left open for the caller to close.  Returns the cycle count.
-    Raises :class:`ValueError` for legacy v1/v2 traces (upgrade them
-    with ``repro convert-trace``).
+    left open for the caller to close.  Returns the cycle count (0 for
+    a trace without records).  Raises :class:`ValueError` for legacy
+    v1/v2 traces (upgrade them with ``repro convert-trace``).
     """
-    final_cycle = 0
+    cycles = 0
     if isinstance(source, TraceReaderV3):
         reader = source
         owns = False
@@ -43,13 +43,13 @@ def replay_blocks(source: TraceSource,
             block = reader.chunk_block(chunk)
             for observer in observers:
                 observer.on_block(block)
-            final_cycle = chunk.start_cycle + chunk.n_records - 1
+            cycles = chunk.start_cycle + chunk.n_records
     finally:
         if owns:
             reader.close()
     for observer in observers:
-        observer.on_finish(final_cycle)
-    return final_cycle + 1
+        observer.on_finish(max(cycles - 1, 0))
+    return cycles
 
 
 def replay_with_engine(source: TraceSource,

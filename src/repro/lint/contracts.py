@@ -1,17 +1,14 @@
 """AST-based conformance checker for observer/profiler contracts.
 
-The fast paths only stay equivalent to cycle-stepping because observers
-keep three promises:
+Observers see the trace through two entry points only -- ``on_cycle``
+for stepped cycles and ``on_block`` for every batch -- and the fast
+paths stay equivalent to cycle-stepping because observers keep three
+promises:
 
 * **block-native pairing** (C001): a profiler advertising
   ``block_native = True`` must implement the columnar hooks the block
   engine calls (``_block_attribute``/``_block_scan_resolve``/
   ``_block_resolve_outcome``);
-* **batched-stall pairing** (C002): an observer overriding ``on_block``
-  processes batched input natively, so it must also override
-  ``on_stall_run`` -- otherwise run-length-compressed stall regions
-  fall back to the O(n) per-cycle loop (or, worse, a subclass that
-  forgot the override silently disagrees with the batched path);
 * **shard protocol completeness** (C003): ``begin_shard`` + ``snapshot``
   on the shard side and ``absorb``/``restore_snapshots`` on the merge
   side only make sense together -- a partial implementation deadlocks
@@ -19,13 +16,7 @@ keep three promises:
 * **no shared mutable state** (C004): methods executed inside shards
   must not mutate module-level or class-level state; each shard runs in
   its own process or interleaving, so such writes are lost, doubled or
-  raced depending on the executor;
-* **batched-period pairing** (C005): an observer overriding
-  ``on_cycle_run`` (the steady-state memoizer's whole-period batch leg)
-  has opted into batched ``sim=fast`` input, so it must also override
-  ``on_stall_run`` -- the two legs arrive interleaved from the same
-  fast path, and handling only one leaves the other on the O(n)
-  per-cycle fallback (or raising, for observers without ``on_cycle``).
+  raced depending on the executor.
 
 This is a *static* companion to the dynamic hypothesis equivalence
 tests: ``repro lint --observers <paths>`` parses Python sources (no
@@ -46,7 +37,7 @@ from .diagnostics import Diagnostic, Severity
 #: Method names that mark a class as observer-like even without a
 #: recognisable base class.
 HOOK_NAMES = frozenset({
-    "on_cycle", "on_stall_run", "on_cycle_run", "on_block", "on_finish",
+    "on_cycle", "on_block", "on_finish",
     "begin_shard", "shard_settled", "resolve_only", "snapshot",
     "restore_snapshots", "absorb",
     "_block_attribute", "_block_scan_resolve", "_block_resolve_outcome",
@@ -58,9 +49,8 @@ _BLOCK_HOOKS = ("_block_attribute", "_block_scan_resolve",
 _SHARD_LEGS = ("begin_shard", "snapshot")
 _MERGE_LEGS = ("absorb", "restore_snapshots", "merge")
 
-#: The framework root whose ``on_stall_run``/``on_block`` bodies are
-#: per-cycle *fallbacks*: inheriting them is correct but does not count
-#: as "implementing" the batched contract.
+#: The framework root whose hook bodies are *defaults*: inheriting
+#: them does not count as implementing a contract leg.
 _DEFAULT_BASE = "TraceObserver"
 
 #: Base classes that make a subclass observer-like by inheritance.
@@ -72,7 +62,7 @@ _FRAMEWORK_BASES = frozenset({"TraceObserver", "SamplingProfiler"})
 _FALLBACK_METHODS: Dict[str, Dict[str, bool]] = {
     "TraceObserver": {},  # its hooks are defaults, not overrides
     "SamplingProfiler": {
-        "on_cycle": True, "on_stall_run": True, "on_finish": True,
+        "on_cycle": True, "on_finish": True,
         "begin_shard": True, "shard_settled": True,
         "resolve_only": True, "snapshot": True,
         "restore_snapshots": True,
@@ -354,52 +344,6 @@ def _check_block_native(info: ClassInfo,
     return out
 
 
-def _check_stall_pairing(info: ClassInfo,
-                         resolver: _Resolver) -> List[Diagnostic]:
-    if info.name == _DEFAULT_BASE:
-        return []  # its on_block *is* the per-cycle default
-    if "on_block" not in info.methods \
-            or _is_abstract(info.methods["on_block"]):
-        return []
-    if resolver.overrides(info, "on_stall_run"):
-        return []
-    has_cycle = resolver.find_method(info, "on_cycle")[1]
-    severity = Severity.WARNING if has_cycle else Severity.ERROR
-    consequence = ("stall runs fall back to the per-cycle loop"
-                   if has_cycle else
-                   "stall runs will raise NotImplementedError")
-    return [_diag(
-        "C002", severity,
-        f"{info.name} overrides on_block but not on_stall_run; "
-        f"{consequence}",
-        info=info, node=info.methods["on_block"],
-        fix_hint="add an on_stall_run override batching "
-                 "run-length-compressed stall cycles")]
-
-
-def _check_cycle_run_pairing(info: ClassInfo,
-                             resolver: _Resolver) -> List[Diagnostic]:
-    if info.name == _DEFAULT_BASE:
-        return []  # its on_cycle_run *is* the per-cycle default
-    if "on_cycle_run" not in info.methods \
-            or _is_abstract(info.methods["on_cycle_run"]):
-        return []
-    if resolver.overrides(info, "on_stall_run"):
-        return []
-    has_cycle = resolver.find_method(info, "on_cycle")[1]
-    severity = Severity.WARNING if has_cycle else Severity.ERROR
-    consequence = ("stall runs fall back to the per-cycle loop"
-                   if has_cycle else
-                   "stall runs will raise NotImplementedError")
-    return [_diag(
-        "C005", severity,
-        f"{info.name} overrides on_cycle_run but not on_stall_run; "
-        f"both batch legs arrive from sim=fast, and {consequence}",
-        info=info, node=info.methods["on_cycle_run"],
-        fix_hint="add an on_stall_run override batching "
-                 "run-length-compressed stall cycles")]
-
-
 def _check_shard_protocol(info: ClassInfo,
                           resolver: _Resolver) -> List[Diagnostic]:
     local = [m for m in (_SHARD_LEGS + _MERGE_LEGS)
@@ -581,10 +525,8 @@ def _check_shared_state(info: ClassInfo, resolver: _Resolver,
 #: Contract rule metadata, for docs and ``--format json`` consumers.
 CONTRACT_RULES: Dict[str, str] = {
     "C001": "block_native profilers must implement the columnar hooks",
-    "C002": "on_block overrides must pair with on_stall_run",
     "C003": "shard protocol legs must be implemented together",
     "C004": "shard-executed methods must not mutate shared state",
-    "C005": "on_cycle_run overrides must pair with on_stall_run",
 }
 
 
@@ -607,12 +549,12 @@ def iter_python_files(targets: Iterable[str]) -> List[str]:
 def check_observer_contracts(targets: Iterable[str],
                              label: Optional[str] = None
                              ) -> ContractReport:
-    """Run C001-C005 over the Python sources in *targets*.
+    """Run C001, C003 and C004 over the Python sources in *targets*.
 
     *targets* are ``.py`` files or directories (recursed).  Sources are
     parsed, never imported.  Classes that are not observer-like are
     skipped; classes with unresolvable non-framework bases skip the
-    MRO-dependent checks (C001-C003) but still get the shared-state
+    MRO-dependent checks (C001, C003) but still get the shared-state
     scan.
     """
     files = iter_python_files(targets)
@@ -638,10 +580,6 @@ def check_observer_contracts(targets: Iterable[str],
         if not resolver.incomplete(info):
             report.diagnostics.extend(
                 _check_block_native(info, resolver))
-            report.diagnostics.extend(
-                _check_stall_pairing(info, resolver))
-            report.diagnostics.extend(
-                _check_cycle_run_pairing(info, resolver))
             report.diagnostics.extend(
                 _check_shard_protocol(info, resolver))
         report.diagnostics.extend(_check_shared_state(

@@ -37,8 +37,7 @@ from typing import List, Optional
 from ..analysis.report import format_diag
 from ..isa.opcodes import Kind
 from ..isa.program import Program
-from ..cpu.trace import (CommittedInst, CycleRecord, TraceObserver,
-                         shifted_record)
+from ..cpu.trace import CommittedInst, CycleRecord, TraceObserver
 from .diagnostics import Diagnostic, Severity
 
 
@@ -52,6 +51,11 @@ class TraceInvariantError(RuntimeError):
 
 class TraceSanitizer(TraceObserver):
     """Validates the commit-stage trace cycle by cycle.
+
+    Batches -- fast-forwarded stall runs, memoized loop periods and
+    replayed chunks -- are checked record by record through the default
+    :meth:`~repro.cpu.trace.TraceObserver.on_block` fallback, so every
+    cycle of a ``sim="fast"`` run is checked, not inferred.
 
     Parameters
     ----------
@@ -113,52 +117,6 @@ class TraceSanitizer(TraceObserver):
         self._last_cycle = record.cycle
         self.cycles_checked += 1
         self.commits_checked += len(record.committed)
-
-    def on_stall_run(self, record: CycleRecord, count: int) -> None:
-        """Check a run of *count* identical stall cycles in O(1).
-
-        The simulator's stall fast-forward (``--sim fast``) delivers
-        run-length-compressed stall regions here.  A pure
-        stall record (no commits, no exception) passes or fails every
-        invariant identically at each cycle of the run -- the only
-        cycle-dependent check, S001 monotonicity, holds inside the run
-        by construction -- so checking the first cycle covers all of
-        them.  Records that commit or fault take the per-cycle path.
-        """
-        if record.committed or record.exception is not None:
-            TraceObserver.on_stall_run(self, record, count)
-            return
-        self.on_cycle(record)
-        if count > 1:
-            self.cycles_checked += count - 1
-            self._last_cycle = record.cycle + count - 1
-
-    def on_cycle_run(self, records, repeats: int) -> None:
-        """Check *repeats* memoized loop periods in O(period).
-
-        The first two repeats run per-cycle.  After one full period
-        every piece of checker state is content-determined -- the
-        drain flag depends only on the period's last record and cycle
-        density holds inside the batch by construction -- so repeat 2
-        onward would reproduce repeat 1's checks verbatim; they are
-        counted without re-running (matching ``on_stall_run``'s
-        first-cycle-covers-all semantics for uniform runs).
-        """
-        n = len(records)
-        if not n or repeats <= 0:
-            return
-        checked = min(repeats, 2)
-        for repeat in range(checked):
-            offset = repeat * n
-            for record in records:
-                self.on_cycle(record if not offset
-                              else shifted_record(record, offset))
-        rest = repeats - checked
-        if rest > 0:
-            self.cycles_checked += rest * n
-            self.commits_checked += \
-                rest * sum(len(r.committed) for r in records)
-            self._last_cycle = records[0].cycle + repeats * n - 1
 
     def on_finish(self, final_cycle: int) -> None:
         self._finished = True

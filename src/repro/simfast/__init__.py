@@ -3,9 +3,10 @@
 Three layers make re-running experiments cheap (see ``docs/simfast.md``):
 
 * the **event-driven stall fast-forward** lives inside
-  :class:`repro.cpu.core.Core` (``sim="fast"``) and batches provably
-  quiescent cycles through
-  :meth:`~repro.cpu.trace.TraceObserver.on_stall_run`;
+  :class:`repro.cpu.core.Core` (``sim="fast"``) and hands each run of
+  provably quiescent cycles -- like each run of memoized loop periods
+  (:mod:`repro.cpu.memo`) -- to observers as one columnar block through
+  :meth:`~repro.cpu.trace.TraceObserver.on_block`;
 * **micro-op recycling** (:class:`repro.cpu.MicroOpPool`) removes the
   per-fetch allocation cost;
 * the **content-addressed simulation cache** (:class:`SimCache`) stores

@@ -202,24 +202,32 @@ def test_lint_observers_seeded_violation_exits_1(tmp_path, capsys):
     seeded = tmp_path / "seeded.py"
     seeded.write_text("""
 class HalfBlockNative(TraceObserver):
+    block_native = True
+
     def on_block(self, start, instructions, cycles):
         self.cycles = cycles
 """)
     assert main(["lint", "--observers", str(seeded)]) == 1
-    assert "C002" in capsys.readouterr().out
+    assert "C001" in capsys.readouterr().out
 
 
 def test_lint_observers_strict_promotes_warnings(tmp_path):
     seeded = tmp_path / "seeded.py"
     seeded.write_text("""
-class Registered(TraceObserver):
-    def on_block(self, start, instructions, cycles):
-        self.cycles = cycles
+class ForgotTheFlag(TraceObserver):
+    block_native = False
 
-    def on_cycle(self, record):
-        self.cycle = record.cycle
+    def _block_attribute(self, *a):
+        return []
+
+    def _block_scan_resolve(self, *a):
+        return []
+
+    def _block_resolve_outcome(self, *a):
+        self.done = True
 """)
-    # on_cycle is concrete, so C002 is only a warning here.
+    # The hooks exist but block_native is False, so C001 is only a
+    # warning here.
     assert main(["lint", "--observers", str(seeded)]) == 0
     assert main(["lint", "--observers", str(seeded), "--strict"]) == 1
 
@@ -229,6 +237,8 @@ def test_lint_observers_json(tmp_path, capsys):
     seeded = tmp_path / "seeded.py"
     seeded.write_text("""
 class HalfBlockNative(TraceObserver):
+    block_native = True
+
     def on_block(self, start, instructions, cycles):
         self.cycles = cycles
 """)
@@ -236,7 +246,7 @@ class HalfBlockNative(TraceObserver):
                  "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["errors"] == 1
-    assert data["diagnostics"][0]["rule"] == "C002"
+    assert data["diagnostics"][0]["rule"] == "C001"
     assert data["diagnostics"][0]["path"] == str(seeded)
 
 

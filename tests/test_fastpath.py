@@ -21,7 +21,7 @@ from repro.core.baselines import SoftwareProfiler
 from repro.core.oracle import OracleProfiler
 from repro.core.sampling import SampleSchedule
 from repro.cpu.tracefile import TraceReaderV3, TraceWriterV3, replay_trace
-from repro.fastpath import (replay_blocks, replay_with_engine,
+from repro.fastpath import (CycleBlock, replay_blocks, replay_with_engine,
                             run_hotpath_bench)
 from repro.harness import ProfilerConfig, replay_experiment
 from repro.isa import assemble
@@ -137,6 +137,65 @@ def test_property_block_round_trip(records):
                 for c in copy.committed] == \
             [(c.addr, c.mispredicted, c.flushes)
              for c in original.committed]
+
+
+_COLUMNS = ("flags", "oldest_bank", "fetch_pc", "opt_vals", "opt_base",
+            "commit_base", "commit_addr", "commit_meta", "disp_base",
+            "disp_addr")
+
+
+def _columns(block):
+    return (block.start_cycle, block.n, block.banks) + tuple(
+        list(getattr(block, name)) for name in _COLUMNS)
+
+
+@given(records=_random_records(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_property_concat_matches_from_runs(records, data):
+    """Joining record ranges of in-memory and mmap-style (v3) blocks
+    gives the columns of columnarizing those records directly."""
+    whole = CycleBlock.from_runs([(r, 1) for r in records], 4)
+    with TraceReaderV3(_encode_v3(records, chunk_cycles=5)) as reader:
+        chunks = [reader.chunk_block(c) for c in reader.index.chunks]
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(records)), max_size=6)))
+        bounds = [0] + cuts + [len(records)]
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            if data.draw(st.booleans()):
+                parts.append((whole, lo, hi))
+                continue
+            # The same range out of the decoded v3 chunks.
+            for block in chunks:
+                start = block.start_cycle
+                a, b = max(lo, start), min(hi, start + block.n)
+                if a < b:
+                    parts.append((block, a - start, b - start))
+        assert _columns(CycleBlock.concat(parts)) == _columns(whole)
+
+
+@given(records=_random_records(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_property_writer_blocks_match_stepped(records, data):
+    """Any mix of stepped records and blocks gives the v3 bytes of
+    stepping every record, chunk carries included."""
+    chunk_cycles = data.draw(st.sampled_from((1, 4, 5, 64)))
+    stepped = _encode_v3(records, chunk_cycles=chunk_cycles)
+    buffer = io.BytesIO()
+    writer = TraceWriterV3(buffer, 4, chunk_cycles=chunk_cycles)
+    i = 0
+    while i < len(records):
+        take = data.draw(st.integers(1, len(records) - i))
+        if take == 1 and data.draw(st.booleans()):
+            writer.on_cycle(records[i])
+        else:
+            writer.on_block(CycleBlock.from_runs(
+                [(r, 1) for r in records[i:i + take]], 4))
+        i += take
+    writer.on_finish(records[-1].cycle)
+    assert buffer.getvalue() == stepped
 
 
 # -- golden trace: block replay, serial and sharded ---------------------------

@@ -1,4 +1,4 @@
-"""The observer-contract conformance checker (C001-C005).
+"""The observer-contract conformance checker (C001, C003, C004).
 
 The shipped tree must be clean (the checker gates CI), and each
 contract must catch a seeded violation written to a temp file.
@@ -33,8 +33,7 @@ def test_shipped_profilers_are_clean():
 
 
 def test_contract_rule_table_is_complete():
-    assert set(CONTRACT_RULES) == {"C001", "C002", "C003", "C004",
-                                   "C005"}
+    assert set(CONTRACT_RULES) == {"C001", "C003", "C004"}
 
 
 # -- C001 block-native pairing ------------------------------------------------
@@ -46,9 +45,6 @@ class BrokenBlockNative(TraceObserver):
     block_native = True
 
     def on_block(self, start, instructions, cycles):
-        pass
-
-    def on_stall_run(self, record, count):
         pass
 """)
     assert _rules(report) == ["C001"]
@@ -84,9 +80,6 @@ class GoodBlockNative(TraceObserver):
     def on_block(self, start, instructions, cycles):
         self.cycles = cycles
 
-    def on_stall_run(self, record, count):
-        self.cycles = count
-
     def _block_attribute(self, *a):
         return []
 
@@ -97,95 +90,6 @@ class GoodBlockNative(TraceObserver):
         self.done = True
 """)
     assert report.diagnostics == []
-
-
-# -- C002 batched-stall pairing -----------------------------------------------
-
-
-def test_c002_on_block_without_on_stall_run(tmp_path):
-    report = _check(tmp_path, """
-class HalfBlockNative(TraceObserver):
-    def on_block(self, start, instructions, cycles):
-        self.cycles = cycles
-""")
-    assert _rules(report) == ["C002"]
-    assert "on_stall_run" in report.diagnostics[0].message
-
-
-def test_c002_inherited_on_stall_run_satisfies(tmp_path):
-    report = _check(tmp_path, """
-class Derived(SamplingProfiler):
-    def on_block(self, start, instructions, cycles):
-        self.cycles = cycles
-""")
-    assert "C002" not in _rules(report)
-
-
-def test_c002_local_pairing_satisfies(tmp_path):
-    report = _check(tmp_path, """
-class Paired(TraceObserver):
-    def on_block(self, start, instructions, cycles):
-        self.cycles = cycles
-
-    def on_stall_run(self, record, count):
-        self.cycles = count
-""")
-    assert report.diagnostics == []
-
-
-# -- C005 batched-period pairing ----------------------------------------------
-
-
-def test_c005_on_cycle_run_without_on_stall_run(tmp_path):
-    report = _check(tmp_path, """
-class HalfBatched(TraceObserver):
-    def on_cycle(self, record):
-        self.last = record.cycle
-
-    def on_cycle_run(self, records, repeats):
-        self.last = records[-1].cycle + (repeats - 1) * len(records)
-""")
-    assert _rules(report) == ["C005"]
-    assert report.ok  # warning: stalls still work via the on_cycle loop
-    assert "on_stall_run" in report.diagnostics[0].message
-
-
-def test_c005_no_per_cycle_fallback_is_an_error(tmp_path):
-    report = _check(tmp_path, """
-class BatchOnly(TraceObserver):
-    def on_cycle_run(self, records, repeats):
-        self.count = repeats * len(records)
-""")
-    assert _rules(report) == ["C005"]
-    assert not report.ok  # error: stall runs would raise
-
-
-def test_c005_local_pairing_satisfies(tmp_path):
-    report = _check(tmp_path, """
-class FullyBatched(TraceObserver):
-    def on_cycle_run(self, records, repeats):
-        self.count = repeats * len(records)
-
-    def on_stall_run(self, record, count):
-        self.count = count
-""")
-    assert report.diagnostics == []
-
-
-def test_c005_inherited_on_stall_run_satisfies(tmp_path):
-    report = _check(tmp_path, """
-class Base(TraceObserver):
-    def on_stall_run(self, record, count):
-        self.count = count
-
-class Derived(Base):
-    def on_cycle(self, record):
-        self.last = record.cycle
-
-    def on_cycle_run(self, records, repeats):
-        self.count = repeats * len(records)
-""")
-    assert "C005" not in _rules(report)
 
 
 # -- C003 shard protocol completeness -----------------------------------------
@@ -359,13 +263,15 @@ def test_directory_walk_skips_pycache(tmp_path):
 def test_report_to_dict_and_render(tmp_path):
     report = _check(tmp_path, """
 class HalfBlockNative(TraceObserver):
+    block_native = True
+
     def on_block(self, start, instructions, cycles):
         self.cycles = cycles
 """)
     data = report.to_dict()
     assert data["errors"] + data["warnings"] == 1
-    assert data["diagnostics"][0]["rule"] == "C002"
+    assert data["diagnostics"][0]["rule"] == "C001"
     assert data["diagnostics"][0]["path"].endswith("seeded.py")
     assert data["diagnostics"][0]["line"] is not None
     rendered = report.render()
-    assert "C002" in rendered and "seeded.py" in rendered
+    assert "C001" in rendered and "seeded.py" in rendered

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu import (DEFAULT_CHUNK_CYCLES, Machine, TraceWriterV3,
                        shifted_record)
 from repro.cpu.core import CoreStats
+from repro.fastpath import CycleBlock
 from repro.isa.assembler import assemble
 from repro.lint.sanitizer import TraceSanitizer
 from repro.workloads import build_workload, k_dep_chain, k_int_ilp
@@ -140,8 +141,9 @@ def test_random_loop_programs_v3_byte_identical(kind, iters, width,
 
 
 def test_sanitizer_accepts_memoized_run():
-    """The sanitizer's batched ``on_cycle_run`` leg checks the same
-    number of cycles and commits as a single-stepped run."""
+    """Memoized periods reach the sanitizer as blocks, which it checks
+    record by record: the same number of cycles and commits as a
+    single-stepped run."""
     program = assemble(ILP_LOOP, name="ilp-loop")
 
     def sanitized(sim):
@@ -159,7 +161,7 @@ def test_sanitizer_accepts_memoized_run():
     assert batched.commits_checked == stepped.commits_checked
 
 
-# -- the on_cycle_run observer leg in isolation ------------------------------------
+# -- a memoized-period block at the trace writer, in isolation --------------------
 
 
 def _period_records(n=3, base_cycle=1, commits=True):
@@ -173,8 +175,9 @@ def _period_records(n=3, base_cycle=1, commits=True):
 @pytest.mark.parametrize("commits", (True, False))
 @pytest.mark.parametrize("chunk_cycles", (1, 4, 5))
 def test_on_cycle_run_matches_repeated_on_cycle(chunk_cycles, commits):
-    """One batched period call == n*repeats single-cycle calls, with
-    chunk boundaries landing mid-period (period 3)."""
+    """One block of a repeated period, built as the memoizer builds it,
+    == n*repeats single-cycle calls, with chunk boundaries landing
+    mid-period (period 3)."""
     records = _period_records(commits=commits)
     n, repeats = len(records), 5
 
@@ -188,7 +191,8 @@ def test_on_cycle_run_matches_repeated_on_cycle(chunk_cycles, commits):
     batched = io.BytesIO()
     writer = TraceWriterV3(batched, 2, chunk_cycles=chunk_cycles)
     writer.on_cycle(make_record(0))
-    writer.on_cycle_run(records, repeats)
+    period = CycleBlock.from_runs([(r, 1) for r in records], 2)
+    writer.on_block(CycleBlock.concat([(period, 0, n)] * repeats))
     writer.on_finish(n * repeats)
     assert stepped.getvalue() == batched.getvalue()
 

@@ -13,15 +13,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.profiles import profile_checksum
+from repro.core.profiler import SamplingProfiler
+from repro.core.sampling import SampleSchedule
 from repro.cpu import (Machine, MaxCyclesExceeded, TraceWriterV3,
                        shifted_record)
 from repro.cpu.tracefile import replay_trace
 from repro.cpu.trace import TraceCollector
+from repro.fastpath import CycleBlock
 from repro.harness.experiment import default_profilers
 from repro.harness.runner import run_suite, run_workload
 from repro.simfast import SimCache, resolve_cache
 from repro.simfast.bench import _result_checksum
-from repro.workloads.suite import build_suite
+from repro.workloads.suite import BENCHMARKS, build_suite
 
 from conftest import make_record, oracle_tables
 from test_differential import DATA_BASE, DATA_WORDS, _generate_program
@@ -100,14 +104,64 @@ def test_fast_forward_fires_on_stall_heavy_program():
     assert fast_stats.fast_forwarded > 0
 
 
-def test_fast_experiment_results_identical():
-    workload, = build_suite(["mcf"], scale=0.05)
+#: Benchmarks whose loop memoizer fires at scale 0.05, so the suite
+#: check below covers memoized-period blocks as well as stall runs.
+MEMOIZED_AT_SMALL_SCALE = ("exchange2", "x264")
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_fast_experiment_results_identical(name):
+    workload, = build_suite([name], scale=0.05)
     profilers = default_profilers(53)
     r_step = run_workload(workload, profilers)
     r_fast = run_workload(workload, profilers, sim="fast")
-    assert _result_checksum(r_step) == _result_checksum(r_fast)
     assert oracle_tables(r_step.oracle) == oracle_tables(r_fast.oracle)
+    assert {label: profile_checksum(p.samples)
+            for label, p in r_step.profilers.items()} == \
+        {label: profile_checksum(p.samples)
+         for label, p in r_fast.profilers.items()}
+    assert _result_checksum(r_step) == _result_checksum(r_fast)
     assert r_fast.stats.fast_forwarded > 0
+    if name in MEMOIZED_AT_SMALL_SCALE:
+        assert r_fast.stats.steady_state_cycles > 0
+
+
+class _StallCountingProfiler(SamplingProfiler):
+    """A profiler written outside the package: not block native, and
+    its ``_update_state`` counts stall cycles, so it is not idempotent
+    on identical records.  Each sample names the running count, so the
+    profile shows any cycle the profiler was not shown."""
+
+    name = "StallCount"
+
+    def __init__(self, schedule):
+        super().__init__(schedule)
+        self.stall_cycles = 0
+
+    def _update_state(self, record):
+        if not record.committed and not record.rob_empty:
+            self.stall_cycles += 1
+
+    def _attribute(self, record):
+        return [(self.stall_cycles, 1.0)], None
+
+
+def test_custom_profiler_sees_every_fast_cycle():
+    """Batches reach a per-record profiler through the ``on_block``
+    fallback, one ``on_cycle`` per cycle, so ``sim="fast"`` shows it
+    exactly the cycles stepping does."""
+    workload, = build_suite(["mcf"], scale=0.05)
+    seen = {}
+    for sim in ("step", "fast"):
+        machine = Machine(workload.program,
+                          premapped_data=workload.premapped)
+        profiler = _StallCountingProfiler(SampleSchedule(53))
+        machine.attach(profiler)
+        stats = machine.run(sim=sim)
+        seen[sim] = (profiler.stall_cycles,
+                     profile_checksum(profiler.samples))
+    assert stats.fast_forwarded > 0
+    assert seen["fast"] == seen["step"]
 
 
 def test_unknown_sim_mode_rejected():
@@ -117,14 +171,14 @@ def test_unknown_sim_mode_rejected():
         machine.run(100, sim="warp")
 
 
-# -- on_stall_run batching ---------------------------------------------------------
+# -- stall runs reach the writer as blocks -----------------------------------------
 
 
 def test_on_stall_run_matches_repeated_on_cycle():
-    """One batched call == N single-cycle calls, with the run crossing
-    chunk boundaries or not."""
+    """One stall-run block == N single-cycle calls, with the run
+    crossing chunk boundaries or not."""
     stall = make_record(3, rob_head=0x40, fetch_pc=0x80)
-    for chunk_cycles in (1, 4, 64):
+    for chunk_cycles in (1, 4, 5, 64):
         stepped = io.BytesIO()
         writer = TraceWriterV3(stepped, 2, chunk_cycles=chunk_cycles)
         writer.on_cycle(make_record(0, committed=[(0x40, False, False)]))
@@ -139,7 +193,7 @@ def test_on_stall_run_matches_repeated_on_cycle():
         writer.on_cycle(make_record(0, committed=[(0x40, False, False)]))
         writer.on_cycle(make_record(1, dispatched=[0x44]))
         writer.on_cycle(make_record(2))
-        writer.on_stall_run(stall, 10)
+        writer.on_block(CycleBlock.from_runs([(stall, 10)], 2))
         writer.on_finish(12)
         assert stepped.getvalue() == batched.getvalue(), chunk_cycles
 

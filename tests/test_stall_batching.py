@@ -1,10 +1,11 @@
-"""``on_stall_run`` batching is observationally equivalent to
-stepping the same stall run cycle by cycle.
+"""A stall run handed over as one block is observationally equivalent
+to stepping the same run cycle by cycle.
 
-This is the dynamic counterpart of contract rule C002: every shipped
-profiler, the Oracle and the trace sanitizer must produce identical
-results whether the block engine hands them a run-length-compressed
-stall or the per-cycle loop replays it.
+The simulator's stall fast-forward hands observers each run as
+``CycleBlock.from_runs([(record, n)])`` through ``on_block``: every
+shipped profiler, the Oracle and the trace sanitizer must produce
+identical results whether they get that block or ``n`` ``on_cycle``
+calls.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.core.oracle import OracleProfiler
 from repro.core.sampling import SampleSchedule
 from repro.core.tip import TipIlpProfiler, TipProfiler
 from repro.cpu.trace import shifted_record
+from repro.fastpath import CycleBlock
 from repro.isa.assembler import assemble
 from repro.lint import TraceSanitizer
 
@@ -43,11 +45,16 @@ def _suffix(start):
             for addr, pos in sorted(SUFFIX_AT.items())]
 
 
+def _stall_block(record, run):
+    """The block the stall fast-forward emits for *run* cycles."""
+    return CycleBlock.from_runs([(record, run)], len(record.head_banks))
+
+
 def _feed(observer, run, batched):
     for record in PREFIX:
         observer.on_cycle(record)
     if batched:
-        observer.on_stall_run(STALL, run)
+        observer.on_block(_stall_block(STALL, run))
     else:
         for i in range(run):
             observer.on_cycle(shifted_record(STALL, i))
@@ -119,7 +126,7 @@ def _feed_oracle(kind, watch, run, batched):
     for record in prefix:
         oracle.on_cycle(record)
     if batched:
-        oracle.on_stall_run(stall, run)
+        oracle.on_block(_stall_block(stall, run))
     else:
         for i in range(run):
             oracle.on_cycle(shifted_record(stall, i))
@@ -158,25 +165,25 @@ def test_sanitizer_stall_run_equivalence(run):
 
 
 def test_sanitizer_batched_stall_advances_cursor():
-    """The compressed run must move the monotonicity cursor to its
-    last cycle: a gap right after the run is still caught (S001)."""
+    """The stall block must move the monotonicity cursor to its last
+    cycle: a gap right after the run is still caught (S001)."""
     sanitizer = TraceSanitizer(fail_fast=False)
     sanitizer.on_cycle(make_record(0))
-    sanitizer.on_stall_run(make_record(1, rob_head=0x10008), 5)
+    sanitizer.on_block(_stall_block(make_record(1, rob_head=0x10008), 5))
     sanitizer.on_cycle(make_record(8, rob_head=0x10008))  # 6-7 missing
     assert [d.rule for d in sanitizer.violations] == ["S001"]
     assert sanitizer.violations[0].cycle == 8
 
 
 def test_sanitizer_batched_commit_record_falls_back():
-    """A run whose record commits is not a pure stall: the default
-    per-cycle fallback must check every replayed cycle, so a
-    commit-width violation is reported once per cycle of the run."""
+    """A run whose record commits is not a pure stall: the per-record
+    block fallback must check every cycle of it, so a commit-width
+    violation is reported once per cycle of the run."""
     sanitizer = TraceSanitizer(program=PROGRAM, fail_fast=False,
                                commit_width=1)
     record = make_record(0, committed=[(0x10000, False, False),
                                        (0x10004, False, False)])
-    sanitizer.on_stall_run(record, 3)
+    sanitizer.on_block(_stall_block(record, 3))
     rules = [d.rule for d in sanitizer.violations]
     assert rules.count("S002") == 3
     assert sanitizer.cycles_checked == 3

@@ -14,10 +14,11 @@ from repro.core.sampling import SampleSchedule
 from repro.core.tip import TipProfiler
 from repro.cpu.machine import Machine
 from repro.cpu.trace import TraceCollector
-from repro.cpu.tracefile import (MAGIC, MAGIC_V2, ChunkCarry,
-                                 TraceReaderV3, TraceWriterV3,
-                                 convert_trace, open_reader, read_index,
-                                 read_trace, replay_trace)
+from repro.cpu.tracefile import (
+    KIND_CSR, KIND_EXCEPTION, KIND_MISPREDICT, KIND_NONE, KIND_ORDERING,
+    MAGIC, MAGIC_V2, OIR_EXCEPTION, OIR_FLUSH, OIR_MISPREDICT, OIR_NONE,
+    ChunkCarry, TraceReaderV3, TraceWriterV3, convert_trace, open_reader,
+    read_index, read_trace, replay_trace)
 from repro.isa import assemble
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -160,6 +161,28 @@ def _encode_legacy_record(record) -> bytes:
     return b"".join(parts)
 
 
+def _advance_carry(carry: ChunkCarry, record) -> None:
+    """Per-record reference for a chunk header's carried state: the
+    carry past *record* (the writer derives it per chunk, from the
+    chunk's columns)."""
+    if record.committed:
+        youngest = record.committed[-1]
+        carry.last_committed = carry.oir_addr = youngest.addr
+        if youngest.mispredicted:
+            carry.oir_flag, carry.oir_kind = OIR_MISPREDICT, KIND_MISPREDICT
+        elif youngest.flushes:
+            carry.oir_flag, carry.oir_kind = OIR_FLUSH, KIND_CSR
+        else:
+            carry.oir_flag, carry.oir_kind = OIR_NONE, KIND_NONE
+    if record.exception is not None:
+        carry.oir_addr = record.exception
+        carry.oir_flag = OIR_EXCEPTION
+        carry.oir_kind = (KIND_ORDERING if record.exception_is_ordering
+                          else KIND_EXCEPTION)
+    carry.drain_pending = (record.exception is not None
+                           or any(c.flushes for c in record.committed))
+
+
 def _legacy_trace(records, version, chunk_cycles=8, compress=False,
                   banks=4) -> bytes:
     """*records* serialized in legacy format v1 or v2."""
@@ -182,7 +205,7 @@ def _legacy_trace(records, version, chunk_cycles=8, compress=False,
             carry.last_committed or 0))
         parts.append(payload)
         for record in chunk:
-            carry.update(record)
+            _advance_carry(carry, record)
     return b"".join(parts)
 
 
@@ -309,11 +332,41 @@ def test_property_v3_index_and_chunks(records, chunk_cycles, compress):
             assert chunk.carry == reference
             chunk_records = reader.chunk_records(chunk)
             for record in chunk_records:
-                reference.update(record)
+                _advance_carry(reference, record)
             rebuilt.extend(chunk_records)
     assert len(rebuilt) == len(records)
     for original, copy in zip(records, rebuilt):
         _records_equal(original, copy)
+
+
+def test_trace_without_records_replays_zero_cycles():
+    """A header-only trace -- written with no cycles, or converted from
+    a header-only v1 file -- replays as 0 cycles, not 1."""
+    from repro.fastpath import replay_blocks
+    written = io.BytesIO()
+    TraceWriterV3(written, banks=4).on_finish(0)
+    converted = io.BytesIO()
+    assert convert_trace(MAGIC + bytes([4]), converted) == 0
+    for data in (written.getvalue(), converted.getvalue()):
+        assert read_index(data).total_records == 0
+        assert replay_blocks(data, OracleProfiler(assemble(SRC))) == 0
+        assert replay_trace(data) == 0
+
+
+def test_chunk_carry_exception_follows_same_cycle_commit():
+    """The carried OIR follows the per-record order: a record that both
+    commits and excepts leaves its exception in the OIR, and the
+    youngest commit as the last committed address."""
+    from conftest import make_record
+    records = [make_record(0, committed=[(0x40, True, False)],
+                           exception=0x80, banks=4),
+               make_record(1, banks=4)]
+    reference = ChunkCarry()
+    _advance_carry(reference, records[0])
+    carry = read_index(_write_v3(records, chunk_cycles=1)).chunks[1].carry
+    assert carry == reference
+    assert (carry.oir_addr, carry.oir_flag, carry.last_committed) == \
+        (0x80, OIR_EXCEPTION, 0x40)
 
 
 def test_read_index_rejects_v1():
@@ -400,14 +453,16 @@ def test_v3_single_cycle_chunks():
 
 
 def test_v3_stall_run_split_across_chunks():
-    """A batched stall run ending mid-chunk splits losslessly."""
+    """A stall-run block ending mid-chunk splits losslessly."""
     from conftest import make_record
+    from repro.fastpath import CycleBlock
     stall = make_record(0, rob_head=0x4000, fetch_pc=0x4000, banks=4)
     tail = make_record(0, committed=[(0x4000, False, False)],
                        fetch_pc=0x4004, banks=4)
     buffer = io.BytesIO()
     writer = TraceWriterV3(buffer, banks=4, chunk_cycles=4)
-    writer.on_stall_run(stall, 10)  # spans chunks 0..2
+    # The stall spans chunks 0..2.
+    writer.on_block(CycleBlock.from_runs([(stall, 10)], 4))
     writer.on_cycle(tail)
     writer.on_finish(10)
     with TraceReaderV3(buffer.getvalue()) as reader:
