@@ -127,6 +127,82 @@ class ExperimentResult:
                                  Granularity.FUNCTION)
 
 
+def _observers(image: Program, profilers: Sequence[ProfilerConfig],
+               config: CoreConfig, sanitize: bool):
+    """Fresh (sanitizer or ``None``, Oracle, label -> profiler) for one
+    run of *image*."""
+    sanitizer = None
+    if sanitize:
+        sanitizer = TraceSanitizer(program=image,
+                                   commit_width=config.commit_width,
+                                   banks=config.rob_banks)
+    # Oracle watches the union of all distinct sampling schedules so
+    # the error metric can compare every sample against golden
+    # attribution.
+    distinct = {(p.period, p.mode, p.seed): p for p in profilers}
+    oracle = OracleProfiler(
+        image, watch_schedules=[p.schedule_clone()
+                                for p in distinct.values()])
+    built: Dict[str, SamplingProfiler] = {}
+    for profiler_config in profilers:
+        if profiler_config.name in built:
+            raise ValueError(
+                f"duplicate profiler label {profiler_config.name!r}")
+        built[profiler_config.name] = profiler_config.build(image)
+    return sanitizer, oracle, built
+
+
+def replay_cached(image: Program, profilers: Sequence[ProfilerConfig],
+                  config: CoreConfig, sim_cache, key: str,
+                  max_cycles: int,
+                  sanitize: bool) -> Optional[ExperimentResult]:
+    """The cached result of the run keyed *key*, or ``None`` (miss).
+
+    Looks *key* up in *sim_cache* (a :class:`~repro.simfast.SimCache`)
+    and, on a hit, replays the cached columnar (v3) trace zero-copy
+    into fresh observers of the linked *image*, one block per chunk; no
+    kernel boots.  An entry that passes its checksum but does not decode
+    is evicted with a :class:`~repro.simfast.CacheCorruptionWarning`
+    and counts as a miss.  :func:`run_experiment` and pooled suite runs
+    (which look up in the parent) share this path.
+    """
+    from ..fastpath.engine import replay_with_engine
+    hit = sim_cache.lookup(key, max_cycles)
+    if hit is None:
+        return None
+    sanitizer, oracle, built = _observers(image, profilers, config,
+                                          sanitize)
+    try:
+        replay_with_engine(
+            hit.trace_path,
+            ([sanitizer] if sanitizer is not None else [])
+            + [oracle] + list(built.values()))
+    except (TraceInvariantError, MemoryError):
+        raise
+    except Exception as exc:
+        # The entry passed its checksum but does not decode (foreign
+        # producer, consistent tampering, or the entry was swapped
+        # underneath us after verification).  Evict it and warn; the
+        # caller re-simulates with pristine observers -- never a bare
+        # traceback.
+        import warnings
+
+        from ..simfast.cache import CacheCorruptionWarning
+        sim_cache.evict(key)
+        warnings.warn(
+            f"evicted corrupt simulation-cache entry "
+            f"{key[:12]}... ({exc}); re-simulating",
+            CacheCorruptionWarning, stacklevel=3)
+        return None
+    # Replay reports the last record's cycle; the simulator reports the
+    # cycle after it (same fixup as replay_serial).
+    oracle.report.total_cycles = hit.stats.cycles
+    result = ExperimentResult(image, oracle.report, built, hit.stats,
+                              sanitizer=sanitizer)
+    result.cached = True
+    return result
+
+
 def run_experiment(program: Program,
                    profilers: Sequence[ProfilerConfig],
                    config: Optional[CoreConfig] = None,
@@ -149,81 +225,30 @@ def run_experiment(program: Program,
     simulation cache (``True`` for the default root, a path, or a
     :class:`~repro.simfast.SimCache`).  The run links its image once
     and keys it before it builds a machine.  On a hit the profilers
-    replay the cached columnar (v3) trace zero-copy, one block per
-    chunk, and ``result.cached`` is set; no kernel boots.  On a miss the
-    same image is booted and the run records into the cache.
+    replay the cached trace (:func:`replay_cached`) and
+    ``result.cached`` is set; no kernel boots.  On a miss the same
+    image is booted and the run records into the cache.
     Traces, reports and stats are bit-identical across all paths.
 
     Raises :class:`~repro.cpu.core.MaxCyclesExceeded` when the budget
     runs out; such runs are never cached.
     """
-    from ..fastpath.engine import replay_with_engine
     from ..simfast.cache import resolve_cache
     config = config or CoreConfig.boom_4wide()
     image = Kernel().link(program)
-
-    def observers():
-        sanitizer = None
-        if sanitize:
-            sanitizer = TraceSanitizer(program=image,
-                                       commit_width=config.commit_width,
-                                       banks=config.rob_banks)
-        # Oracle watches the union of all distinct sampling schedules so
-        # the error metric can compare every sample against golden
-        # attribution.
-        distinct = {(p.period, p.mode, p.seed): p for p in profilers}
-        oracle = OracleProfiler(
-            image, watch_schedules=[p.schedule_clone()
-                                    for p in distinct.values()])
-        built: Dict[str, SamplingProfiler] = {}
-        for profiler_config in profilers:
-            if profiler_config.name in built:
-                raise ValueError(
-                    f"duplicate profiler label {profiler_config.name!r}")
-            built[profiler_config.name] = profiler_config.build(image)
-        return sanitizer, oracle, built
-
-    sanitizer, oracle, built = observers()
     sim_cache = resolve_cache(cache)
     key = None
     if sim_cache is not None:
         # Keyed and looked up before any machine exists: a hit boots no
         # kernel, builds no memory hierarchy and copies no data image.
         key = sim_cache.key_for(image, config, premapped=premapped_data)
-        hit = sim_cache.lookup(key, max_cycles)
-        if hit is not None:
-            try:
-                replay_with_engine(
-                    hit.trace_path,
-                    ([sanitizer] if sanitizer is not None else [])
-                    + [oracle] + list(built.values()))
-            except (TraceInvariantError, MemoryError):
-                raise
-            except Exception as exc:
-                # The entry passed its checksum but does not decode
-                # (foreign producer, consistent tampering, or the entry
-                # was swapped underneath us after verification).  Evict
-                # it, warn, and fall back to a fresh simulation with
-                # pristine observers -- never a bare traceback.
-                import warnings
+        result = replay_cached(image, profilers, config, sim_cache, key,
+                               max_cycles, sanitize)
+        if result is not None:
+            return result
 
-                from ..simfast.cache import CacheCorruptionWarning
-                sim_cache.evict(key)
-                warnings.warn(
-                    f"evicted corrupt simulation-cache entry "
-                    f"{key[:12]}... ({exc}); re-simulating",
-                    CacheCorruptionWarning, stacklevel=2)
-                sanitizer, oracle, built = observers()
-            else:
-                # Replay reports the last record's cycle; the simulator
-                # reports the cycle after it (same fixup as
-                # replay_serial).
-                oracle.report.total_cycles = hit.stats.cycles
-                result = ExperimentResult(image, oracle.report, built,
-                                          hit.stats, sanitizer=sanitizer)
-                result.cached = True
-                return result
-
+    sanitizer, oracle, built = _observers(image, profilers, config,
+                                          sanitize)
     machine = Machine(program, config, premapped_data, image=image)
     if sanitizer is not None:
         machine.attach(sanitizer)

@@ -119,9 +119,11 @@ def run_suite(workloads: Optional[Sequence[Workload]] = None,
 
     *jobs* > 1 simulates the workloads in parallel worker processes
     (:mod:`repro.parallel.suite`), which take the workloads as built
-    here.  *timeout* bounds each benchmark's wall clock and *retries*
-    caps re-runs of a failed worker; exhausted benchmarks land in
-    ``SuiteResult.failures``.
+    here.  With a cache, every workload is looked up here first and
+    each hit replayed in this process; only misses reach the workers,
+    which record into the same cache.  *timeout* bounds each
+    benchmark's wall clock and *retries* caps re-runs of a failed
+    worker; exhausted benchmarks land in ``SuiteResult.failures``.
 
     *sim*, *paranoid* and *cache* select the simulation fast path and
     the content-addressed result cache.  A workload that exhausts
@@ -149,13 +151,12 @@ def run_suite(workloads: Optional[Sequence[Workload]] = None,
         from ..parallel.suite import (DEFAULT_JOB_TIMEOUT,
                                       run_suite_parallel)
         from ..simfast.cache import resolve_cache
-        sim_cache = resolve_cache(cache)
         return run_suite_parallel(
             workloads, profilers, jobs,
             max_cycles=max_cycles, sanitize=sanitize,
             timeout=DEFAULT_JOB_TIMEOUT if timeout is None else timeout,
             retries=retries, verbose=verbose, sim=sim,
-            cache_dir=None if sim_cache is None else sim_cache.root)
+            cache=resolve_cache(cache))
     results: Dict[str, ExperimentResult] = {}
     failures: Dict[str, JobFailure] = {}
     for workload in workloads:

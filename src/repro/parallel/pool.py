@@ -6,9 +6,11 @@ job runs in its own :class:`multiprocessing.Process` with a pipe for
 the result, so a worker that raises, hangs past its timeout, or dies
 mid-job can never corrupt the results dict or hang the suite -- it is
 killed, retried a bounded number of times, and finally reported as a
-per-job :class:`JobFailure`.  If the pool cannot even start processes
-(restricted environments), every job degrades to serial in-process
-execution.
+per-job :class:`JobFailure`.  The parent waits on the workers' result
+pipes and process sentinels with the nearest job deadline as its
+timeout, so it wakes only when a worker reports, dies or runs out of
+time.  If the pool cannot even start processes (restricted
+environments), every job degrades to serial in-process execution.
 
 Failure injection (the ``inject`` field) exists for the failure-path
 tests: it makes the *worker wrapper* raise, hang or die before calling
@@ -157,9 +159,23 @@ def _run_serial(job: PoolJob, report: PoolReport) -> None:
             job.name, "exception", report.attempts[job.name], repr(exc))
 
 
+def _receive(conn) -> Optional[Tuple[str, Any]]:
+    """The worker's ``(status, payload)`` if it sent one, else ``None``.
+
+    A pipe at end-of-file (the worker died, or closed it without a
+    result) is closed here, so it is never waited on again.
+    """
+    if conn.closed or not conn.poll():
+        return None
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        conn.close()
+        return None
+
+
 def run_jobs(jobs: Sequence[PoolJob], workers: int,
              retries: int = 1,
-             poll_interval: float = 0.02,
              verbose: bool = False) -> PoolReport:
     """Run *jobs* on up to *workers* processes.
 
@@ -168,6 +184,10 @@ def run_jobs(jobs: Sequence[PoolJob], workers: int,
     ``report.failures`` with a clean :class:`JobFailure` -- the results
     dict only ever holds successful results.  ``workers <= 1`` (or a
     pool that cannot start) runs everything serially in-process.
+
+    The parent never polls on a timer: it blocks until a worker's
+    result pipe or process sentinel is ready, or the nearest job
+    deadline passes.
     """
     report = PoolReport()
     if workers <= 1:
@@ -183,6 +203,9 @@ def run_jobs(jobs: Sequence[PoolJob], workers: int,
         for job in jobs:
             _run_serial(job, report)
         return report
+
+    # Loaded here, not with the module: ``import repro`` stays as small.
+    from multiprocessing.connection import wait
 
     queue: List[Tuple[PoolJob, int]] = [(job, 0) for job in jobs]
     running: List[_Running] = []
@@ -234,41 +257,46 @@ def run_jobs(jobs: Sequence[PoolJob], workers: int,
                     for queued_job, _ in queue:
                         _run_serial(queued_job, report)
                     queue.clear()
+            if not running:
+                continue
+
+            deadlines = [entry.deadline for entry in running
+                         if entry.deadline is not None]
+            wait([entry.conn for entry in running if not entry.conn.closed]
+                 + [entry.process.sentinel for entry in running],
+                 max(0.0, min(deadlines) - time.monotonic())
+                 if deadlines else None)
 
             finished: List[_Running] = []
             for entry in running:
-                outcome = None
-                if entry.conn.poll():
-                    try:
-                        outcome = entry.conn.recv()
-                    except (EOFError, OSError):
-                        outcome = None  # died mid-send: treat as crash
-                    if outcome is not None:
-                        status, payload = outcome
-                        if status == "ok":
-                            report.results[entry.job.name] = payload
-                        else:
-                            settle(entry, "exception", payload)
+                outcome = _receive(entry.conn)
+                if outcome is None:
+                    if entry.process.is_alive():
+                        if entry.deadline is not None and \
+                                time.monotonic() >= entry.deadline:
+                            settle(entry, "timeout",
+                                   f"no result within {entry.job.timeout}s")
+                            finished.append(entry)
+                        continue
+                    # The result may have landed between the poll and
+                    # the exit.
+                    outcome = _receive(entry.conn)
+                    if outcome is None:
+                        settle(entry, "crash", f"worker exited with code "
+                                               f"{entry.process.exitcode}")
                         finished.append(entry)
                         continue
-                if not entry.process.is_alive() and outcome is None:
-                    code = entry.process.exitcode
-                    settle(entry, "crash",
-                           f"worker exited with code {code}")
-                    finished.append(entry)
-                    continue
-                if entry.deadline is not None and \
-                        time.monotonic() > entry.deadline:
-                    settle(entry, "timeout",
-                           f"no result within {entry.job.timeout}s")
-                    finished.append(entry)
+                status, payload = outcome
+                if status == "ok":
+                    report.results[entry.job.name] = payload
+                else:
+                    settle(entry, "exception", payload)
+                finished.append(entry)
 
             for entry in finished:
                 running.remove(entry)
                 entry.conn.close()
                 _kill(entry.process)
-            if running and not finished:
-                time.sleep(poll_interval)
     finally:
         for entry in running:  # defensive: never leak workers
             entry.conn.close()

@@ -1,30 +1,43 @@
 """Parallel suite runner: one simulation per benchmark, many workers.
 
-Each workload is simulated in its own worker process (the paper's
-record phase is embarrassingly parallel across benchmarks).  Workers
-take the parent's built :class:`~repro.workloads.generator.Workload`:
-a forked worker inherits it and a spawned one unpickles it, so no
-worker rebuilds or re-checks a program, and any workload -- suite
-benchmark or not -- runs in the pool.  Workers ship back picklable
-payloads -- the Oracle report, core statistics and per-profiler sample
-snapshots -- and the parent rebuilds full
+Each workload the simulation cache cannot answer is simulated in its
+own worker process (the paper's record phase is embarrassingly
+parallel across benchmarks).  The parent links every workload once;
+with a cache it also keys and looks each one up, and replays every hit
+in-process through the same path a serial run takes
+(:func:`~repro.harness.experiment.replay_cached`), so a hit costs what
+it costs serially and an all-hit run starts no worker.  Workers take
+the parent's built :class:`~repro.workloads.generator.Workload`: a
+forked worker inherits it and a spawned one unpickles it, so no worker
+rebuilds or re-checks a program, and any workload -- suite benchmark or
+not -- runs in the pool.  Workers record into the parent's
+:class:`~repro.simfast.SimCache`, size budget included, and ship back
+picklable payloads -- the Oracle report, core statistics and
+per-profiler sample snapshots -- and the parent rebuilds full
 :class:`~repro.harness.experiment.ExperimentResult` objects around the
 linked image, so downstream analysis (error tables, cycle stacks) is
 unchanged.
 
-When the pool degrades every workload runs serially in the parent.  A
+When the pool degrades every miss runs serially in the parent.  A
 worker that raises, hangs or dies is retried and finally reported in
 ``SuiteResult.failures`` without disturbing the other benchmarks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from ..harness.experiment import ExperimentResult, ProfilerConfig
+from ..cpu.config import CoreConfig
+from ..harness.experiment import (ExperimentResult, ProfilerConfig,
+                                  replay_cached)
+from ..isa.program import Program
+from ..kernel import Kernel
 from ..lint.sanitizer import TraceInvariantError, TraceSanitizer
 from ..workloads.generator import Workload
 from .pool import JobFailure, PoolJob, run_jobs
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..simfast.cache import SimCache
 
 #: Default per-benchmark wall-clock budget (seconds) in pool mode.
 DEFAULT_JOB_TIMEOUT = 600.0
@@ -35,19 +48,19 @@ def simulate_benchmark(workload: Workload,
                        max_cycles: int,
                        sanitize: bool,
                        sim: str = "step",
-                       cache_dir: Optional[str] = None) -> dict:
+                       cache: Optional[SimCache] = None) -> dict:
     """Worker entry: simulate one built workload.
 
     Returns a picklable payload (:func:`result_payload`).  *sim*
-    selects the simulation fast path and *cache_dir* (a plain path,
-    picklable) the content-addressed simulation cache.
+    selects the simulation fast path and *cache* the content-addressed
+    simulation cache; it is the parent's :class:`SimCache`, so the
+    worker records under the parent's root and size budget.
     """
     from ..cpu.core import MaxCyclesExceeded
     from ..harness.runner import run_workload
     try:
         result = run_workload(workload, configs, max_cycles,
-                              sanitize=sanitize, sim=sim,
-                              cache=cache_dir)
+                              sanitize=sanitize, sim=sim, cache=cache)
     except TraceInvariantError as exc:
         return {"invariant_violation": exc.diagnostic}
     except MaxCyclesExceeded as exc:
@@ -71,19 +84,20 @@ def result_payload(result: ExperimentResult) -> dict:
 
 def rebuild_result(workload: Workload,
                    configs: Sequence[ProfilerConfig],
-                   payload: dict) -> ExperimentResult:
+                   payload: dict,
+                   image: Optional[Program] = None) -> ExperimentResult:
     """Reconstruct an ExperimentResult from a worker payload.
 
     The payload (:func:`result_payload`) comes from
     :func:`simulate_benchmark` or the job server's workers: the Oracle
     report, core statistics and per-profiler snapshots, rebuilt around
-    the linked image so downstream analysis is unchanged and
-    bit-identical.
+    the linked image (*image*, linked here when not given) so
+    downstream analysis is unchanged and bit-identical.
     """
     if "invariant_violation" in payload:
         raise TraceInvariantError(payload["invariant_violation"])
-    from ..kernel import Kernel
-    image = Kernel().link(workload.program)
+    if image is None:
+        image = Kernel().link(workload.program)
     profilers = {}
     for config in configs:
         profiler = config.build(image)
@@ -108,42 +122,56 @@ def run_suite_parallel(workloads: Sequence[Workload],
                        retries: int = 1,
                        verbose: bool = False,
                        sim: str = "step",
-                       cache_dir: Optional[str] = None):
+                       cache: Optional[SimCache] = None):
     """Simulate *workloads* on up to *jobs* worker processes.
 
-    Returns a :class:`~repro.harness.runner.SuiteResult`; benchmarks
-    whose worker failed (after retries) appear in ``failures`` instead
-    of ``results``.  *sim* and *cache_dir* forward the simulation fast
-    path and cache root to every worker; a benchmark that exhausts
-    *max_cycles* lands in ``failures`` with kind ``"max-cycles"``.
+    Returns a :class:`~repro.harness.runner.SuiteResult` in input
+    order; benchmarks whose worker failed (after retries) appear in
+    ``failures`` instead of ``results``.  With a *cache* every hit is
+    replayed here and only misses reach the pool.  *sim* and *cache*
+    forward the simulation fast path and the cache to every worker; a
+    benchmark that exhausts *max_cycles* lands in ``failures`` with
+    kind ``"max-cycles"``.
     """
     from ..harness.runner import SuiteResult
 
     configs = tuple(profilers)
-    pool_jobs: List[PoolJob] = [
-        PoolJob(name=workload.name, func=simulate_benchmark,
-                args=(workload, configs, max_cycles, sanitize, sim,
-                      cache_dir),
-                timeout=timeout)
-        for workload in workloads]
-
-    if verbose and pool_jobs:
-        print(f"[suite] {len(pool_jobs)} benchmark(s) on "
-              f"{min(jobs, len(pool_jobs))} worker(s)", flush=True)
-    report = run_jobs(pool_jobs, workers=jobs, retries=retries,
-                      verbose=verbose)
-
+    config = CoreConfig.boom_4wide()
     results: Dict[str, ExperimentResult] = {}
-    failures: Dict[str, JobFailure] = dict(report.failures)
+    misses: Dict[str, Tuple[Workload, Program]] = {}
     for workload in workloads:
-        if workload.name not in report.results:
-            continue
-        payload = report.results[workload.name]
-        if "max_cycles_exceeded" in payload:
-            failures[workload.name] = JobFailure(
-                workload.name, "max-cycles", 1,
-                payload["max_cycles_exceeded"])
-            continue
-        results[workload.name] = rebuild_result(workload, configs,
-                                                payload)
-    return SuiteResult(results, failures=failures)
+        image = Kernel().link(workload.program)
+        if cache is not None:
+            key = cache.key_for(image, config, premapped=workload.premapped)
+            hit = replay_cached(image, configs, config, cache, key,
+                                max_cycles, sanitize)
+            if hit is not None:
+                results[workload.name] = hit
+                continue
+        misses[workload.name] = workload, image
+
+    failures: Dict[str, JobFailure] = {}
+    if misses:
+        pool_jobs = [
+            PoolJob(name=name, func=simulate_benchmark,
+                    args=(workload, configs, max_cycles, sanitize, sim,
+                          cache),
+                    timeout=timeout)
+            for name, (workload, _image) in misses.items()]
+        if verbose:
+            print(f"[suite] {len(pool_jobs)} benchmark(s) on "
+                  f"{min(jobs, len(pool_jobs))} worker(s)", flush=True)
+        report = run_jobs(pool_jobs, workers=jobs, retries=retries,
+                          verbose=verbose)
+        failures.update(report.failures)
+        for name, payload in report.results.items():
+            if "max_cycles_exceeded" in payload:
+                failures[name] = JobFailure(
+                    name, "max-cycles", 1, payload["max_cycles_exceeded"])
+                continue
+            workload, image = misses[name]
+            results[name] = rebuild_result(workload, configs, payload,
+                                           image)
+    ordered = {workload.name: results[workload.name]
+               for workload in workloads if workload.name in results}
+    return SuiteResult(ordered, failures=failures)

@@ -1,15 +1,17 @@
 """Asyncio front-end to the per-job worker processes of the pool.
 
-The synchronous :mod:`repro.parallel.pool` drives worker processes with
-a blocking poll loop; a long-running asyncio server needs the same
-isolation guarantees (a worker that raises, hangs past its timeout, or
-dies can never corrupt the server or leak a process) without blocking
-the event loop.  :class:`AsyncPool` reuses the pool's worker entry
-point, process context and kill helper, but schedules each attempt as
-an awaitable: the result pipe is polled cooperatively, per-job
-deadlines are enforced against the loop clock, retries are bounded, and
-cancelling the awaiting task kills the worker process before the
-cancellation propagates.
+The synchronous :mod:`repro.parallel.pool` blocks its caller until a
+worker's result pipe or process sentinel is ready or a deadline passes;
+a long-running asyncio server needs the same isolation guarantees (a
+worker that raises, hangs past its timeout, or dies can never corrupt
+the server or leak a process) without blocking the event loop.
+:class:`AsyncPool` reuses the pool's worker entry point, process
+context and kill helper, but schedules each attempt as an awaitable:
+the result pipe is polled cooperatively every
+:data:`DEFAULT_POLL_INTERVAL` seconds, per-job deadlines are enforced
+against the loop clock, retries are bounded, and cancelling the
+awaiting task kills the worker process before the cancellation
+propagates.
 
 Concurrency is bounded by an :class:`asyncio.Semaphore`; attempts
 waiting for a slot are the pool's *queue depth*.  If worker processes

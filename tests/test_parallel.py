@@ -7,6 +7,7 @@ sampling profilers are checked in under ``tests/data/``, and serial,
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import oracle_tables
 from repro.analysis.profiles import profile_checksum
+from repro.cpu.core import CoreStats
 from repro.cpu.tracefile import read_index
 from repro.harness import (ProfilerConfig, default_profilers,
                            replay_experiment, run_suite)
@@ -223,6 +225,24 @@ def _slow_ok(value):
     return value
 
 
+@pytest.fixture
+def parent_never_sleeps(monkeypatch):
+    """``time.sleep`` fails in this process only.  The pool must wake on
+    worker events and deadlines, never on a timer; forked workers (the
+    ``hang`` injection, :func:`_slow_ok`) inherit the patch and still
+    sleep."""
+    parent = os.getpid()
+    sleep = time.sleep
+
+    def guarded(seconds):
+        if os.getpid() == parent:
+            raise AssertionError(f"the pool parent slept {seconds} s")
+        sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", guarded)
+
+
+@pytest.mark.usefixtures("parent_never_sleeps")
 def test_pool_runs_jobs_and_reports_attempts():
     jobs = [PoolJob(f"j{i}", _double, (i,)) for i in range(4)]
     report = run_jobs(jobs, workers=2)
@@ -232,6 +252,7 @@ def test_pool_runs_jobs_and_reports_attempts():
 
 
 @pytest.mark.parametrize("kind", INJECT_KINDS)
+@pytest.mark.usefixtures("parent_never_sleeps")
 def test_pool_failure_injection_yields_clean_report(kind):
     """A worker that raises, hangs past its timeout, or dies mid-job is
     retried and then reported -- never a hung suite or a poisoned
@@ -241,7 +262,7 @@ def test_pool_failure_injection_yields_clean_report(kind):
         PoolJob("bad", _double, (1,), timeout=0.5, inject=kind),
     ]
     start = time.monotonic()
-    report = run_jobs(jobs, workers=2, retries=1, poll_interval=0.01)
+    report = run_jobs(jobs, workers=2, retries=1)
     elapsed = time.monotonic() - start
     assert elapsed < 10  # the hang case must be bounded by the timeout
     assert report.results == {"good": 42}
@@ -254,19 +275,85 @@ def test_pool_failure_injection_yields_clean_report(kind):
     assert "bad" in str(failure)
 
 
+@pytest.mark.usefixtures("parent_never_sleeps")
 def test_pool_retry_then_succeed():
     job = PoolJob("flaky", _double, (5,), inject="raise",
                   inject_attempts=frozenset({0}))
-    report = run_jobs([job], workers=2, retries=2, poll_interval=0.01)
+    report = run_jobs([job], workers=2, retries=2)
     assert report.ok
     assert report.results == {"flaky": 10}
     assert report.attempts["flaky"] == 2
 
 
+@pytest.mark.usefixtures("parent_never_sleeps")
 def test_pool_crash_exit_code_reported():
     job = PoolJob("dies", _double, (1,), inject="die")
-    report = run_jobs([job], workers=2, retries=0, poll_interval=0.01)
+    report = run_jobs([job], workers=2, retries=0)
     assert "86" in report.failures["dies"].message
+
+
+@pytest.mark.usefixtures("parent_never_sleeps")
+def test_pool_hang_ends_at_its_deadline():
+    job = PoolJob("hangs", _double, (1,), timeout=0.5, inject="hang")
+    start = time.monotonic()
+    report = run_jobs([job], workers=2, retries=0)
+    elapsed = time.monotonic() - start
+    assert report.failures["hangs"].kind == "timeout"
+    assert 0.5 <= elapsed < 3.0
+
+
+class _RacingProcess:
+    """A worker that finished just as the parent looked: it sends its
+    result only when asked ``is_alive()``, then reports itself dead --
+    the order in which a real worker can race an empty poll of its
+    result pipe."""
+
+    exitcode = 0
+
+    def __init__(self, target, args, daemon):
+        from multiprocessing.connection import Connection
+        conn, self.func, self.args, _inject = args
+        # The worker's end of the pipe outlives the parent's close of
+        # its copy, as in a forked child.
+        self.conn = Connection(os.dup(conn.fileno()), readable=False)
+        # A pipe at end-of-file: ready at once, like a dead worker's
+        # sentinel.
+        self.sentinel, write = os.pipe()
+        os.close(write)
+
+    def start(self):
+        pass
+
+    def is_alive(self):
+        if not self.conn.closed:
+            self.conn.send(("ok", self.func(*self.args)))
+            self.conn.close()
+        return False
+
+    def terminate(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+    def close(self):
+        os.close(self.sentinel)
+
+
+class _RacingContext:
+    Pipe = staticmethod(multiprocessing.Pipe)
+    Process = _RacingProcess
+
+
+@pytest.mark.usefixtures("parent_never_sleeps")
+def test_pool_result_that_races_the_exit_is_not_a_crash(monkeypatch):
+    import repro.parallel.pool as pool_mod
+    monkeypatch.setattr(pool_mod, "_pool_context", _RacingContext)
+    report = run_jobs([PoolJob("raced", _double, (4,))], workers=2,
+                      retries=0)
+    assert report.ok, report.failures
+    assert report.results == {"raced": 8}
+    assert report.attempts == {"raced": 1}
 
 
 def test_pool_serial_degradation():
@@ -279,9 +366,10 @@ def test_pool_serial_degradation():
     assert report.results == {f"j{i}": 2 * i for i in range(3)}
 
 
+@pytest.mark.usefixtures("parent_never_sleeps")
 def test_pool_many_jobs_few_workers():
     jobs = [PoolJob(f"j{i}", _slow_ok, (i,)) for i in range(6)]
-    report = run_jobs(jobs, workers=2, poll_interval=0.01)
+    report = run_jobs(jobs, workers=2)
     assert report.ok
     assert report.results == {f"j{i}": i for i in range(6)}
 
@@ -348,13 +436,20 @@ def test_parallel_suite_reports_worker_failure(monkeypatch):
     assert "exchange2" not in result.results
 
 
+def _run_stats(result):
+    """Core statistics minus the fields that say how the run was driven."""
+    return {name: value for name, value in result.stats.to_dict().items()
+            if name not in CoreStats.DRIVER_FIELDS}
+
+
 def _assert_same_results(pooled, serial):
-    """Cycles, every Oracle table and every sample stream, exactly."""
+    """Core statistics, every Oracle table and every sample stream,
+    exactly."""
     assert pooled.ok and serial.ok
     assert list(pooled.results) == list(serial.results)
     for name, want in serial.results.items():
         got = pooled.results[name]
-        assert got.stats.cycles == want.stats.cycles, name
+        assert _run_stats(got) == _run_stats(want), name
         assert oracle_tables(got.oracle) == oracle_tables(want.oracle), name
         for label, profiler in want.profilers.items():
             assert profile_checksum(got.profilers[label].samples) == \
@@ -364,6 +459,74 @@ def _assert_same_results(pooled, serial):
 @pytest.fixture(scope="module")
 def namd():
     return build_suite(["namd"], scale=0.02)
+
+
+@pytest.fixture(scope="module")
+def sweep_pair():
+    """One Compute and one Stall benchmark, small enough to pool fast."""
+    return build_suite(["namd", "fotonik3d"], scale=0.02)
+
+
+def _pool_job_names(monkeypatch):
+    """Names of the jobs that reach the pool from the suite runner."""
+    import repro.parallel.suite as suite_mod
+    names = []
+    original = suite_mod.run_jobs
+
+    def recording(jobs, *args, **kwargs):
+        names.extend(job.name for job in jobs)
+        return original(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(suite_mod, "run_jobs", recording)
+    return names
+
+
+def test_pooled_warm_run_replays_every_hit_in_the_parent(sweep_pair,
+                                                         tmp_path,
+                                                         monkeypatch):
+    configs = default_profilers(13)
+    cache = str(tmp_path)
+    run_suite(sweep_pair, profilers=configs, sim="fast", cache=cache)
+    serial = run_suite(sweep_pair, profilers=configs, sim="fast",
+                       cache=cache)
+    reached_pool = _pool_job_names(monkeypatch)
+    pooled = run_suite(sweep_pair, profilers=configs, sim="fast",
+                       cache=cache, jobs=2)
+    assert reached_pool == []
+    assert all(result.cached for result in pooled.results.values())
+    _assert_same_results(pooled, serial)
+
+
+def test_pooled_run_sends_only_misses_to_workers(sweep_pair, tmp_path,
+                                                 monkeypatch):
+    hit, miss = sweep_pair
+    configs = default_profilers(13)
+    cache = str(tmp_path)
+    run_suite([hit], profilers=configs, sim="fast", cache=cache)
+    serial = run_suite(sweep_pair, profilers=configs, sim="fast")
+    reached_pool = _pool_job_names(monkeypatch)
+    pooled = run_suite(sweep_pair, profilers=configs, sim="fast",
+                       cache=cache, jobs=2)
+    assert reached_pool == [miss.name]
+    assert [result.cached for result in pooled.results.values()] == \
+        [True, False]
+    _assert_same_results(pooled, serial)
+
+
+def test_pooled_run_keeps_the_cache_budget(sweep_pair, tmp_path):
+    """Workers record into the parent's cache with its size budget, not
+    into a default-budget cache at the same root."""
+    from repro.simfast import SimCache
+    configs = default_profilers(13)
+    budget = 120_000  # fits either trace alone, not both
+    serial = SimCache(str(tmp_path / "serial"), max_bytes=budget)
+    pooled = SimCache(str(tmp_path / "pooled"), max_bytes=budget)
+    run_suite(sweep_pair, profilers=configs, sim="fast", cache=serial)
+    run_suite(sweep_pair, profilers=configs, sim="fast", cache=pooled,
+              jobs=2)
+    assert serial.stats()["entries"] == 1
+    assert pooled.stats()["entries"] == 1
+    assert pooled.stats()["bytes"] <= budget
 
 
 def test_pooled_run_ignores_suite_scale(namd):

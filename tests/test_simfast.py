@@ -377,6 +377,17 @@ def test_checksum_valid_corrupt_entry_recovers(tmp_path):
     # The entry was re-filled and verifies again.
     assert cache.verify() == {key: True}
 
+    # A pooled run looks the entry up in the parent, which evicts and
+    # warns the same way; a worker then re-simulates the workload.
+    _forge_corrupt_entry(cache, key)
+    with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+        pooled = run_suite([workload], profilers=configs, sim="fast",
+                           cache=cache, jobs=2)[workload.name]
+    assert not pooled.cached
+    assert pooled.stats.to_dict() == pristine.stats.to_dict()
+    assert pooled.errors() == pristine.errors()
+    assert cache.verify() == {key: True}
+
 
 def test_cli_profile_corrupt_cache_warns_on_stderr(tmp_path):
     """A corrupt entry must surface as a warning, not a traceback."""
@@ -534,9 +545,13 @@ def test_cache_hit_builds_no_machine(tmp_path, monkeypatch):
             profile_checksum(profiler.samples), label
 
 
-@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("cached, jobs", [(False, 1), (True, 1), (True, 2)],
+                         ids=["False", "True", "True-jobs2"])
 def test_run_links_once_and_keys_at_most_once(tmp_path, monkeypatch,
-                                              cached):
+                                              cached, jobs):
+    """A pooled run links and keys in the parent, so a pooled hit costs
+    one link and one key, like a serial one.  The counters are per
+    process: a pooled miss keys a second time in its worker."""
     import repro.simfast.cache as cache_mod
     from repro.kernel import Kernel
     calls = {"link": 0, "digest": 0}
@@ -555,7 +570,7 @@ def test_run_links_once_and_keys_at_most_once(tmp_path, monkeypatch,
     cache = str(tmp_path) if cached else None
     for hit in (False, cached):  # a miss (or an uncached run), a hit
         calls.update(link=0, digest=0)
-        result = run_workload(workload, profilers, sim="fast",
-                              cache=cache)
+        result = run_suite([workload], profilers=profilers, sim="fast",
+                           cache=cache, jobs=jobs)[workload.name]
         assert result.cached == hit
         assert calls == {"link": 1, "digest": int(cached)}
