@@ -49,8 +49,8 @@ def profile_checksum(samples: Iterable[Sample]) -> str:
 
     Covers cycle, interval, category and the exact attribution weights
     (via ``repr``, which round-trips floats), so two sample lists hash
-    equal iff they are bit-identical.  Used to assert sharded replay
-    equals serial replay (CI's parallel-replay job).
+    equal iff they are bit-identical.  Used to assert that replayed,
+    pooled, cached and fast-path runs equal the reference run.
     """
     digest = hashlib.sha256()
     for sample in samples:

@@ -17,13 +17,9 @@ Commands
     chunk-indexed v3).
 ``replay trace.bin FILE.s``
     Re-profile a recorded v3 trace without re-simulating, one columnar
-    block per chunk; ``--jobs N`` shards it over worker processes
-    (bit-identical results).
+    block per chunk.
 ``convert-trace trace.bin -o trace2.bin``
     Upgrade a legacy v1/v2 trace to v3 (or re-chunk a v3 trace).
-``bench``
-    Time the simulate/record/replay/suite pipeline and write
-    ``BENCH_pipeline.json``.
 ``bench --trace trace.bin --program FILE.s``
     Time per-record against block replay on a recorded trace and
     write ``BENCH_hotpath.json`` (``--quick`` for CI smoke runs).
@@ -276,31 +272,23 @@ def cmd_replay(args) -> int:
     from .analysis import profile_error
     from .harness import ProfilerConfig, replay_experiment
     from .kernel import Kernel
-    from .parallel import ProgramSpec
     with open(args.program) as handle:
-        source = handle.read()
-    program = assemble(source, name=args.program)
+        program = assemble(handle.read(), name=args.program)
     image = Kernel().link(program)
     mode = "random" if args.random else "periodic"
     configs = [ProfilerConfig(args.policy, args.period, mode)]
-    spec = ProgramSpec(kind="asm", source=source, name=args.program)
     try:
         result = replay_experiment(args.trace, image, configs,
-                                   sanitize=args.sanitize, jobs=args.jobs,
-                                   spec=spec)
+                                   sanitize=args.sanitize)
     except (OSError, ValueError) as exc:
         print(f"cannot replay {args.trace}: {exc}", file=sys.stderr)
         return 2
-    outcome = result.replay
     profiler = result.profilers[args.policy]
     granularity = Granularity(args.granularity)
     error = profile_error(profiler, result.oracle, result.symbolizer,
                           granularity)
-    print(f"replayed {outcome.cycles} cycles, "
-          f"{len(profiler.samples)} samples "
-          f"({outcome.mode}, {outcome.shards} shard(s))")
-    if outcome.fallback_reason:
-        print(f"note: serial fallback: {outcome.fallback_reason}")
+    print(f"replayed {result.oracle.total_cycles} cycles, "
+          f"{len(profiler.samples)} samples")
     print(f"{args.policy} {granularity.value}-level error: {error:.2%}")
     if result.sanitizer is not None:
         print(result.sanitizer.summary())
@@ -323,23 +311,10 @@ def cmd_convert_trace(args) -> int:
 def cmd_bench(args) -> int:
     if args.sim:
         return _cmd_bench_sim(args)
-    if args.trace:
-        if not args.program:
-            print("--trace requires --program", file=sys.stderr)
-            return 2
-        return _cmd_bench_hotpath(args)
-    from .parallel import render_bench, run_bench
-    benchmarks = args.benchmarks or None
-    if _reject_unknown_benchmarks(benchmarks):
+    if not args.program:
+        print("--trace requires --program", file=sys.stderr)
         return 2
-    from .parallel.bench import DEFAULT_BENCHMARKS
-    result = run_bench(output=args.output,
-                       benchmarks=benchmarks or DEFAULT_BENCHMARKS,
-                       scale=args.scale, jobs=args.jobs,
-                       chunk_cycles=args.chunk_cycles,
-                       compress=args.compress, verbose=True)
-    print(render_bench(result))
-    return 0 if result["checksums_equal"] else 1
+    return _cmd_bench_hotpath(args)
 
 
 def _cmd_bench_sim(args) -> int:
@@ -700,8 +675,7 @@ def cmd_serve(args) -> int:
 
 def _submit_spec(args):
     """Build the JobSpec for a submit target (None if unresolvable)."""
-    from .parallel import ProgramSpec
-    from .serve import JobSpec
+    from .serve import JobSpec, ProgramSpec
     mode = "random" if args.random else "periodic"
     common = dict(period=args.period, mode=mode)
     if os.path.isfile(args.target):
@@ -941,9 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "NCI+ILP", "TIP-ILP", "TIP"])
     replay.add_argument("--granularity", default="instruction",
                         choices=[g.value for g in Granularity])
-    replay.add_argument("--jobs", type=int, default=1,
-                        help="shard the replay over N worker processes "
-                             "(bit-identical to serial)")
     _add_common(replay)
     _add_sanitize(replay)
     replay.set_defaults(func=cmd_replay)
@@ -960,19 +931,16 @@ def build_parser() -> argparse.ArgumentParser:
     convert.set_defaults(func=cmd_convert_trace)
 
     bench = sub.add_parser(
-        "bench", help="time the simulate/record/replay/suite pipeline")
+        "bench", help="time block replay (--trace) or the simulation "
+                      "fast paths (--sim)")
     bench.add_argument("benchmarks", nargs="*")
-    bench.add_argument("-o", "--output", default="BENCH_pipeline.json")
-    bench.add_argument("--scale", type=float, default=0.2)
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: CPU count)")
-    bench.add_argument("--chunk-cycles", type=int,
-                       default=DEFAULT_CHUNK_CYCLES)
-    bench.add_argument("--compress", action="store_true")
-    bench.add_argument("--trace",
-                       help="recorded trace: benchmark per-record "
-                            "against block replay on it instead of "
-                            "the full pipeline")
+    what = bench.add_mutually_exclusive_group(required=True)
+    what.add_argument("--trace",
+                      help="recorded trace: benchmark per-record "
+                           "against block replay on it")
+    what.add_argument("--sim", action="store_true",
+                      help="benchmark step vs fast-forward vs "
+                           "cache-hit simulation")
     bench.add_argument("--program",
                        help="assembly source the trace was recorded "
                             "from (required with --trace)")
@@ -982,10 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling seed for --trace runs")
     bench.add_argument("--hotpath-output", default="BENCH_hotpath.json",
                        help="output file for --trace runs")
-    bench.add_argument("--sim", action="store_true",
-                       help="benchmark step vs fast-forward vs "
-                            "cache-hit simulation instead of the "
-                            "full pipeline")
     bench.add_argument("--sim-output", default="BENCH_sim.json",
                        help="output file for --sim runs")
     _add_common(bench)
@@ -1006,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lint assembly files, directories of .s files, "
                     "suite benchmark names, or imagick-orig/imagick-opt. "
                     "With --observers, targets are Python sources checked "
-                    "against the observer/profiler contracts (C001, C003, "
+                    "against the observer/profiler contracts (C001, "
                     "C004). "
                     "Exit status: 0 clean, 1 diagnostics found, 2 "
                     "usage/internal error.")

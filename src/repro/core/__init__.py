@@ -2,7 +2,7 @@
 
 from .baselines import (DispatchProfiler, LciProfiler, NciIlpProfiler,
                         NciProfiler, SoftwareProfiler)
-from .oracle import OracleProfiler, OracleReport, merge_oracle_snapshots
+from .oracle import OracleProfiler, OracleReport
 from .perfio import PerfDecoder, PerfEncoder, PerfSession, RecordLayout
 from .overhead import (OverheadSummary, oracle_data_rate,
                        sample_payload_bytes, sample_record_bytes,
@@ -16,7 +16,6 @@ from .tip import TipIlpProfiler, TipProfiler
 __all__ = [
     "DispatchProfiler", "LciProfiler", "NciIlpProfiler", "NciProfiler",
     "SoftwareProfiler", "OracleProfiler", "OracleReport",
-    "merge_oracle_snapshots",
     "PerfDecoder", "PerfEncoder", "PerfSession", "RecordLayout",
     "OverheadSummary", "oracle_data_rate", "sample_payload_bytes",
     "sample_record_bytes", "sampling_data_rate", "summarize",

@@ -48,10 +48,6 @@ class SoftwareProfiler(SamplingProfiler):
             raise ValueError("skid_cycles must be >= 0")
         self.skid_cycles = skid_cycles
         self._deliver_at: Optional[int] = None
-        # With skid, resolution depends on when the pending sample was
-        # taken, not only on the record stream -- a shard worker cannot
-        # reproduce it, so sharded replay falls back to serial.
-        self.shardable = skid_cycles == 0
 
     def _attribute(self, record: CycleRecord) -> Optional[Outcome]:
         if self.skid_cycles == 0:
@@ -126,9 +122,6 @@ class LciProfiler(SamplingProfiler):
     def _update_state(self, record: CycleRecord) -> None:
         if record.committed:
             self._last_committed = record.committed[-1].addr
-
-    def _restore_carry(self, carry) -> None:
-        self._last_committed = carry.last_committed
 
     def _attribute(self, record: CycleRecord) -> Optional[Outcome]:
         if self._last_committed is not None:

@@ -20,7 +20,7 @@ cycle; ``UNITS`` is lcm(1..15) and a trace record holds at most 15
 commits, so each of ``n`` co-committing instructions gets exactly
 ``UNITS // n`` and a run of ``count`` identical cycles is one add of
 ``count * UNITS``.  Counts therefore do not depend on the order in which
-cycles, runs, blocks or shards arrive.  Floats appear only in
+cycles, runs or blocks arrive.  Floats appear only in
 :class:`OracleReport`, each the correctly rounded quotient of its count.
 
 Besides the full per-instruction time profile and per-category cycle
@@ -36,7 +36,7 @@ per-interval attributions serve the stricter per-sample diagnostic,
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cpu.trace import CycleRecord, TraceObserver
 from ..isa.program import Program
@@ -60,8 +60,7 @@ _WIRE_NOPT = tuple(bin(f & 0b11010).count("1") for f in range(256))
 ScheduleKey = Tuple[int, str, int]
 
 #: OIR flush kinds, coded like the ``KIND_*`` chunk-carry values of
-#: ``repro.cpu.tracefile`` (mirrored; :meth:`OracleProfiler.begin_shard`
-#: copies a carry's code as is); code 0 means no flush reason.
+#: ``repro.cpu.tracefile`` (mirrored); code 0 means no flush reason.
 _FLUSH_KINDS = (None, FlushKind.MISPREDICT, FlushKind.CSR,
                 FlushKind.EXCEPTION, FlushKind.ORDERING)
 _KIND_MISPREDICT, _KIND_CSR, _KIND_EXCEPTION, _KIND_ORDERING = 1, 2, 3, 4
@@ -144,7 +143,7 @@ class OracleProfiler(TraceObserver):
     Attribution follows the trace in cycle order (front-end drains are
     held back until the drain resolves, but nothing can be attributed in
     between), so each watched schedule meets its sample points in order.
-    The report is filled once, by :meth:`on_finish` or :meth:`absorb`.
+    The report is filled once, by :meth:`on_finish`.
     """
 
     def __init__(self, program: Program,
@@ -329,44 +328,6 @@ class OracleProfiler(TraceObserver):
                       for watch in self._watches})
         self.report.total_cycles = final_cycle
 
-    # -- sharded replay (snapshot/merge protocol) ------------------------------------
-
-    def begin_shard(self, start_cycle: int, carry) -> None:
-        """Resume attribution mid-stream from carried chunk state."""
-        for watch in self._watches:
-            watch.seek(start_cycle)
-        self._oir_addr = carry.oir_addr
-        self._oir_kind = carry.oir_kind
-
-    def shard_settled(self) -> bool:
-        return not self._pending
-
-    def resolve_only(self, record: CycleRecord) -> bool:
-        """Run-over mode: resolve a trailing front-end drain only."""
-        if self._pending and record.dispatched:
-            self._resolve_drain(record.dispatched[0])
-        return not self._pending
-
-    def snapshot(self) -> dict:
-        """Picklable capture, in units, of everything this shard
-        attributed."""
-        return {
-            "units": self._units,
-            "watched": self._watched,
-            "intervals": {schedule_key(watch.schedule): watch.intervals
-                          for watch in self._watches},
-            # Partial interval accumulation past the last sample point,
-            # folded into the successor shard's first interval on merge.
-            "residuals": {schedule_key(watch.schedule): watch.current
-                          for watch in self._watches},
-        }
-
-    def absorb(self, snapshots: Iterable[dict],
-               total_cycles: int) -> None:
-        """Merge-side leg of the shard protocol: fill this (fresh)
-        profiler's report from ordered shard snapshots."""
-        self.report = merge_oracle_snapshots(snapshots, total_cycles)
-
     # -- internals -------------------------------------------------------------------
 
     def _commit(self, cycle: int, addrs: List[int]) -> None:
@@ -459,11 +420,6 @@ def _share(cycle: int, commits: int) -> int:
     return UNITS // commits
 
 
-def _add_into(target: Dict[int, int], source: Dict[int, int]) -> None:
-    for key, count in source.items():
-        target[key] = target.get(key, 0) + count
-
-
 def _to_cycles(counts: Dict) -> Dict:
     """Convert unit counts to cycles, in place, correctly rounded."""
     for key, count in counts.items():
@@ -500,35 +456,3 @@ def _fill_report(report: OracleReport, units: Dict[int, int],
         for counts in per_cycle.values():
             _to_cycles(counts)
     report.intervals = intervals
-
-
-def merge_oracle_snapshots(snapshots: Iterable[dict],
-                           total_cycles: int) -> OracleReport:
-    """Combine ordered shard snapshots into one :class:`OracleReport`.
-
-    Every cycle is attributed in exactly one shard, so unit counts add
-    and watched cycles union.  Interval accumulations that span a shard
-    boundary are stitched: a shard's *residual* (attribution past its
-    last sample point) is folded into the successor's first interval.
-    Counts are integers, so the merge equals a serial replay exactly.
-    """
-    units: Dict[int, int] = {}
-    watched: Dict[int, Tuple[Attribution, Category]] = {}
-    intervals: Dict[ScheduleKey, Dict[int, Dict[int, int]]] = {}
-    carries: Dict[ScheduleKey, Dict[int, int]] = {}
-    for snap in snapshots:
-        _add_into(units, snap["units"])
-        watched.update(snap["watched"])
-        for key, per_cycle in snap["intervals"].items():
-            merged = intervals.setdefault(key, {})
-            carry = carries.get(key, {})
-            for cycle, counts in per_cycle.items():  # in cycle order
-                merged[cycle] = interval = dict(counts)
-                _add_into(interval, carry)
-                carry = {}
-            _add_into(carry, snap["residuals"][key])
-            carries[key] = carry
-    report = OracleReport()
-    _fill_report(report, units, watched, intervals)
-    report.total_cycles = total_cycles
-    return report

@@ -45,11 +45,6 @@ class SamplingProfiler(TraceObserver):
     #: Whether samples may carry multiple addresses (sizes the perf
     #: record, Section 3.2).
     ilp_aware = False
-    #: Whether pending-sample resolution depends only on the record
-    #: stream, which is what sharded replay requires (see
-    #: :mod:`repro.parallel.shard`).  Profilers whose resolution depends
-    #: on per-sample state (Software with interrupt skid) clear this.
-    shardable = True
     #: Whether this profiler implements the columnar ``_block_*`` hooks.
     #: When clear, ``on_block`` falls back to a loop over ``on_cycle``.
     block_native = False
@@ -194,51 +189,7 @@ class SamplingProfiler(TraceObserver):
     def _block_update_tail(self, block) -> None:
         """Advance carried policy state past the whole block (hook)."""
 
-    # -- sharded replay (snapshot/merge protocol) --------------------------------------
-    #
-    # A trace split at chunk boundaries can be replayed by parallel
-    # workers: each worker builds a fresh profiler, calls
-    # ``begin_shard`` with the chunk's carried state, feeds its records
-    # through ``on_cycle``, then feeds subsequent records through
-    # ``resolve_only`` until no pending samples remain (a pending
-    # sample resolves at the first qualifying record after it is taken,
-    # wherever that record lives).  ``snapshot`` captures the worker's
-    # samples; concatenating shard snapshots in order reproduces the
-    # serial sample list bit for bit.
-
-    def begin_shard(self, start_cycle: int, carry) -> None:
-        """Prepare to consume records starting at *start_cycle*.
-
-        *carry* is the :class:`~repro.cpu.tracefile.ChunkCarry` of the
-        first chunk of the shard.  The schedule is fast-forwarded so
-        sampling continues exactly where a serial replay would be.
-        """
-        self._prev_sample_cycle = self.schedule.fast_forward(start_cycle)
-        self._restore_carry(carry)
-
-    def _restore_carry(self, carry) -> None:
-        """Restore policy state from carried chunk state (hook)."""
-
-    def shard_settled(self) -> bool:
-        """True when no pending samples need run-over records."""
-        return not self._pending
-
-    def resolve_only(self, record: CycleRecord) -> bool:
-        """Run-over mode: resolve pendings against a post-shard record.
-
-        Called with the records *after* the shard's end until it
-        returns True; never takes new samples and never updates policy
-        state (records past the boundary belong to the next shard).
-        """
-        if self._pending:
-            outcome = self._resolve(record)
-            if outcome is not None:
-                weights, category = outcome
-                for sample in self._pending:
-                    sample.weights = weights
-                    sample.category = category
-                self._pending.clear()
-        return not self._pending
+    # -- pooled runs: samples cross processes as snapshots --------------------
 
     def snapshot(self) -> dict:
         """Picklable capture of this profiler's collected samples."""
@@ -249,7 +200,8 @@ class SamplingProfiler(TraceObserver):
         }
 
     def restore_snapshots(self, snapshots) -> None:
-        """Fill this (fresh) profiler from ordered shard snapshots."""
+        """Fill this (fresh) profiler from ordered snapshots (a pool
+        worker's payload)."""
         for snap in snapshots:
             for cycle, interval, weights, category in snap["samples"]:
                 self.samples.append(

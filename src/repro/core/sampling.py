@@ -78,8 +78,7 @@ class SampleSchedule:
         ``is_sample`` was called for every cycle in ``[0, start_cycle)``
         -- including the RNG draw sequence in random mode, which draws
         once per period interval.  Returns the last sample cycle that
-        was skipped (``-1`` if none), which is the value a profiler
-        needs for ``_prev_sample_cycle`` when it resumes mid-stream.
+        was skipped (``-1`` if none).
         """
         prev = -1
         while self._next < start_cycle:

@@ -68,11 +68,6 @@ class TipProfiler(SamplingProfiler):
             self._oir_addr = record.exception
             self._oir_flag = _FLAG_EXCEPTION
 
-    def _restore_carry(self, carry) -> None:
-        # ChunkCarry OIR flag values match the _FLAG_* constants.
-        self._oir_addr = carry.oir_addr
-        self._oir_flag = carry.oir_flag
-
     # -- sample selection unit (Figure 6) ----------------------------------------------
 
     def _attribute(self, record: CycleRecord) -> Optional[Outcome]:

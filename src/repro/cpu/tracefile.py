@@ -25,8 +25,8 @@ workers (see :mod:`repro.parallel`), and *zero-copy columnar*:
   commit-meta bytes, each column 8-byte aligned.
 
 Decoding a chunk is therefore a handful of ``memoryview`` casts over an
-``mmap`` of the trace file -- no per-record Python loop -- and forked
-shard workers that map the same file share its pages.  Everything is
+``mmap`` of the trace file -- no per-record Python loop -- and
+processes that map the same file share its pages.  Everything is
 little-endian on disk; on big-endian hosts the reader falls back to
 ``array.byteswap`` copies.  zlib compression stays available as an
 opt-out that falls back to buffer copies.  Cycle numbers are implicit
@@ -37,7 +37,9 @@ to *cold-start* at a chunk boundary exactly as if it had consumed the
 whole prefix: the Offending Instruction Register mirror (address, flag,
 flush kind), the last committed address, and whether the previous cycle
 flushed (for the sanitizer's drain check).  All of it is derivable from
-the trace prefix, so it is computed once at record time.
+the trace prefix, so it is computed once at record time.  The writer
+keeps computing it for format compatibility; no replay reads it, since
+replay always starts at the first chunk.
 
 Formats v1 (``TIPTRC01``) and v2 (``TIPTRC02``) are read-only legacy
 input: :func:`read_trace` still decodes them and :func:`convert_trace`
@@ -145,9 +147,10 @@ KIND_ORDERING = 4
 class ChunkCarry:
     """Machine state carried into a chunk boundary.
 
-    Restoring this state lets any profiler start consuming records at
-    the chunk's first cycle with bit-identical behaviour to a serial
-    replay of the whole prefix.
+    It is the state a profiler would need to start consuming records
+    at the chunk's first cycle as if it had replayed the whole prefix.
+    Part of the v3 format; replay reads chunks from the first one and
+    never restores it.
     """
 
     #: OIR mirror: youngest committing/excepting instruction address.
@@ -465,10 +468,9 @@ class TraceWriterV3(TraceObserver):
     behind a per-column offset table, so readers decode by casting an
     ``mmap`` of the file instead of looping over records.  A block that
     crosses a chunk boundary is sliced there.  Each chunk header stores
-    the cycle range and the machine state carried into the chunk --
-    computed once per chunk, at flush, from the previous chunk's
-    columns -- so parallel workers can replay any chunk range
-    independently (:mod:`repro.parallel.shard`).
+    the cycle range and the machine state carried into the chunk
+    (:class:`ChunkCarry`), computed once per chunk, at flush, from the
+    previous chunk's columns.
 
     *stream* may be an open binary stream or a filesystem path.  In
     path mode the writer is **atomic**: it writes to a unique ``*.tmp``
@@ -740,8 +742,8 @@ class TraceReaderV3:
 
     Path sources are ``mmap``-ed read-only: decoding a chunk is then a
     set of ``memoryview`` casts straight over the mapping -- the OS
-    page cache is the only copy, and forked shard workers that open the
-    same path share those pages.  ``bytes`` sources are viewed in
+    page cache is the only copy, and processes that open the same path
+    share those pages.  ``bytes`` sources are viewed in
     place; stream sources are read into one buffer.  zlib-compressed
     traces fall back to one decompress-copy per chunk.  Raises
     :class:`ValueError` for legacy v1/v2 traces (upgrade them with

@@ -128,11 +128,14 @@ class ExperimentResult:
 
 
 def _observers(image: Program, profilers: Sequence[ProfilerConfig],
-               config: CoreConfig, sanitize: bool):
+               config: Optional[CoreConfig], sanitize: bool):
     """Fresh (sanitizer or ``None``, Oracle, label -> profiler) for one
-    run of *image*."""
+    run of *image*.  Without a *config* the sanitizer infers commit
+    width and bank count from the trace."""
     sanitizer = None
-    if sanitize:
+    if sanitize and config is None:
+        sanitizer = TraceSanitizer(program=image)
+    elif sanitize:
         sanitizer = TraceSanitizer(program=image,
                                    commit_width=config.commit_width,
                                    banks=config.rob_banks)
@@ -195,7 +198,7 @@ def replay_cached(image: Program, profilers: Sequence[ProfilerConfig],
             CacheCorruptionWarning, stacklevel=3)
         return None
     # Replay reports the last record's cycle; the simulator reports the
-    # cycle after it (same fixup as replay_serial).
+    # cycle after it (same fixup as replay_experiment).
     oracle.report.total_cycles = hit.stats.cycles
     result = ExperimentResult(image, oracle.report, built, hit.stats,
                               sanitizer=sanitizer)
@@ -274,12 +277,7 @@ def run_experiment(program: Program,
 
 def replay_experiment(trace, image: Program,
                       profilers: Sequence[ProfilerConfig],
-                      sanitize: bool = False,
-                      jobs: int = 1,
-                      spec=None,
-                      timeout: Optional[float] = None,
-                      retries: int = 1,
-                      verbose: bool = False) -> ExperimentResult:
+                      sanitize: bool = False) -> ExperimentResult:
     """Re-profile a recorded trace out-of-band (no re-simulation).
 
     The trace is read **once** no matter how many profilers are
@@ -287,38 +285,28 @@ def replay_experiment(trace, image: Program,
     single :class:`~repro.lint.TraceSanitizer` observe the same pass.
     Attaching the sanitizer per profiler pass would both re-read the
     trace N times and multiply its cycle counts by N; ``cycles_checked``
-    equals the trace length exactly.
+    equals the trace length exactly.  The sanitizer infers commit width
+    and bank count from the trace.
 
     *trace* must be a v3 trace; each chunk becomes a columnar
     :class:`~repro.fastpath.CycleBlock` that every observer shares.
     Legacy v1/v2 traces raise :class:`ValueError` (upgrade them with
-    ``repro convert-trace``).  With *jobs* > 1 and a
-    :class:`~repro.parallel.shard.ProgramSpec` (*spec*) the replay is
-    sharded across worker processes with bit-identical profiler
-    samples; anything non-shardable silently falls back to this serial
-    path.
+    ``repro convert-trace``).
 
-    ``result.stats`` is ``None`` -- the simulator never ran.  The
-    underlying :class:`~repro.parallel.shard.ReplayOutcome` is exposed
-    as ``result.replay`` (mode, shard count, fallback reason).
+    ``result.stats`` is ``None`` -- the simulator never ran -- and
+    ``result.oracle.total_cycles`` is the trace length.
     """
-    from ..parallel.shard import replay_serial, replay_sharded
-    configs = tuple(profilers)
-    watch_keys = tuple(sorted({(p.period, p.mode, p.seed)
-                               for p in configs}))
-    if jobs > 1 and spec is not None:
-        outcome = replay_sharded(trace, spec, configs, jobs,
-                                 watch_keys=watch_keys,
-                                 sanitize=sanitize, image=image,
-                                 timeout=timeout, retries=retries,
-                                 verbose=verbose)
-    else:
-        outcome = replay_serial(trace, image, configs, watch_keys,
-                                sanitize)
-    result = ExperimentResult(image, outcome.oracle, outcome.profilers,
-                              stats=None, sanitizer=outcome.sanitizer)
-    result.replay = outcome
-    return result
+    from ..fastpath.engine import replay_blocks
+    sanitizer, oracle, built = _observers(image, profilers, None,
+                                          sanitize)
+    cycles = replay_blocks(
+        trace, *built.values(), oracle,
+        *([sanitizer] if sanitizer is not None else []))
+    # Replay reports the last record's cycle; a simulation reports the
+    # cycle after it.
+    oracle.report.total_cycles = cycles
+    return ExperimentResult(image, oracle.report, built, stats=None,
+                            sanitizer=sanitizer)
 
 
 def default_profilers(period: int, mode: str = "periodic", seed: int = 0,

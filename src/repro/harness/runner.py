@@ -156,7 +156,7 @@ def run_suite(workloads: Optional[Sequence[Workload]] = None,
             max_cycles=max_cycles, sanitize=sanitize,
             timeout=DEFAULT_JOB_TIMEOUT if timeout is None else timeout,
             retries=retries, verbose=verbose, sim=sim,
-            cache=resolve_cache(cache))
+            paranoid=paranoid, cache=resolve_cache(cache))
     results: Dict[str, ExperimentResult] = {}
     failures: Dict[str, JobFailure] = {}
     for workload in workloads:

@@ -18,8 +18,7 @@ Three analysis layers over the same invariants the profilers depend on:
   ``repro lint --cost`` / ``repro annotate``;
 * :mod:`repro.lint.contracts` -- an AST-based conformance checker for
   the observer/profiler contracts the fast paths rely on (block-native
-  hook pairing, batched-stall pairing, shard protocol completeness,
-  shared-state hazards): ``repro lint --observers``;
+  hook pairing, shared-state hazards): ``repro lint --observers``;
 * :mod:`repro.lint.sanitizer` -- a :class:`~repro.cpu.trace.TraceObserver`
   that validates every cycle of the commit-stage trace against the
   commit invariants (program order, commit width, flush-drain,

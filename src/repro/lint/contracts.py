@@ -2,21 +2,18 @@
 
 Observers see the trace through two entry points only -- ``on_cycle``
 for stepped cycles and ``on_block`` for every batch -- and the fast
-paths stay equivalent to cycle-stepping because observers keep three
-promises:
+paths and pool workers stay equivalent to a serial, cycle-stepped run
+because observers keep two promises:
 
 * **block-native pairing** (C001): a profiler advertising
   ``block_native = True`` must implement the columnar hooks the block
   engine calls (``_block_attribute``/``_block_scan_resolve``/
   ``_block_resolve_outcome``);
-* **shard protocol completeness** (C003): ``begin_shard`` + ``snapshot``
-  on the shard side and ``absorb``/``restore_snapshots`` on the merge
-  side only make sense together -- a partial implementation deadlocks
-  or silently drops state in ``--jobs N`` runs;
-* **no shared mutable state** (C004): methods executed inside shards
-  must not mutate module-level or class-level state; each shard runs in
-  its own process or interleaving, so such writes are lost, doubled or
-  raced depending on the executor.
+* **no shared mutable state** (C004): methods that consume the trace
+  must not mutate module-level or class-level state; pooled suite
+  workers and served jobs run observers in their own processes and
+  ship results back as snapshots, so such writes are lost, doubled or
+  raced depending on where the observer ran.
 
 This is a *static* companion to the dynamic hypothesis equivalence
 tests: ``repro lint --observers <paths>`` parses Python sources (no
@@ -38,20 +35,13 @@ from .diagnostics import Diagnostic, Severity
 #: recognisable base class.
 HOOK_NAMES = frozenset({
     "on_cycle", "on_block", "on_finish",
-    "begin_shard", "shard_settled", "resolve_only", "snapshot",
-    "restore_snapshots", "absorb",
+    "snapshot", "restore_snapshots", "absorb",
     "_block_attribute", "_block_scan_resolve", "_block_resolve_outcome",
     "_block_update_tail",
 })
 
 _BLOCK_HOOKS = ("_block_attribute", "_block_scan_resolve",
                 "_block_resolve_outcome")
-_SHARD_LEGS = ("begin_shard", "snapshot")
-_MERGE_LEGS = ("absorb", "restore_snapshots", "merge")
-
-#: The framework root whose hook bodies are *defaults*: inheriting
-#: them does not count as implementing a contract leg.
-_DEFAULT_BASE = "TraceObserver"
 
 #: Base classes that make a subclass observer-like by inheritance.
 _FRAMEWORK_BASES = frozenset({"TraceObserver", "SamplingProfiler"})
@@ -63,9 +53,7 @@ _FALLBACK_METHODS: Dict[str, Dict[str, bool]] = {
     "TraceObserver": {},  # its hooks are defaults, not overrides
     "SamplingProfiler": {
         "on_cycle": True, "on_finish": True,
-        "begin_shard": True, "shard_settled": True,
-        "resolve_only": True, "snapshot": True,
-        "restore_snapshots": True,
+        "snapshot": True, "restore_snapshots": True,
         "_block_attribute": False, "_block_scan_resolve": False,
         "_block_resolve_outcome": False, "_block_update_tail": True,
     },
@@ -73,7 +61,7 @@ _FALLBACK_METHODS: Dict[str, Dict[str, bool]] = {
 
 _FALLBACK_ATTRS: Dict[str, Dict[str, Any]] = {
     "TraceObserver": {},
-    "SamplingProfiler": {"block_native": False, "shardable": False},
+    "SamplingProfiler": {"block_native": False},
 }
 
 #: In-place mutator method names C004 watches for on shared objects.
@@ -83,8 +71,8 @@ _MUTATORS = frozenset({
     "reverse", "appendleft", "extendleft",
 })
 
-#: Methods that run on the merge side (parent process), where mutating
-#: shared state is the whole point.
+#: Methods that run where results are merged (the parent process) or
+#: the observer is built, where mutating shared state is the point.
 _MERGE_SIDE = frozenset({"absorb", "restore_snapshots", "merge",
                          "__init__", "__post_init__"})
 
@@ -277,11 +265,6 @@ class _Resolver:
                     return name, table[method]
         return None, None
 
-    def overrides(self, info: ClassInfo, method: str) -> bool:
-        """Concrete definition below the framework default base."""
-        name, concrete = self.find_method(info, method)
-        return bool(concrete) and name != _DEFAULT_BASE
-
     def attr(self, info: ClassInfo, attr: str) -> Any:
         for name in self.mro(info):
             parsed = self.registry.get(name)
@@ -344,27 +327,6 @@ def _check_block_native(info: ClassInfo,
     return out
 
 
-def _check_shard_protocol(info: ClassInfo,
-                          resolver: _Resolver) -> List[Diagnostic]:
-    local = [m for m in (_SHARD_LEGS + _MERGE_LEGS)
-             if m in info.methods and not _is_abstract(info.methods[m])]
-    if not local:
-        return []
-    missing = [leg for leg in _SHARD_LEGS
-               if not resolver.overrides(info, leg)]
-    if not any(resolver.overrides(info, leg) for leg in _MERGE_LEGS):
-        missing.append(" or ".join(_MERGE_LEGS[:2]))
-    if not missing:
-        return []
-    return [_diag(
-        "C003", Severity.ERROR,
-        f"{info.name} implements {', '.join(local)} but the shard "
-        f"protocol is incomplete: missing {', '.join(missing)}",
-        info=info, node=info.methods[local[0]],
-        fix_hint="define begin_shard + snapshot + a merge-side method "
-                 "(absorb or restore_snapshots) together")]
-
-
 def _attr_chain(node: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
     """Innermost value of an attribute/subscript chain + attr names."""
     attrs: List[str] = []
@@ -412,7 +374,7 @@ def _mutable_class_attrs(info: ClassInfo) -> Set[str]:
 
 
 class _HazardScanner:
-    """Finds mutations of shared state inside one shard-side method."""
+    """Finds mutations of shared state inside one trace-side method."""
 
     def __init__(self, info: ClassInfo, func: ast.FunctionDef,
                  source_lines: List[str]):
@@ -511,22 +473,21 @@ def _check_shared_state(info: ClassInfo, resolver: _Resolver,
                                         source_lines).scan():
             out.append(_diag(
                 "C004", Severity.ERROR,
-                f"{info.name}.{name} {why}; shard-executed methods "
-                f"must not mutate shared state (results are lost or "
-                f"raced under --jobs N)",
+                f"{info.name}.{name} {why}; observer methods must "
+                f"not mutate shared state (results are lost or raced "
+                f"when the observer runs in a pool worker)",
                 info=info, node=node,
                 fix_hint="move the state onto the instance and merge "
                          "it in absorb()/restore_snapshots(), or mark "
                          "the line `# lint: shared-ok` if it is "
-                         "provably shard-local"))
+                         "provably process-local"))
     return out
 
 
 #: Contract rule metadata, for docs and ``--format json`` consumers.
 CONTRACT_RULES: Dict[str, str] = {
     "C001": "block_native profilers must implement the columnar hooks",
-    "C003": "shard protocol legs must be implemented together",
-    "C004": "shard-executed methods must not mutate shared state",
+    "C004": "observer methods must not mutate shared state",
 }
 
 
@@ -549,13 +510,12 @@ def iter_python_files(targets: Iterable[str]) -> List[str]:
 def check_observer_contracts(targets: Iterable[str],
                              label: Optional[str] = None
                              ) -> ContractReport:
-    """Run C001, C003 and C004 over the Python sources in *targets*.
+    """Run C001 and C004 over the Python sources in *targets*.
 
     *targets* are ``.py`` files or directories (recursed).  Sources are
     parsed, never imported.  Classes that are not observer-like are
     skipped; classes with unresolvable non-framework bases skip the
-    MRO-dependent checks (C001, C003) but still get the shared-state
-    scan.
+    MRO-dependent check (C001) but still get the shared-state scan.
     """
     files = iter_python_files(targets)
     report = ContractReport(label or ", ".join(targets))
@@ -580,8 +540,6 @@ def check_observer_contracts(targets: Iterable[str],
         if not resolver.incomplete(info):
             report.diagnostics.extend(
                 _check_block_native(info, resolver))
-            report.diagnostics.extend(
-                _check_shard_protocol(info, resolver))
         report.diagnostics.extend(_check_shared_state(
             info, resolver, sources.get(info.path, [])))
     report.diagnostics.sort(

@@ -121,21 +121,10 @@ class TraceSanitizer(TraceObserver):
     def on_finish(self, final_cycle: int) -> None:
         self._finished = True
 
-    # -- sharded replay (snapshot/merge protocol) ----------------------------------
-
-    def begin_shard(self, start_cycle: int, carry) -> None:
-        """Resume checking mid-stream from carried chunk state."""
-        self._last_cycle = start_cycle - 1 if start_cycle > 0 else None
-        self._drain_pending = carry.drain_pending
-
-    def shard_settled(self) -> bool:
-        return True
-
-    def resolve_only(self, record: CycleRecord) -> bool:
-        return True
+    # -- pooled runs: results cross processes as snapshots --------------------
 
     def snapshot(self) -> dict:
-        """Picklable capture of this shard's checking results."""
+        """Picklable capture of this sanitizer's checking results."""
         return {
             "cycles_checked": self.cycles_checked,
             "commits_checked": self.commits_checked,
@@ -143,7 +132,8 @@ class TraceSanitizer(TraceObserver):
         }
 
     def absorb(self, snapshots) -> None:
-        """Fold ordered shard snapshots into this sanitizer."""
+        """Fold ordered snapshots (a pool worker's payload) into this
+        sanitizer."""
         for snap in snapshots:
             self.cycles_checked += snap["cycles_checked"]
             self.commits_checked += snap["commits_checked"]

@@ -1,7 +1,7 @@
 """Bounded process pool with per-job timeout, retry and degradation.
 
-The suite runner and the sharded trace replay both fan work out to
-worker processes.  This pool is deliberately small and defensive: each
+The suite runner fans its simulations out to worker processes.  This
+pool is deliberately small and defensive: each
 job runs in its own :class:`multiprocessing.Process` with a pipe for
 the result, so a worker that raises, hangs past its timeout, or dies
 mid-job can never corrupt the results dict or hang the suite -- it is

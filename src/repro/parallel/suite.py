@@ -48,19 +48,22 @@ def simulate_benchmark(workload: Workload,
                        max_cycles: int,
                        sanitize: bool,
                        sim: str = "step",
-                       cache: Optional[SimCache] = None) -> dict:
+                       cache: Optional[SimCache] = None,
+                       paranoid: bool = False) -> dict:
     """Worker entry: simulate one built workload.
 
-    Returns a picklable payload (:func:`result_payload`).  *sim*
-    selects the simulation fast path and *cache* the content-addressed
-    simulation cache; it is the parent's :class:`SimCache`, so the
-    worker records under the parent's root and size budget.
+    Returns a picklable payload (:func:`result_payload`).  *sim* and
+    *paranoid* select the simulation fast path and its cross-check, and
+    *cache* the content-addressed simulation cache; it is the parent's
+    :class:`SimCache`, so the worker records under the parent's root
+    and size budget.
     """
     from ..cpu.core import MaxCyclesExceeded
     from ..harness.runner import run_workload
     try:
         result = run_workload(workload, configs, max_cycles,
-                              sanitize=sanitize, sim=sim, cache=cache)
+                              sanitize=sanitize, sim=sim,
+                              paranoid=paranoid, cache=cache)
     except TraceInvariantError as exc:
         return {"invariant_violation": exc.diagnostic}
     except MaxCyclesExceeded as exc:
@@ -122,16 +125,17 @@ def run_suite_parallel(workloads: Sequence[Workload],
                        retries: int = 1,
                        verbose: bool = False,
                        sim: str = "step",
-                       cache: Optional[SimCache] = None):
+                       cache: Optional[SimCache] = None,
+                       paranoid: bool = False):
     """Simulate *workloads* on up to *jobs* worker processes.
 
     Returns a :class:`~repro.harness.runner.SuiteResult` in input
     order; benchmarks whose worker failed (after retries) appear in
     ``failures`` instead of ``results``.  With a *cache* every hit is
-    replayed here and only misses reach the pool.  *sim* and *cache*
-    forward the simulation fast path and the cache to every worker; a
-    benchmark that exhausts *max_cycles* lands in ``failures`` with
-    kind ``"max-cycles"``.
+    replayed here and only misses reach the pool.  *sim*, *paranoid*
+    and *cache* forward the simulation fast path, its cross-check and
+    the cache to every worker; a benchmark that exhausts *max_cycles*
+    lands in ``failures`` with kind ``"max-cycles"``.
     """
     from ..harness.runner import SuiteResult
 
@@ -155,7 +159,7 @@ def run_suite_parallel(workloads: Sequence[Workload],
         pool_jobs = [
             PoolJob(name=name, func=simulate_benchmark,
                     args=(workload, configs, max_cycles, sanitize, sim,
-                          cache),
+                          cache, paranoid),
                     timeout=timeout)
             for name, (workload, _image) in misses.items()]
         if verbose:

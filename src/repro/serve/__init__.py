@@ -25,13 +25,13 @@ Layers (see ``docs/serve.md``):
 from .apool import AsyncPool, PoolError
 from .client import (ClientError, JobCancelled, JobFailed, ServeClient,
                      run_suite_via_server)
-from .jobs import (JobSpec, execute_job, job_key, profile_report,
-                   resolve_program, result_payload)
+from .jobs import (JobSpec, ProgramSpec, execute_job, job_key,
+                   profile_report, resolve_program, result_payload)
 from .server import Job, ProfileServer, ServeError
 
 __all__ = [
     "AsyncPool", "ClientError", "Job", "JobCancelled", "JobFailed",
-    "JobSpec", "PoolError", "ProfileServer", "ServeClient",
+    "JobSpec", "PoolError", "ProfileServer", "ProgramSpec", "ServeClient",
     "ServeError", "execute_job", "job_key", "profile_report",
     "resolve_program", "result_payload", "run_suite_via_server",
 ]

@@ -7,11 +7,11 @@ worker that raises, hangs past its timeout, or dies can never corrupt
 the server or leak a process) without blocking the event loop.
 :class:`AsyncPool` reuses the pool's worker entry point, process
 context and kill helper, but schedules each attempt as an awaitable:
-the result pipe is polled cooperatively every
-:data:`DEFAULT_POLL_INTERVAL` seconds, per-job deadlines are enforced
-against the loop clock, retries are bounded, and cancelling the
-awaiting task kills the worker process before the cancellation
-propagates.
+the event loop watches the worker's result pipe and process sentinel
+and wakes the attempt when either is ready or the job deadline (on the
+loop clock) passes -- there is no poll interval.  Retries are bounded,
+and cancelling the awaiting task kills the worker process before the
+cancellation propagates.
 
 Concurrency is bounded by an :class:`asyncio.Semaphore`; attempts
 waiting for a slot are the pool's *queue depth*.  If worker processes
@@ -32,8 +32,27 @@ from typing import Any, Callable, Optional, Tuple
 from ..parallel.pool import (JobFailure, PoolJob, _child_entry, _kill,
                              _pool_context)
 
-#: Seconds between cooperative polls of a worker's result pipe.
-DEFAULT_POLL_INTERVAL = 0.02
+
+async def _ready(loop: asyncio.AbstractEventLoop, fds: Tuple[int, ...],
+                 deadline: Optional[float]) -> None:
+    """Return once any of *fds* is readable or the loop clock reaches
+    *deadline* (``None``: no deadline)."""
+    woken = loop.create_future()
+
+    def wake() -> None:
+        if not woken.done():
+            woken.set_result(None)
+
+    for fd in fds:
+        loop.add_reader(fd, wake)
+    timer = loop.call_at(deadline, wake) if deadline is not None else None
+    try:
+        await woken
+    finally:
+        for fd in fds:
+            loop.remove_reader(fd)
+        if timer is not None:
+            timer.cancel()
 
 
 class PoolError(Exception):
@@ -47,11 +66,9 @@ class PoolError(Exception):
 class AsyncPool:
     """Bounded async process pool with per-job timeout/retry/cancel."""
 
-    def __init__(self, workers: int = 2, retries: int = 1,
-                 poll_interval: float = DEFAULT_POLL_INTERVAL):
+    def __init__(self, workers: int = 2, retries: int = 1):
         self.workers = max(1, workers)
         self.retries = max(0, retries)
-        self.poll_interval = poll_interval
         # Created lazily on first use so the pool can be constructed
         # off-loop (e.g. on a test's main thread) and still bind its
         # primitives to the loop that runs it (Python 3.9 semantics).
@@ -172,11 +189,12 @@ class AsyncPool:
                     self.crashes += 1
                     return ("crash",
                             f"worker exited with code {process.exitcode}")
-                if deadline is not None and loop.time() > deadline:
+                if deadline is not None and loop.time() >= deadline:
                     self.timeouts += 1
                     return ("timeout",
                             f"no result within {job.timeout}s")
-                await asyncio.sleep(self.poll_interval)
+                await _ready(loop, (parent.fileno(), process.sentinel),
+                             deadline)
         except asyncio.CancelledError:
             self.cancelled += 1
             raise

@@ -23,7 +23,7 @@ import pickle
 import socket
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .jobs import TERMINAL_STATES, JobSpec
+from .jobs import TERMINAL_STATES, JobSpec, ProgramSpec
 
 #: Default client-side timeout for one HTTP call (seconds).  ``wait``
 #: calls add the server-side wait budget on top.
@@ -234,7 +234,6 @@ def run_suite_via_server(workloads, profilers, server: str,
     from ..cpu.core import MaxCyclesExceeded
     from ..harness.runner import SuiteResult, run_workload
     from ..parallel.pool import JobFailure
-    from ..parallel.shard import ProgramSpec
     from ..parallel.suite import rebuild_result
     from ..workloads.suite import BENCHMARKS
 

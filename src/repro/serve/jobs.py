@@ -1,15 +1,15 @@
 """Job specifications, content keys and the worker entry point.
 
 A *job* is one profiling run: a program (assembly source, named suite
-benchmark, or the imagick case study -- reusing
-:class:`~repro.parallel.shard.ProgramSpec`), the profiler line-up, and
-the simulation budget.  Jobs are content-addressed: the **simulation
-key** is the existing :func:`~repro.simfast.cache.simulation_key` (the
-``SimCache`` key of the run's trace), and the **job key** extends it
-with the replay-side parameters that shape the report.  Two submissions
-with equal job keys are the same work; the server coalesces them onto
-one in-flight future, and distinct jobs sharing a simulation key still
-share the simulated trace through the cache.
+benchmark, or the imagick case study -- a :class:`ProgramSpec`), the
+profiler line-up, and the simulation budget.  Jobs are
+content-addressed: the **simulation key** is the existing
+:func:`~repro.simfast.cache.simulation_key` (the ``SimCache`` key of
+the run's trace), and the **job key** extends it with the replay-side
+parameters that shape the report.  Two submissions with equal job keys
+are the same work; the server coalesces them onto one in-flight
+future, and distinct jobs sharing a simulation key still share the
+simulated trace through the cache.
 
 :func:`execute_job` is the picklable worker entry: it resolves the
 program, runs the standard :func:`~repro.harness.run_experiment` path
@@ -30,7 +30,6 @@ from ..analysis.symbols import Granularity
 from ..harness.experiment import (ALL_POLICIES, ExperimentResult,
                                   ProfilerConfig, run_experiment)
 from ..isa.program import Program
-from ..parallel.shard import ProgramSpec
 from ..parallel.suite import result_payload
 
 #: Default sampling period for served jobs (see harness.runner).
@@ -46,6 +45,23 @@ DONE = "done"
 ERROR = "error"
 CANCELLED = "cancelled"
 TERMINAL_STATES = (DONE, ERROR, CANCELLED)
+
+
+@dataclass(frozen=True)
+class ProgramSpec:
+    """The program a job runs, named by a few fields.
+
+    A spec is small where a linked image can be megabytes, and the
+    program it names is deterministic to rebuild
+    (:func:`resolve_program`).
+    """
+
+    kind: str  # "asm" | "workload" | "imagick"
+    source: str = ""  # assembly text, or the benchmark name
+    name: str = "program"
+    scale: float = 1.0
+    optimized: bool = False
+    premap_all: bool = False
 
 
 @dataclass(frozen=True)
@@ -241,9 +257,12 @@ def _json_profile(profile: Dict) -> Dict[str, float]:
             sorted(profile.items(), key=lambda item: str(item[0]))}
 
 
-def execute_job(spec: JobSpec,
-                cache_dir: Optional[str] = None) -> dict:
+def execute_job(spec: JobSpec, cache=None) -> dict:
     """Worker entry: run one job; always returns a picklable dict.
+
+    *cache* follows :func:`~repro.harness.run_experiment`; the server
+    passes its own :class:`~repro.simfast.SimCache`, so a worker
+    records under the server's root and size budget.
 
     Success: ``{"report", "payload", "warnings"}``.  Deterministic
     failures (budget exhaustion, sanitizer violations) come back as
@@ -261,7 +280,7 @@ def execute_job(spec: JobSpec,
                                     premapped_data=premapped,
                                     max_cycles=spec.max_cycles,
                                     sanitize=spec.sanitize,
-                                    sim=spec.sim, cache=cache_dir)
+                                    sim=spec.sim, cache=cache)
         except MaxCyclesExceeded as exc:
             return {"error": {"kind": "max-cycles",
                               "message": str(exc)}}

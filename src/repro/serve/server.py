@@ -108,8 +108,6 @@ class ProfileServer:
         self.job_timeout = job_timeout
         self.pool = pool or AsyncPool(workers=workers, retries=retries)
         self.cache = resolve_cache(cache)
-        self._cache_root = (self.cache.root
-                            if self.cache is not None else None)
         self.jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, Job] = {}
         self._key_seq: Dict[str, int] = {}
@@ -214,7 +212,7 @@ class ProfileServer:
         timeout = (job.spec.timeout if job.spec.timeout is not None
                    else self.job_timeout)
         pool_job = PoolJob(name=job.id, func=execute_job,
-                           args=(job.spec, self._cache_root),
+                           args=(job.spec, self.cache),
                            timeout=timeout)
         if self.cache is not None:
             sim_lock = self._sim_locks.setdefault(job.sim_key,

@@ -120,7 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{stats['dedup']['coalesced']}")
         for name in by_name:
             spec = specs[names.index(name)]
-            direct = execute_job(spec, cache_dir=None)["report"]
+            direct = execute_job(spec)["report"]
             served = by_name[name][0]["report"]
             served = dict(served, cached=direct["cached"])
             if json.dumps(served, sort_keys=True) != \

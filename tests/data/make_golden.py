@@ -6,11 +6,11 @@ Run from the repository root::
 
 Produces ``golden.tiptrace`` (a v3 commit trace of ``golden.s``) and
 ``golden_expected.json`` (per-profiler sample checksums and
-instruction-level profiles from a *serial* replay).  The differential
-test asserts that serial and sharded replays of the checked-in trace
-reproduce these values exactly, so regenerating the files is only
-legitimate after an intentional change to the trace format, the golden
-program, or a profiler's attribution policy.
+instruction-level profiles from a block replay).  The differential
+tests assert that block replay and the per-record reference replay of
+the checked-in trace reproduce these values exactly, so regenerating
+the files is only legitimate after an intentional change to the trace
+format, the golden program, or a profiler's attribution policy.
 
 ``golden_v1.tiptrace`` and ``golden_v2.tiptrace`` hold the same records
 in the legacy formats.  Nothing writes those formats any more, so they
@@ -25,10 +25,9 @@ import os
 from repro.analysis.profiles import profile_checksum
 from repro.cpu.machine import Machine
 from repro.cpu.tracefile import TraceWriterV3
-from repro.harness.experiment import ProfilerConfig
+from repro.harness.experiment import ProfilerConfig, replay_experiment
 from repro.isa import assemble
 from repro.kernel import Kernel
-from repro.parallel.shard import replay_serial
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -62,19 +61,20 @@ def main():
         out.write(trace)
 
     image = Kernel().boot(program)
-    outcome = replay_serial(trace, image, golden_configs())
+    result = replay_experiment(trace, image, golden_configs())
+    cycles = result.oracle.total_cycles
     expected = {
         "period": PERIOD,
         "mode": MODE,
         "seed": SEED,
         "chunk_cycles": CHUNK_CYCLES,
-        "cycles": outcome.cycles,
+        "cycles": cycles,
         "committed": stats.committed,
         "profilers": {},
         "oracle_profile": {hex(addr): weight for addr, weight
-                           in sorted(outcome.oracle.profile.items())},
+                           in sorted(result.oracle.profile.items())},
     }
-    for name, profiler in outcome.profilers.items():
+    for name, profiler in result.profilers.items():
         expected["profilers"][name] = {
             "checksum": profile_checksum(profiler.samples),
             "samples": len(profiler.samples),
@@ -84,7 +84,7 @@ def main():
     with open(os.path.join(HERE, "golden_expected.json"), "w") as out:
         json.dump(expected, out, indent=2, sort_keys=True)
         out.write("\n")
-    print(f"golden trace: {len(trace)} bytes, {outcome.cycles} cycles, "
+    print(f"golden trace: {len(trace)} bytes, {cycles} cycles, "
           f"{stats.committed} instructions")
 
 

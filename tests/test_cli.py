@@ -62,6 +62,20 @@ def test_requires_command():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench"],
+    ["bench", "--sim", "--trace", "run.tiptrace"],
+    ["replay", "run.tiptrace", "prog.s", "--jobs", "2"],
+], ids=["bench-bare", "bench-both", "replay-jobs"])
+def test_bench_and_replay_usage_errors(capsys, argv):
+    """``bench`` needs exactly one of --trace or --sim; replay takes no
+    worker count."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_suite_unknown_benchmark_exits_2(capsys):
     assert main(["suite", "gcc", "nosuchbench"]) == 2
     err = capsys.readouterr().err
@@ -309,7 +323,9 @@ loop:
     assert "sanitizer:" in out and "clean" in out
 
 
-def test_record_replay_sharded_and_convert(tmp_path, capsys):
+def test_record_replay_and_convert(tmp_path, capsys):
+    """Compressed, plain and re-chunked recordings of one run replay to
+    the same report."""
     source = tmp_path / "prog.s"
     source.write_text("""
 .func main
@@ -321,27 +337,27 @@ loop:
     bne  x1, x2, loop
     halt
 """)
+
+    def replay(trace, *extra):
+        assert main(["replay", str(trace), str(source),
+                     "--period", "11", *extra]) == 0
+        return capsys.readouterr().out.splitlines()
+
     packed = tmp_path / "packed.tiptrace"
     assert main(["record", str(source), "-o", str(packed),
                  "--chunk-cycles", "128", "--compress"]) == 0
     out = capsys.readouterr().out
     assert "[v3]" in out
-
-    assert main(["replay", str(packed), str(source), "--jobs", "2",
-                 "--period", "11", "--sanitize"]) == 0
-    out = capsys.readouterr().out
-    assert "sharded, 2 shard(s)" in out
-    assert "clean" in out
+    cycles = int(out.split()[1])
+    report = replay(packed, "--sanitize")
+    assert report[0].startswith(f"replayed {cycles} cycles, ")
+    assert "clean" in report[2]
 
     plain = tmp_path / "plain.tiptrace"
     assert main(["record", str(source), "-o", str(plain),
                  "--chunk-cycles", "128"]) == 0
     capsys.readouterr()
-    assert main(["replay", str(plain), str(source), "--jobs", "2",
-                 "--period", "11", "--sanitize"]) == 0
-    out = capsys.readouterr().out
-    assert "sharded, 2 shard(s)" in out
-    assert "clean" in out
+    assert replay(plain, "--sanitize") == report
 
     # Re-chunking a v3 trace keeps every record.
     rechunked = tmp_path / "rechunked.tiptrace"
@@ -349,10 +365,7 @@ loop:
                  "--chunk-cycles", "64"]) == 0
     out = capsys.readouterr().out
     assert "converted" in out and "[v3]" in out
-    assert main(["replay", str(rechunked), str(source), "--jobs", "3",
-                 "--period", "11"]) == 0
-    out = capsys.readouterr().out
-    assert "sharded, 3 shard(s)" in out
+    assert replay(rechunked) == report[:2]
 
 
 @pytest.mark.parametrize("legacy", ["golden_v1", "golden_v2"])
@@ -396,7 +409,7 @@ def test_replay_rejects_bad_trace(tmp_path, capsys, kind):
     """Bad input is a one-line user error (exit 2), not a traceback;
     legacy traces are pointed at convert-trace."""
     trace = _bad_trace(tmp_path, kind)
-    assert main(["replay", trace, f"{DATA}/golden.s", "--jobs", "2",
+    assert main(["replay", trace, f"{DATA}/golden.s",
                  "--period", "23"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -427,18 +440,3 @@ def test_suite_parallel_jobs(capsys):
     out = capsys.readouterr().out
     assert "exchange2" in out and "lbm" in out
     assert "sanitizer:" in out and "clean" in out
-
-
-def test_bench_command(tmp_path, capsys):
-    output = tmp_path / "BENCH_pipeline.json"
-    assert main(["bench", "exchange2", "--scale", "0.05",
-                 "--jobs", "2", "--chunk-cycles", "256",
-                 "-o", str(output)]) == 0
-    out = capsys.readouterr().out
-    assert "checksums: OK" in out
-    import json
-    data = json.loads(output.read_text())
-    assert data["checksums_equal"] is True
-    assert "exchange2" in data["benchmarks"]
-    assert data["benchmarks"]["exchange2"]["replay_mode"] == "sharded"
-    assert data["suite_serial_s"] > 0 and data["suite_parallel_s"] > 0

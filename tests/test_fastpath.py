@@ -4,7 +4,7 @@ Columnar replay is only a valid optimisation if every observer
 produces exactly the same samples, profiles and reports as the
 per-record reference replay.  These tests check that equivalence on
 hypothesis-generated random traces (all profilers) and on the
-checked-in golden trace (serial and sharded).
+checked-in golden trace.
 """
 
 import io
@@ -26,7 +26,6 @@ from repro.fastpath import (CycleBlock, replay_blocks, replay_with_engine,
 from repro.harness import ProfilerConfig, replay_experiment
 from repro.isa import assemble
 from repro.kernel import Kernel
-from repro.parallel import ProgramSpec, replay_sharded
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -198,7 +197,7 @@ def test_property_writer_blocks_match_stepped(records, data):
     assert buffer.getvalue() == stepped
 
 
-# -- golden trace: block replay, serial and sharded ---------------------------
+# -- golden trace: block replay and the per-record reference ------------------
 
 
 @pytest.fixture(scope="module")
@@ -210,11 +209,10 @@ def golden():
     with open(os.path.join(DATA, "golden.s")) as handle:
         source = handle.read()
     image = Kernel().boot(assemble(source, name="golden.s"))
-    spec = ProgramSpec(kind="asm", source=source, name="golden.s")
     configs = tuple(ProfilerConfig(policy, expected["period"],
                                    expected["mode"], expected["seed"])
                     for policy in SEVEN_POLICIES)
-    return trace, expected, image, spec, configs
+    return trace, expected, image, configs
 
 
 def _check_against_golden(result, expected):
@@ -229,31 +227,18 @@ def _check_against_golden(result, expected):
 
 
 def test_golden_block_engine_serial(golden):
-    trace, expected, image, _spec, configs = golden
+    trace, expected, image, configs = golden
     result = replay_experiment(io.BytesIO(trace), image, configs)
-    assert result.replay.cycles == expected["cycles"]
+    assert result.oracle.total_cycles == expected["cycles"]
     _check_against_golden(result, expected)
     oracle = {hex(addr): weight
               for addr, weight in result.oracle.profile.items()}
     assert oracle == expected["oracle_profile"]
 
 
-@pytest.mark.parametrize("jobs", [2, 7])
-def test_golden_block_engine_sharded(golden, jobs):
-    trace, expected, image, spec, configs = golden
-    outcome = replay_sharded(io.BytesIO(trace), spec, configs, jobs,
-                             image=image)
-    assert outcome.mode == "sharded"
-    assert outcome.cycles == expected["cycles"]
-    for name, want in expected["profilers"].items():
-        profiler = outcome.profilers[name]
-        assert profile_checksum(profiler.samples) == \
-            want["checksum"], name
-
-
 def test_golden_cycle_engine_still_available(golden):
     """The per-record reference replay reproduces the golden too."""
-    trace, expected, image, _spec, configs = golden
+    trace, expected, image, configs = golden
     profilers = {config.name: config.build(image) for config in configs}
     assert replay_trace(trace, *profilers.values()) == expected["cycles"]
     _check_against_golden(SimpleNamespace(profilers=profilers), expected)
@@ -261,7 +246,7 @@ def test_golden_cycle_engine_still_available(golden):
 
 def test_validate_engine_rejects_unknown(golden):
     """The engine-naming entry point knows one engine, ``"block"``."""
-    trace, expected, image, _spec, _configs = golden
+    trace, expected, image, _configs = golden
     profiler = SoftwareProfiler(SampleSchedule(5))
     assert replay_with_engine(trace, [profiler]) == expected["cycles"]
     assert profiler.samples
@@ -274,7 +259,7 @@ def test_validate_engine_rejects_unknown(golden):
 
 
 def test_hotpath_bench_quick(golden, tmp_path):
-    trace, expected, image, _spec, _configs = golden
+    trace, expected, image, _configs = golden
     output = str(tmp_path / "BENCH_hotpath.json")
     result = run_hotpath_bench(trace, image, output=output,
                                period=expected["period"],

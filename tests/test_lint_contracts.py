@@ -1,4 +1,4 @@
-"""The observer-contract conformance checker (C001, C003, C004).
+"""The observer-contract conformance checker (C001, C004).
 
 The shipped tree must be clean (the checker gates CI), and each
 contract must catch a seeded violation written to a temp file.
@@ -33,7 +33,7 @@ def test_shipped_profilers_are_clean():
 
 
 def test_contract_rule_table_is_complete():
-    assert set(CONTRACT_RULES) == {"C001", "C003", "C004"}
+    assert set(CONTRACT_RULES) == {"C001", "C004"}
 
 
 # -- C001 block-native pairing ------------------------------------------------
@@ -88,47 +88,6 @@ class GoodBlockNative(TraceObserver):
 
     def _block_resolve_outcome(self, *a):
         self.done = True
-""")
-    assert report.diagnostics == []
-
-
-# -- C003 shard protocol completeness -----------------------------------------
-
-
-def test_c003_shard_legs_without_merge_side(tmp_path):
-    report = _check(tmp_path, """
-class ShardNoMerge(TraceObserver):
-    def begin_shard(self, index, count):
-        self.shard = index
-
-    def snapshot(self):
-        return {}
-""")
-    assert _rules(report) == ["C003"]
-    assert "absorb" in report.diagnostics[0].message
-
-
-def test_c003_merge_without_shard_legs(tmp_path):
-    report = _check(tmp_path, """
-class MergeNoShard(TraceObserver):
-    def absorb(self, snapshots, total_cycles):
-        self.total = total_cycles
-""")
-    assert _rules(report) == ["C003"]
-    assert "begin_shard" in report.diagnostics[0].message
-
-
-def test_c003_complete_protocol_is_clean(tmp_path):
-    report = _check(tmp_path, """
-class FullShard(TraceObserver):
-    def begin_shard(self, index, count):
-        self.shard = index
-
-    def snapshot(self):
-        return {}
-
-    def absorb(self, snapshots, total_cycles):
-        self.total = total_cycles
 """)
     assert report.diagnostics == []
 
@@ -190,13 +149,13 @@ def test_c004_merge_side_methods_are_exempt(tmp_path):
 MERGED = []
 
 class Merger(TraceObserver):
-    def begin_shard(self, index, count):
-        self.shard = index
+    def on_cycle(self, record):
+        self.last = record.cycle
 
     def snapshot(self):
         return {}
 
-    def absorb(self, snapshots, total_cycles):
+    def absorb(self, snapshots):
         MERGED.extend(snapshots)
 """)
     assert report.diagnostics == []

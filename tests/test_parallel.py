@@ -1,9 +1,9 @@
-"""Parallel subsystem tests: pool, sharded replay, parallel suite.
+"""Parallel subsystem tests: pool, parallel suite, golden replay.
 
-The centerpiece is the golden-trace differential harness: a small
-recorded v3 trace plus expected per-instruction profiles for all seven
-sampling profilers are checked in under ``tests/data/``, and serial,
-2-shard and 7-shard replays must all reproduce them bit-for-bit.
+The golden-trace harness replays a small recorded v3 trace, checked in
+under ``tests/data/`` with the expected per-instruction profiles of all
+seven sampling profilers, and requires the replay to reproduce them
+bit-for-bit.
 """
 
 import json
@@ -16,14 +16,11 @@ import pytest
 from conftest import oracle_tables
 from repro.analysis.profiles import profile_checksum
 from repro.cpu.core import CoreStats
-from repro.cpu.tracefile import read_index
 from repro.harness import (ProfilerConfig, default_profilers,
                            replay_experiment, run_suite)
 from repro.isa import assemble
 from repro.kernel import Kernel
-from repro.parallel import (INJECT_KINDS, PoolJob, ProgramSpec,
-                            plan_shards, replay_serial, replay_sharded,
-                            run_jobs)
+from repro.parallel import INJECT_KINDS, PoolJob, run_jobs
 from repro.workloads.suite import build_suite
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -44,18 +41,17 @@ def golden():
     with open(os.path.join(DATA, "golden.s")) as handle:
         source = handle.read()
     image = Kernel().boot(assemble(source, name="golden.s"))
-    spec = ProgramSpec(kind="asm", source=source, name="golden.s")
     configs = tuple(ProfilerConfig(policy, expected["period"],
                                    expected["mode"], expected["seed"])
                     for policy in SEVEN_POLICIES)
-    return trace, expected, image, spec, configs
+    return trace, expected, image, configs
 
 
-def _check_against_golden(outcome, expected):
-    assert outcome.cycles == expected["cycles"]
-    assert set(outcome.profilers) == set(expected["profilers"])
+def _check_against_golden(result, expected):
+    assert result.oracle.total_cycles == expected["cycles"]
+    assert set(result.profilers) == set(expected["profilers"])
     for name, want in expected["profilers"].items():
-        profiler = outcome.profilers[name]
+        profiler = result.profilers[name]
         assert len(profiler.samples) == want["samples"], name
         assert profile_checksum(profiler.samples) == want["checksum"], \
             f"{name}: sample stream diverged from golden trace"
@@ -65,149 +61,36 @@ def _check_against_golden(outcome, expected):
 
 
 def test_serial_replay_matches_golden(golden):
-    trace, expected, image, _spec, configs = golden
-    outcome = replay_serial(trace, image, configs)
-    _check_against_golden(outcome, expected)
+    trace, expected, image, configs = golden
+    result = replay_experiment(trace, image, configs)
+    assert result.stats is None
+    _check_against_golden(result, expected)
     oracle = {hex(addr): weight
-              for addr, weight in outcome.oracle.profile.items()}
+              for addr, weight in result.oracle.profile.items()}
     assert oracle == expected["oracle_profile"]
 
 
-@pytest.mark.parametrize("jobs", [2, 7])
-def test_sharded_replay_matches_golden(golden, jobs):
-    trace, expected, image, spec, configs = golden
-    outcome = replay_sharded(trace, spec, configs, jobs=jobs,
-                             image=image)
-    assert outcome.mode == "sharded"
-    assert outcome.shards == jobs
-    assert outcome.fallback_reason is None
-    _check_against_golden(outcome, expected)
-    # Oracle merges exact unit counts: equal to the serial replay.
-    oracle = {hex(addr): weight
-              for addr, weight in outcome.oracle.profile.items()}
-    assert oracle == expected["oracle_profile"]
+@pytest.mark.parametrize("version", [1, 2])
+def test_legacy_trace_is_rejected(golden, version):
+    """Legacy traces are not replayed; the error names the upgrade
+    path."""
+    _trace, _expected, image, configs = golden
+    path = os.path.join(DATA, f"golden_v{version}.tiptrace")
+    with pytest.raises(ValueError, match="repro convert-trace"):
+        replay_experiment(path, image, configs)
 
 
-def test_sharded_replay_merges_oracle_intervals(golden):
-    trace, expected, image, spec, configs = golden
-    serial = replay_serial(trace, image, configs,
-                           watch_keys=((expected["period"],
-                                        expected["mode"],
-                                        expected["seed"]),))
-    sharded = replay_sharded(trace, spec, configs, jobs=3, image=image,
-                             watch_keys=((expected["period"],
-                                          expected["mode"],
-                                          expected["seed"]),))
-    key = (expected["period"], expected["mode"], expected["seed"])
-    assert set(serial.oracle.intervals[key]) == \
-        set(sharded.oracle.intervals[key])
-    for cycle, weights in serial.oracle.intervals[key].items():
-        merged = sharded.oracle.intervals[key][cycle]
-        assert set(merged) == set(weights)
-        for addr, weight in weights.items():
-            assert merged[addr] == weight
-
-
-@pytest.mark.parametrize("jobs", [2, 3, 7])
-def test_sharded_oracle_report_equals_serial(golden, jobs):
-    """Every Oracle table, watched intervals included, merges to
-    exactly the serial report."""
-    trace, expected, image, spec, configs = golden
-    watch_keys = ((expected["period"], expected["mode"], expected["seed"]),
-                  (7, "periodic", 0))
-    serial = replay_serial(trace, image, configs, watch_keys=watch_keys)
-    sharded = replay_sharded(trace, spec, configs, jobs=jobs, image=image,
-                             watch_keys=watch_keys)
-    assert sharded.mode == "sharded"
-    assert sharded.shards == jobs
-    assert serial.oracle.watched and serial.oracle.intervals
-    assert oracle_tables(sharded.oracle) == oracle_tables(serial.oracle)
-
-
-# -- fallback paths --------------------------------------------------------------
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_legacy_trace_is_rejected(golden, jobs):
-    """Legacy traces are not replayed, sharded or serially; the error
-    names the upgrade path."""
-    _trace, _expected, image, spec, configs = golden
-    for name in ("golden_v1.tiptrace", "golden_v2.tiptrace"):
-        path = os.path.join(DATA, name)
-        with pytest.raises(ValueError, match="repro convert-trace"):
-            replay_sharded(path, spec, configs, jobs=jobs, image=image)
-
-
-def test_software_skid_falls_back_to_serial(golden):
-    trace, _expected, image, spec, _configs = golden
-    skidding = (ProfilerConfig("Software", 23, label="soft-skid"),)
-    from repro.core.baselines import SoftwareProfiler
-    from repro.core.sampling import SampleSchedule
-    assert not SoftwareProfiler(SampleSchedule(23), skid_cycles=5) \
-        .shardable
-    # Patch in a skidding Software profiler via a custom config list:
-    # the stock ProfilerConfig cannot express skid, so check the probe
-    # path with a fake config object instead.
-
-    class SkidConfig:
-        name = "soft-skid"
-
-        @staticmethod
-        def build(program):
-            return SoftwareProfiler(SampleSchedule(23), skid_cycles=5)
-
-    outcome = replay_sharded(trace, spec, (SkidConfig(),), jobs=2,
-                             image=image)
-    assert outcome.mode == "serial"
-    assert "non-shardable" in outcome.fallback_reason
-    assert skidding[0].name in outcome.fallback_reason
-
-
-def test_single_job_falls_back_to_serial(golden):
-    trace, expected, image, spec, configs = golden
-    outcome = replay_sharded(trace, spec, configs, jobs=1, image=image)
-    assert outcome.mode == "serial"
-    assert outcome.fallback_reason == "jobs <= 1"
-    _check_against_golden(outcome, expected)
-
-
-# -- shard planning --------------------------------------------------------------
-
-
-def test_plan_shards_covers_all_chunks(golden):
-    trace, _expected, _image, _spec, _configs = golden
-    index = read_index(trace)
-    for jobs in range(1, len(index.chunks) + 3):
-        bounds = plan_shards(index, jobs)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == len(index.chunks)
-        for (lo_a, hi_a), (lo_b, _hi_b) in zip(bounds, bounds[1:]):
-            assert hi_a == lo_b  # contiguous
-            assert lo_a < hi_a  # non-empty
-        assert len(bounds) == min(jobs, len(index.chunks))
-
-
-# -- sanitizer: attached once per trace, sharded absorb --------------------------
+# -- sanitizer: attached once per trace ---------------------------------------
 
 
 def test_sanitizer_attached_once_per_replay(golden):
     """Regression: one replay pass drives all profilers AND the
     sanitizer, so its counters equal the trace length -- attaching it
     per profiler pass would multiply them by the profiler count."""
-    trace, expected, image, _spec, configs = golden
+    trace, expected, image, configs = golden
     result = replay_experiment(trace, image, configs, sanitize=True)
     assert len(result.profilers) == len(SEVEN_POLICIES)
     assert result.sanitizer is not None
-    assert result.sanitizer.cycles_checked == expected["cycles"]
-    assert result.sanitizer.commits_checked == expected["committed"]
-    assert result.sanitizer.ok
-
-
-def test_sanitizer_sharded_counts_match_serial(golden):
-    trace, expected, image, spec, configs = golden
-    result = replay_experiment(trace, image, configs, sanitize=True,
-                               jobs=3, spec=spec)
-    assert result.replay.mode == "sharded"
     assert result.sanitizer.cycles_checked == expected["cycles"]
     assert result.sanitizer.commits_checked == expected["committed"]
     assert result.sanitizer.ok
@@ -374,25 +257,6 @@ def test_pool_many_jobs_few_workers():
     assert report.results == {f"j{i}": i for i in range(6)}
 
 
-def test_worker_failure_falls_back_to_serial_replay(golden, monkeypatch):
-    """If every shard worker fails, the replay degrades to serial and
-    still produces golden results."""
-    trace, expected, image, spec, configs = golden
-    import repro.parallel.shard as shard_mod
-    from repro.parallel.pool import JobFailure, PoolReport
-
-    def all_fail(jobs, workers, retries=1, **kwargs):
-        return PoolReport(failures={
-            job.name: JobFailure(job.name, "crash", retries + 1, "boom")
-            for job in jobs})
-
-    monkeypatch.setattr(shard_mod, "run_jobs", all_fail)
-    outcome = replay_sharded(trace, spec, configs, jobs=2, image=image)
-    assert outcome.mode == "serial"
-    assert "worker failure" in outcome.fallback_reason
-    _check_against_golden(outcome, expected)
-
-
 # -- parallel suite ---------------------------------------------------------------
 
 
@@ -529,6 +393,24 @@ def test_pooled_run_keeps_the_cache_budget(sweep_pair, tmp_path):
     assert pooled.stats()["bytes"] <= budget
 
 
+def test_pooled_run_keeps_paranoid(sweep_pair, monkeypatch):
+    """``paranoid`` reaches the pool workers.  Forked workers inherit
+    this patch, so a worker that simulated unchecked would fail."""
+    from repro.cpu.machine import Machine
+    run = Machine.run
+
+    def checked_only(self, *args, paranoid=False, **kwargs):
+        if not paranoid:
+            raise AssertionError("simulated without --paranoid")
+        return run(self, *args, paranoid=paranoid, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", checked_only)
+    pooled = run_suite(sweep_pair, profilers=default_profilers(13),
+                       sim="fast", paranoid=True, jobs=2, retries=0)
+    assert pooled.ok, pooled.failures
+    assert list(pooled.results) == ["namd", "fotonik3d"]
+
+
 def test_pooled_run_ignores_suite_scale(namd):
     """Workers run the workloads they are given: a pooled run with
     ``scale`` left at its default matches the serial run of the same
@@ -584,20 +466,6 @@ def test_spawned_workers_unpickle_the_workload(namd, monkeypatch):
     _assert_same_results(pooled, serial)
 
 
-# -- replay drives everything identically through the CLI-facing API -------------
-
-
-def test_replay_experiment_errors_identical_serial_vs_sharded(golden):
-    trace, _expected, image, spec, configs = golden
-    serial = replay_experiment(trace, image, configs)
-    sharded = replay_experiment(trace, image, configs, jobs=4,
-                                spec=spec)
-    assert sharded.replay.mode == "sharded"
-    assert serial.stats is None and sharded.stats is None
-    for name, error in serial.errors().items():
-        assert sharded.errors()[name] == error
-
-
 # -- fd hygiene: path traces are opened once per reader and closed ---------------
 
 
@@ -610,22 +478,18 @@ def _open_fds():
 def test_path_replay_does_not_leak_fds(golden, tmp_path):
     """Regression: replaying a trace from a path used to re-open the
     stream on every chunk rescan.  Readers now open (and mmap) the
-    file once, so repeated serial and sharded replays leave the parent
-    process fd table exactly as they found it."""
+    file once, so repeated replays leave the process fd table exactly
+    as they found it."""
     from repro.cpu.tracefile import convert_trace
 
-    trace, expected, image, spec, configs = golden
+    trace, expected, image, configs = golden
     path = str(tmp_path / "golden_v3.tiptrace")
     convert_trace(trace, path)
-    # Warm-up covers lazy imports and pool machinery so the snapshot
-    # below only sees replay-owned descriptors.
-    replay_serial(path, image, configs)
-    replay_sharded(path, spec, configs, jobs=2, image=image)
+    # Warm-up covers lazy imports so the snapshot below only sees
+    # replay-owned descriptors.
+    replay_experiment(path, image, configs)
     before = _open_fds()
     for _ in range(3):
-        outcome = replay_serial(path, image, configs)
-        _check_against_golden(outcome, expected)
-    outcome = replay_sharded(path, spec, configs, jobs=2, image=image)
-    assert outcome.mode == "sharded"
-    _check_against_golden(outcome, expected)
+        result = replay_experiment(path, image, configs)
+        _check_against_golden(result, expected)
     assert _open_fds() == before

@@ -40,7 +40,7 @@ def normalized(report: dict) -> str:
 
 def test_submit_wait_matches_direct_run():
     spec = loop_spec(policies=("TIP", "NCI"))
-    direct = execute_job(spec, cache_dir=None)["report"]
+    direct = execute_job(spec)["report"]
     with running_server(cache=None) as handle:
         client = handle.client()
         job, coalesced = client.submit(spec)
@@ -127,6 +127,23 @@ def test_distinct_jobs_share_the_simulation_cache(tmp_path):
     assert stats["dedup"]["coalesced"] == 0
 
 
+def test_served_jobs_keep_the_cache_budget(tmp_path):
+    """Workers record into the server's cache with its size budget, not
+    into a default-budget cache at the same root."""
+    from repro.simfast import SimCache
+    budget = 120_000  # fits either trace alone, not both
+    cache = SimCache(str(tmp_path), max_bytes=budget)
+    with running_server(cache=cache, workers=1) as handle:
+        client = handle.client()
+        for name in ("namd", "fotonik3d"):
+            spec = JobSpec.for_benchmark(name, scale=0.02, period=13,
+                                         policies=("TIP",))
+            info = client.submit_and_wait(spec, timeout=120)
+            assert info["state"] == "done", info
+    assert cache.stats()["entries"] == 1
+    assert cache.stats()["bytes"] <= budget
+
+
 @pytest.mark.parametrize("spec", [
     loop_spec(n=50, policies=("TIP",)),
     JobSpec.for_benchmark("lbm", scale=0.05, period=29,
@@ -134,7 +151,7 @@ def test_distinct_jobs_share_the_simulation_cache(tmp_path):
 ], ids=["asm", "workload"])
 def test_job_key_is_the_cache_key_the_run_fills(tmp_path, spec):
     from repro.simfast import SimCache
-    execute_job(spec, cache_dir=str(tmp_path))
+    execute_job(spec, cache=str(tmp_path))
     assert SimCache(str(tmp_path)).keys() == [job_key(spec)[0]]
 
 
@@ -158,10 +175,67 @@ def test_corrupt_cache_entry_recovers_and_warns_the_client(tmp_path):
     assert info["state"] == "done"
     assert any("evicted corrupt simulation-cache entry" in warning
                for warning in info["warnings"])
-    direct = execute_job(second, cache_dir=None)["report"]
+    direct = execute_job(second)["report"]
     assert normalized(info["report"]) == normalized(direct)
     # Both jobs simulated (the corrupt hit was abandoned).
     assert stats["cache"]["simulations"] == 2
+
+
+# -- the async pool -----------------------------------------------------------
+
+
+def _double(value):
+    return value * 2
+
+
+@pytest.fixture
+def pool_never_sleeps(monkeypatch):
+    """``asyncio.sleep`` fails inside the pool's module: an attempt must
+    wake on its worker's result pipe, its exit or its deadline, never
+    on a timer."""
+    import asyncio
+    import types
+
+    import repro.serve.apool as apool_mod
+
+    async def no_sleep(delay, result=None):
+        raise AssertionError(f"the async pool slept {delay} s")
+
+    shim = types.ModuleType("asyncio")
+    shim.__dict__.update(vars(asyncio))
+    shim.sleep = no_sleep
+    monkeypatch.setattr(apool_mod, "asyncio", shim)
+
+
+@pytest.mark.usefixtures("pool_never_sleeps")
+def test_async_pool_wakes_on_worker_events():
+    import asyncio
+    import time
+
+    from repro.parallel.pool import PoolJob
+    from repro.serve import AsyncPool, PoolError
+
+    pool = AsyncPool(workers=2, retries=0)
+
+    async def failure(job):
+        with pytest.raises(PoolError) as raised:
+            await pool.run(job)
+        return raised.value.failure
+
+    async def scenario():
+        result = await pool.run(PoolJob("ok", _double, (21,)))
+        start = time.monotonic()
+        hung = await failure(PoolJob("hangs", _double, (1,), timeout=0.5,
+                                     inject="hang"))
+        elapsed = time.monotonic() - start
+        died = await failure(PoolJob("dies", _double, (1,), inject="die"))
+        return result, hung, elapsed, died
+
+    result, hung, elapsed, died = asyncio.run(scenario())
+    assert result == 42
+    assert hung.kind == "timeout" and 0.5 <= elapsed < 3.0
+    assert died.kind == "crash"
+    assert pool.spawned == 3 and pool.active == 0
 
 
 # -- events -------------------------------------------------------------------

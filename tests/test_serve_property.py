@@ -76,7 +76,7 @@ def test_round_trip_is_bit_identical_and_dedup_is_sound(
         sim_keys.add(sim_key)
         if key not in direct_memo:
             direct_memo[key] = execute_job(
-                make_spec(n, period), cache_dir=None)["report"]
+                make_spec(n, period))["report"]
         assert json.dumps(dict(report, cached=False), sort_keys=True) \
             == json.dumps(dict(direct_memo[key], cached=False),
                           sort_keys=True), \
