@@ -32,7 +32,7 @@ Quickstart::
 """
 
 from .analysis import (CycleStack, Granularity, Symbolizer, cycle_stack,
-                       profile_error)
+                       profile_error, profile_errors)
 from .core import (Category, OracleProfiler, SampleSchedule, TipProfiler)
 from .cpu import CoreConfig, Machine
 from .harness import (ALL_POLICIES, ExperimentResult, ProfilerConfig,
@@ -44,8 +44,8 @@ __version__ = "1.1.0"
 
 __all__ = [
     "CycleStack", "Granularity", "Symbolizer", "cycle_stack",
-    "profile_error", "Category", "OracleProfiler", "SampleSchedule",
-    "TipProfiler", "CoreConfig", "Machine", "ALL_POLICIES",
+    "profile_error", "profile_errors", "Category", "OracleProfiler",
+    "SampleSchedule", "TipProfiler", "CoreConfig", "Machine", "ALL_POLICIES",
     "ExperimentResult", "ProfilerConfig", "SuiteResult",
     "default_profilers", "run_experiment", "run_suite", "run_workload",
     "Program", "assemble", "__version__",

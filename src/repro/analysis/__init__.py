@@ -7,7 +7,7 @@ from .cyclestacks import (CLASS_COMPUTE, CLASS_FLUSH, CLASS_STALL,
                           per_symbol_stacks)
 from .diff import ProfileDiff, SymbolDelta, diff_profiles, render_diff
 from .error import (all_granularity_errors, error_reduction, overlap,
-                    per_sample_error, profile_error)
+                    per_sample_error, profile_error, profile_errors)
 from .profiles import (build_profile, normalize, oracle_profile,
                        profile_checksum, top_symbols)
 from .report import (render_cycle_stack, render_error_table,
@@ -21,7 +21,7 @@ __all__ = [
     "CycleStack", "cycle_stack", "per_symbol_stacks",
     "ProfileDiff", "SymbolDelta", "diff_profiles", "render_diff",
     "all_granularity_errors", "error_reduction", "overlap",
-    "per_sample_error", "profile_error",
+    "per_sample_error", "profile_error", "profile_errors",
     "build_profile", "normalize", "oracle_profile", "profile_checksum",
     "top_symbols",
     "render_cycle_stack", "render_error_table", "render_profile_table",

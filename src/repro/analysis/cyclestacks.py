@@ -72,9 +72,10 @@ def per_symbol_stacks(oracle: OracleReport, symbolizer: Symbolizer,
                       granularity: Granularity = Granularity.FUNCTION
                       ) -> Dict[Hashable, CycleStack]:
     """Cycle stacks per symbol (Figure 13 shows these per function)."""
+    table = symbolizer.table(granularity)
     stacks: Dict[Hashable, CycleStack] = {}
     for (addr, category), cycles in oracle.categorized.items():
-        sym = symbolizer.symbol(addr, granularity)
+        sym = table[addr]
         stack = stacks.setdefault(sym, CycleStack())
         stack.totals[category] = stack.totals.get(category, 0.0) + cycles
     return stacks

@@ -14,17 +14,19 @@ This contains both error sources the paper describes: *systematic* error
 interval), the latter shrinking as the sampling frequency rises --
 which is exactly the Figure 11a behaviour.
 
-:func:`profile_error` evaluates the metric over whole profiles: the
-sampled profile, each sample weighted by its interval, against Oracle's
-full profile.  Only the stricter :func:`per_sample_error` reads Oracle's
-watched intervals.
+:func:`profile_errors` evaluates the metric over whole profiles: each
+sampled profile, every sample weighted by its interval, against Oracle's
+full profile, which it symbolizes and normalizes once for all the
+profilers it is given (:func:`profile_error` is its one-profiler case).
+Only the stricter :func:`per_sample_error` reads Oracle's watched
+intervals.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
-from ..core.oracle import OracleReport, ScheduleKey, schedule_key
+from ..core.oracle import OracleReport, schedule_key
 from ..core.profiler import SamplingProfiler
 from ..core.samples import Sample
 from .symbols import Granularity, Symbolizer
@@ -54,12 +56,12 @@ def sample_error(sample: Sample, golden: Dict[int, float],
     return total, overlap(mine, gold)
 
 
-def profile_error(profiler: SamplingProfiler, oracle: OracleReport,
-                  symbolizer: Symbolizer,
-                  granularity: Granularity) -> float:
-    """Relative profile error of *profiler* versus Oracle.
+def profile_errors(profilers: Mapping[str, SamplingProfiler],
+                   oracle: OracleReport, symbolizer: Symbolizer,
+                   granularity: Granularity) -> Dict[str, float]:
+    """Relative profile error of each of *profilers* versus Oracle.
 
-    The sampled profile (every sample weighted by the interval it
+    Each sampled profile (every sample weighted by the interval it
     represents) is compared against Oracle's exact time distribution at
     the requested granularity; the error is the fraction of time
     attributed to the wrong symbol,
@@ -71,25 +73,44 @@ def profile_error(profiler: SamplingProfiler, oracle: OracleReport,
     *unsystematic* (statistical) error that decays with the number of
     samples; policy mistakes add a *systematic* floor that no sampling
     rate removes.
+
+    Oracle's distribution is symbolized and normalized once, however
+    many profilers there are, and every address is symbolized through
+    ``symbolizer.table(granularity)``.  The sums run in the same order
+    for any set of profilers, so each error is the same float alone or
+    in company.  Returns label -> error in the order of *profilers*.
     """
     total = float(oracle.total_cycles) or sum(oracle.profile.values())
-    sampled_time = float(sum(s.interval for s in profiler.samples))
-    if total <= 0.0 or sampled_time <= 0.0:
-        return 0.0
-
+    if total <= 0.0:
+        return dict.fromkeys(profilers, 0.0)
+    table = symbolizer.table(granularity)
     gold: Dict = {}
     for addr, cycles in oracle.profile.items():
-        sym = symbolizer.symbol(addr, granularity)
+        sym = table[addr]
         gold[sym] = gold.get(sym, 0.0) + cycles / total
+    errors: Dict[str, float] = {}
+    for name, profiler in profilers.items():
+        sampled_time = float(profiler.sampled_cycles)
+        if sampled_time <= 0.0:
+            errors[name] = 0.0
+            continue
+        mine: Dict = {}
+        for sample in profiler.samples:
+            scale = sample.interval / sampled_time
+            for addr, fraction in sample.weights:
+                sym = table[addr]
+                mine[sym] = mine.get(sym, 0.0) + fraction * scale
+        errors[name] = 1.0 - overlap(mine, gold)
+    return errors
 
-    mine: Dict = {}
-    for sample in profiler.samples:
-        scale = sample.interval / sampled_time
-        for addr, fraction in sample.weights:
-            sym = symbolizer.symbol(addr, granularity)
-            mine[sym] = mine.get(sym, 0.0) + fraction * scale
 
-    return 1.0 - overlap(mine, gold)
+def profile_error(profiler: SamplingProfiler, oracle: OracleReport,
+                  symbolizer: Symbolizer,
+                  granularity: Granularity) -> float:
+    """Relative profile error of one *profiler* versus Oracle: the
+    one-profiler case of :func:`profile_errors`."""
+    return profile_errors({"": profiler}, oracle, symbolizer,
+                          granularity)[""]
 
 
 def per_sample_error(profiler: SamplingProfiler, oracle: OracleReport,

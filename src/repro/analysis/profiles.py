@@ -18,10 +18,11 @@ from .symbols import Granularity, Symbolizer
 def build_profile(samples: Iterable[Sample], symbolizer: Symbolizer,
                   granularity: Granularity) -> Dict[Hashable, float]:
     """Aggregate samples into a symbol -> time profile."""
+    table = symbolizer.table(granularity)
     profile: Dict[Hashable, float] = {}
     for sample in samples:
         for addr, fraction in sample.weights:
-            sym = symbolizer.symbol(addr, granularity)
+            sym = table[addr]
             profile[sym] = profile.get(sym, 0.0) + sample.interval * fraction
     return profile
 
@@ -29,9 +30,10 @@ def build_profile(samples: Iterable[Sample], symbolizer: Symbolizer,
 def oracle_profile(oracle: OracleReport, symbolizer: Symbolizer,
                    granularity: Granularity) -> Dict[Hashable, float]:
     """The Oracle's exact symbol -> time profile."""
+    table = symbolizer.table(granularity)
     profile: Dict[Hashable, float] = {}
     for addr, cycles in oracle.profile.items():
-        sym = symbolizer.symbol(addr, granularity)
+        sym = table[addr]
         profile[sym] = profile.get(sym, 0.0) + cycles
     return profile
 

@@ -5,13 +5,18 @@ instructions, basic blocks, and functions.  Basic blocks are recovered
 from the static CFG of the program binary: a new block starts at every
 function entry, at every static control-flow target, and after every
 control-flow instruction.
+
+A :class:`Symbolizer` keeps one ``addr -> symbol`` table per
+granularity and resolves each address at most once per table: every
+profile, error and cycle stack built from one symbolizer indexes the
+same tables.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-from typing import Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List
 
 from ..isa.instruction import INSTRUCTION_BYTES
 from ..isa.opcodes import Kind
@@ -33,6 +38,24 @@ class Granularity(enum.Enum):
         return self.value
 
 
+class SymbolTable(dict):
+    """``addr -> symbol`` at one granularity, filled on first lookup.
+
+    Indexing an address resolves it through the granularity's mapping
+    the first time and reads the stored symbol every time after.
+    """
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve: Callable[[int], Hashable]):
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, addr: int) -> Hashable:
+        symbol = self[addr] = self._resolve(addr)
+        return symbol
+
+
 class Symbolizer:
     """Maps addresses to symbols at each granularity for one program."""
 
@@ -41,6 +64,11 @@ class Symbolizer:
         self._leaders = self._find_leaders()
         self._func_lo = [f.lo for f in program.functions]
         self._func = program.functions
+        self._tables = {
+            Granularity.INSTRUCTION: SymbolTable(self.instruction),
+            Granularity.BASIC_BLOCK: SymbolTable(self.basic_block),
+            Granularity.FUNCTION: SymbolTable(self.function),
+        }
 
     def _find_leaders(self) -> List[int]:
         program = self.program
@@ -77,18 +105,20 @@ class Symbolizer:
             return self._func[index].name
         return UNKNOWN_FUNCTION
 
+    def table(self, granularity: Granularity) -> SymbolTable:
+        """The ``addr -> symbol`` table at *granularity*.  Index it
+        (``table[addr]``); it resolves each address once."""
+        return self._tables[granularity]
+
     def symbol(self, addr: int, granularity: Granularity) -> Hashable:
-        if granularity is Granularity.INSTRUCTION:
-            return self.instruction(addr)
-        if granularity is Granularity.BASIC_BLOCK:
-            return self.basic_block(addr)
-        return self.function(addr)
+        return self._tables[granularity][addr]
 
     def aggregate(self, weights, granularity: Granularity) -> Dict:
         """Collapse an ``[(addr, weight)]`` attribution onto symbols."""
+        table = self._tables[granularity]
         out: Dict = {}
         for addr, weight in weights:
-            sym = self.symbol(addr, granularity)
+            sym = table[addr]
             out[sym] = out.get(sym, 0.0) + weight
         return out
 

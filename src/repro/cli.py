@@ -269,7 +269,6 @@ def cmd_record(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from .analysis import profile_error
     from .harness import ProfilerConfig, replay_experiment
     from .kernel import Kernel
     with open(args.program) as handle:
@@ -285,8 +284,7 @@ def cmd_replay(args) -> int:
         return 2
     profiler = result.profilers[args.policy]
     granularity = Granularity(args.granularity)
-    error = profile_error(profiler, result.oracle, result.symbolizer,
-                          granularity)
+    error = result.error(args.policy, granularity)
     print(f"replayed {result.oracle.total_cycles} cycles, "
           f"{len(profiler.samples)} samples")
     print(f"{args.policy} {granularity.value}-level error: {error:.2%}")

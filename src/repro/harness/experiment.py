@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..analysis.cyclestacks import CycleStack, cycle_stack, per_symbol_stacks
-from ..analysis.error import profile_error
+from ..analysis.error import profile_errors
 from ..analysis.profiles import build_profile, normalize, oracle_profile
 from ..analysis.symbols import Granularity, Symbolizer
 from ..core.baselines import (DispatchProfiler, LciProfiler, NciIlpProfiler,
@@ -92,14 +92,16 @@ class ExperimentResult:
 
     def error(self, name: str,
               granularity: Granularity = Granularity.INSTRUCTION) -> float:
-        profiler = self.profilers[name]
-        return profile_error(profiler, self.oracle, self.symbolizer,
-                             granularity)
+        return self.errors(granularity, (name,))[name]
 
-    def errors(self, granularity: Granularity = Granularity.INSTRUCTION
-               ) -> Dict[str, float]:
-        return {name: self.error(name, granularity)
-                for name in self.profilers}
+    def errors(self, granularity: Granularity = Granularity.INSTRUCTION,
+               names: Optional[Sequence[str]] = None) -> Dict[str, float]:
+        """Label -> error of the profilers labelled *names* (default:
+        all, in attachment order), from one Oracle distribution."""
+        profilers = self.profilers if names is None else \
+            {name: self.profilers[name] for name in names}
+        return profile_errors(profilers, self.oracle, self.symbolizer,
+                              granularity)
 
     # -- profiles ------------------------------------------------------------------
 

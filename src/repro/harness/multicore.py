@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..analysis.profiles import normalize
+from ..analysis.profiles import build_profile, normalize
 from ..analysis.symbols import Granularity, Symbolizer
 from ..core.oracle import OracleProfiler
 from ..core.sampling import SampleSchedule
@@ -81,13 +81,8 @@ class MulticoreSession:
         out = {}
         for session in self.sessions:
             symbolizer = Symbolizer(session.machine.image)
-            profile: Dict[Hashable, float] = {}
-            for sample in session.tip.samples:
-                for addr, fraction in sample.weights:
-                    sym = symbolizer.symbol(addr, granularity)
-                    profile[sym] = profile.get(sym, 0.0) \
-                        + sample.interval * fraction
-            out[session.core_id] = normalize(profile)
+            out[session.core_id] = normalize(build_profile(
+                session.tip.samples, symbolizer, granularity))
         return out
 
     def system_profile(self, granularity: Granularity =
@@ -102,10 +97,10 @@ class MulticoreSession:
         """
         profile: Dict[Hashable, float] = {}
         for session in self.sessions:
-            symbolizer = Symbolizer(session.machine.image)
+            table = Symbolizer(session.machine.image).table(granularity)
             for sample in session.tip.samples:
                 for addr, fraction in sample.weights:
-                    sym = symbolizer.symbol(addr, granularity)
+                    sym = table[addr]
                     key = (session.core_id, sym) if tag_core else sym
                     profile[key] = profile.get(key, 0.0) \
                         + sample.interval * fraction

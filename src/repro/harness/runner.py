@@ -42,14 +42,10 @@ class SuiteResult:
     def errors(self, granularity: Granularity,
                policies: Optional[Sequence[str]] = None
                ) -> Dict[str, Dict[str, float]]:
-        """benchmark -> policy -> error."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name, result in self.results.items():
-            errors = result.errors(granularity)
-            if policies is not None:
-                errors = {p: errors[p] for p in policies}
-            out[name] = errors
-        return out
+        """benchmark -> policy -> error, computing only *policies*
+        (default: every profiler)."""
+        return {name: result.errors(granularity, policies)
+                for name, result in self.results.items()}
 
     def average_errors(self, granularity: Granularity,
                        policies: Optional[Sequence[str]] = None

@@ -107,13 +107,15 @@ class Program:
         if overlap:
             raise ValueError("programs overlap at "
                              + ", ".join(hex(a) for a in sorted(overlap)))
-        data = dict(self.data)
-        data.update(other.data)
-        return Program(self.instructions + other.instructions,
-                       self.functions + other.functions, self.entry,
-                       {**self.labels, **other.labels}, data, self.name,
-                       {**self.lines, **other.lines},
-                       {**self.ignores, **other.ignores})
+        merged = Program(self.instructions + other.instructions,
+                         self.functions + other.functions, self.entry,
+                         {**self.labels, **other.labels}, None, self.name,
+                         {**self.lines, **other.lines},
+                         {**self.ignores, **other.ignores})
+        # The one copy of the data image: the constructor would copy a
+        # merged dict a second time.
+        merged.data = {**self.data, **other.data}
+        return merged
 
     def __repr__(self) -> str:
         return (f"<Program {self.name!r}: {len(self.instructions)} insts, "

@@ -237,9 +237,7 @@ def profile_report(result: ExperimentResult) -> dict:
                   if result.stats is not None else None),
         "ipc": (result.stats.ipc
                 if result.stats is not None else None),
-        "errors": {granularity.value:
-                   {name: result.error(name, granularity)
-                    for name in names}
+        "errors": {granularity.value: result.errors(granularity, names)
                    for granularity in Granularity},
         "profiles": {name: _json_profile(result.profile(name))
                      for name in names},

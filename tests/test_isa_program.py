@@ -88,6 +88,29 @@ def test_merged_with():
     assert image.function_of(0x8_0000).name == "handler"
 
 
+def test_merged_image_owns_its_data():
+    builder = ProgramBuilder()
+    builder.func("main")
+    builder.emit(Op.HALT)
+    builder.word(0x3000, 1.0)
+    builder.word(0x3008, 2.0)
+    app = builder.build()
+    kernel_builder = ProgramBuilder(base=0x8_0000)
+    kernel_builder.func("handler")
+    kernel_builder.emit(Op.SRET)
+    kernel_builder.word(0x9_0000, 3.0)
+    kernel_builder.word(0x3008, 4.0)  # the handler's word wins
+    kernel = kernel_builder.build()
+    image = app.merged_with(kernel)
+    assert image.data == {0x3000: 1.0, 0x3008: 4.0, 0x9_0000: 3.0}
+    assert list(image.data) == [0x3000, 0x3008, 0x9_0000]
+    image.data[0x3000] = 9.0
+    image.data[0x9_0000] = 9.0
+    image.data[0x4000] = 9.0
+    assert app.data == {0x3000: 1.0, 0x3008: 2.0}
+    assert kernel.data == {0x9_0000: 3.0, 0x3008: 4.0}
+
+
 def test_merged_overlap_rejected():
     a = _two_inst_program()
     b = _two_inst_program()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis import Granularity
-from repro.harness import default_profilers, run_suite
+from repro.harness import (ExperimentResult, SuiteResult, default_profilers,
+                           run_suite)
 from repro.workloads import build_suite
 
 
@@ -25,6 +26,30 @@ def test_errors_policy_filter(small_suite):
                                policies=("TIP", "NCI"))
     for row in table.values():
         assert set(row) == {"TIP", "NCI"}
+
+
+class _UnreadableProfiler:
+    """A profiler whose samples raise when read."""
+
+    @property
+    def samples(self):
+        raise AssertionError("read the samples of an unrequested profiler")
+
+    sampled_cycles = samples
+
+
+def test_errors_compute_only_requested_policies(small_suite):
+    lbm = small_suite["lbm"]
+    result = ExperimentResult(
+        lbm.program, lbm.oracle,
+        {**lbm.profilers, "Unreadable": _UnreadableProfiler()}, lbm.stats)
+    suite = SuiteResult({"lbm": result})
+    for granularity in Granularity:
+        expected = lbm.error("TIP", granularity)
+        assert suite.errors(granularity, ["TIP"]) == \
+            {"lbm": {"TIP": expected}}
+        assert suite.average_errors(granularity, ["TIP"]) == \
+            {"TIP": expected}
 
 
 def test_average_errors_are_means(small_suite):
