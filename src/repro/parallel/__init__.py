@@ -3,7 +3,8 @@
 Two layers (see ``docs/parallel.md``):
 
 * :mod:`repro.parallel.pool` -- a defensive process pool with per-job
-  timeout, bounded retry and serial degradation;
+  timeout, bounded retry and degradation, and two faces: the blocking
+  :func:`run_jobs` and the job server's awaitable ``AsyncPool``;
 * :mod:`repro.parallel.suite` -- the parallel suite runner (one
   simulation per worker process).
 """

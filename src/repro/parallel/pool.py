@@ -1,16 +1,19 @@
-"""Bounded process pool with per-job timeout, retry and degradation.
+"""One defensive process pool with a blocking face and an async face.
 
-The suite runner fans its simulations out to worker processes.  This
-pool is deliberately small and defensive: each
-job runs in its own :class:`multiprocessing.Process` with a pipe for
-the result, so a worker that raises, hangs past its timeout, or dies
-mid-job can never corrupt the results dict or hang the suite -- it is
-killed, retried a bounded number of times, and finally reported as a
-per-job :class:`JobFailure`.  The parent waits on the workers' result
-pipes and process sentinels with the nearest job deadline as its
-timeout, so it wakes only when a worker reports, dies or runs out of
-time.  If the pool cannot even start processes (restricted
-environments), every job degrades to serial in-process execution.
+Each attempt of a job runs in its own :class:`multiprocessing.Process`
+with a pipe for the result (:class:`_Attempt`), so a worker that
+raises, hangs past its timeout, or dies mid-job can never corrupt a
+result or hang its caller: it is killed, retried a bounded number of
+times, and finally reported as a per-job :class:`JobFailure`.  Nothing
+polls on a timer: an attempt settles when its result pipe or process
+sentinel is readable or its deadline passes.  :func:`run_jobs` (the
+suite runner's face) blocks in :func:`multiprocessing.connection.wait`
+over every running attempt, and runs the jobs left serially in-process
+when a worker cannot start.  :class:`AsyncPool` (the job server's face)
+awaits each attempt through ``loop.add_reader`` and a deadline timer,
+and falls back to the default thread executor.  Only the async face
+imports ``asyncio``, which loads ``ssl`` and costs about 2.7 MB of
+resident memory.
 
 Failure injection (the ``inject`` field) exists for the failure-path
 tests: it makes the *worker wrapper* raise, hang or die before calling
@@ -19,6 +22,7 @@ the job function, optionally only on selected attempts.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import os
 import time
@@ -60,7 +64,9 @@ class JobFailure:
     """Clean per-job error report after retries were exhausted."""
 
     name: str
-    kind: str  # "exception" | "timeout" | "crash"
+    # "exception" | "timeout" | "crash" (pool) | "max-cycles" (suite
+    # runners) | "invariant" | "error" (job server, its default kind)
+    kind: str
     attempts: int
     message: str = ""
 
@@ -86,67 +92,39 @@ class PoolReport:
         return not self.failures
 
 
-def _apply_injection(kind: str) -> None:  # pragma: no cover - subprocess
-    if kind == "raise":
-        raise RuntimeError("injected worker failure")
-    if kind == "hang":
-        while True:
-            time.sleep(3600)
-    if kind == "die":
-        os._exit(_DIE_EXIT_CODE)
-    raise ValueError(f"unknown injection {kind!r}")
+class PoolError(Exception):
+    """A job failed after exhausting its retries."""
+
+    def __init__(self, failure: JobFailure):
+        super().__init__(str(failure))
+        self.failure = failure
 
 
 def _child_entry(conn, func, args, inject):  # pragma: no cover - subprocess
-    """Worker entry: run the job, ship ('ok', result) or ('error', tb)."""
+    """Worker entry: ship ('ok', result) or ('exception', traceback)."""
     try:
+        if inject == "raise":
+            raise RuntimeError("injected worker failure")
+        while inject == "hang":
+            time.sleep(3600)
+        if inject == "die":
+            os._exit(_DIE_EXIT_CODE)
         if inject is not None:
-            _apply_injection(inject)
-        result = func(*args)
-        conn.send(("ok", result))
+            raise ValueError(f"unknown injection {inject!r}")
+        conn.send(("ok", func(*args)))
     except BaseException:
         try:
-            conn.send(("error", traceback.format_exc()))
+            conn.send(("exception", traceback.format_exc()))
         except Exception:
             pass
     finally:
         conn.close()
 
 
-class _Running:
-    """Book-keeping for one in-flight worker process."""
-
-    __slots__ = ("job", "attempt", "process", "conn", "deadline")
-
-    def __init__(self, job: PoolJob, attempt: int, process, conn,
-                 deadline: Optional[float]):
-        self.job = job
-        self.attempt = attempt
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-
-
 def _pool_context():
     """Fork where available (fast, no pickling of args), else default."""
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else None)
-
-
-def _kill(process) -> None:
-    try:
-        process.terminate()
-        process.join(0.25)
-        if process.is_alive():
-            process.kill()
-            process.join(0.25)
-    except Exception:
-        pass
-    finally:
-        try:
-            process.close()
-        except Exception:
-            pass
 
 
 def _run_serial(job: PoolJob, report: PoolReport) -> None:
@@ -159,19 +137,97 @@ def _run_serial(job: PoolJob, report: PoolReport) -> None:
             job.name, "exception", report.attempts[job.name], repr(exc))
 
 
-def _receive(conn) -> Optional[Tuple[str, Any]]:
-    """The worker's ``(status, payload)`` if it sent one, else ``None``.
+class _Attempt:
+    """One attempt of one job, running in its own worker process.
 
-    A pipe at end-of-file (the worker died, or closed it without a
-    result) is closed here, so it is never waited on again.
+    A face waits until one of :meth:`fds` is readable or
+    :attr:`deadline` (on :func:`time.monotonic`) passes, then asks
+    :meth:`outcome`; once that is not ``None`` it calls :meth:`kill`.
     """
-    if conn.closed or not conn.poll():
-        return None
-    try:
-        return conn.recv()
-    except (EOFError, OSError):
-        conn.close()
-        return None
+
+    __slots__ = ("job", "attempt", "process", "conn", "deadline")
+
+    def __init__(self, job: PoolJob, attempt: int, process, conn):
+        self.job = job
+        self.attempt = attempt  # 0-based
+        self.process = process
+        self.conn = conn
+        self.deadline = (time.monotonic() + job.timeout
+                         if job.timeout is not None else None)
+
+    @classmethod
+    def start(cls, job: PoolJob, attempt: int) -> Optional["_Attempt"]:
+        """Start a worker for *attempt* of *job*; ``None`` if none can
+        start."""
+        try:
+            ctx = _pool_context()
+        except Exception:
+            return None
+        conn, child = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=_child_entry, daemon=True, args=(
+            child, job.func, job.args, job.injection_for(attempt)))
+        try:
+            process.start()
+        except Exception:
+            conn.close()
+            return None
+        finally:
+            child.close()
+        return cls(job, attempt, process, conn)
+
+    def fds(self) -> List[int]:
+        """The process sentinel, and the result pipe until it reaches
+        end-of-file."""
+        if self.conn.closed:
+            return [self.process.sentinel]
+        return [self.process.sentinel, self.conn.fileno()]
+
+    def _receive(self) -> Optional[Tuple[str, Any]]:
+        """The worker's ``(kind, payload)`` if it sent one, else ``None``.
+
+        A pipe at end-of-file (the worker died, or closed it without a
+        result) is closed here, so it is never waited on again.
+        """
+        if self.conn.closed or not self.conn.poll():
+            return None
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self.conn.close()
+            return None
+
+    def outcome(self) -> Optional[Tuple[str, Any]]:
+        """``("ok", result)``, a failure ``(kind, message)`` of kind
+        ``exception``, ``timeout`` or ``crash``, or ``None`` while the
+        worker runs within its deadline."""
+        received = self._receive()
+        if received is not None:
+            return received
+        if self.process.is_alive():
+            if self.deadline is None or time.monotonic() < self.deadline:
+                return None
+            return "timeout", f"no result within {self.job.timeout}s"
+        # The result may have landed between the read and the exit.
+        received = self._receive()
+        if received is not None:
+            return received
+        return "crash", f"worker exited with code {self.process.exitcode}"
+
+    def kill(self) -> None:
+        """Close the pipe and stop the worker, whatever its state."""
+        self.conn.close()
+        process = self.process
+        with contextlib.suppress(Exception):
+            process.terminate()
+            process.join(0.25)
+            if process.is_alive():
+                process.kill()
+                process.join(0.25)
+        with contextlib.suppress(Exception):
+            process.close()
+
+
+# -- the blocking face --------------------------------------------------------
 
 
 def run_jobs(jobs: Sequence[PoolJob], workers: int,
@@ -183,7 +239,7 @@ def run_jobs(jobs: Sequence[PoolJob], workers: int,
     timeout or worker death; a job that still fails lands in
     ``report.failures`` with a clean :class:`JobFailure` -- the results
     dict only ever holds successful results.  ``workers <= 1`` (or a
-    pool that cannot start) runs everything serially in-process.
+    worker that cannot start) runs everything left serially in-process.
 
     The parent never polls on a timer: it blocks until a worker's
     result pipe or process sentinel is ready, or the nearest job
@@ -196,60 +252,17 @@ def run_jobs(jobs: Sequence[PoolJob], workers: int,
             _run_serial(job, report)
         return report
 
-    try:
-        ctx = _pool_context()
-    except Exception:
-        report.degraded = True
-        for job in jobs:
-            _run_serial(job, report)
-        return report
-
     # Loaded here, not with the module: ``import repro`` stays as small.
     from multiprocessing.connection import wait
 
     queue: List[Tuple[PoolJob, int]] = [(job, 0) for job in jobs]
-    running: List[_Running] = []
-
-    def start(job: PoolJob, attempt: int) -> bool:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        inject = job.injection_for(attempt)
-        process = ctx.Process(
-            target=_child_entry,
-            args=(child_conn, job.func, job.args, inject),
-            daemon=True)
-        try:
-            process.start()
-        except Exception:
-            parent_conn.close()
-            child_conn.close()
-            return False
-        child_conn.close()
-        deadline = (time.monotonic() + job.timeout
-                    if job.timeout is not None else None)
-        running.append(_Running(job, attempt, process, parent_conn,
-                                deadline))
-        report.attempts[job.name] = attempt + 1
-        if verbose:
-            print(f"[pool] {job.name}: attempt {attempt + 1}",
-                  flush=True)
-        return True
-
-    def settle(entry: _Running, kind: str, message: str) -> None:
-        """Record a failed attempt; requeue or report."""
-        if entry.attempt < retries:
-            queue.append((entry.job, entry.attempt + 1))
-        else:
-            report.failures[entry.job.name] = JobFailure(
-                entry.job.name, kind, entry.attempt + 1, message)
-            if verbose:
-                print(f"[pool] {report.failures[entry.job.name]}",
-                      flush=True)
-
+    running: List[_Attempt] = []
     try:
         while queue or running:
             while queue and len(running) < workers:
                 job, attempt = queue.pop(0)
-                if not start(job, attempt):
+                started = _Attempt.start(job, attempt)
+                if started is None:
                     # Pool infrastructure failure: degrade to serial for
                     # this and everything still queued.
                     report.degraded = True
@@ -257,49 +270,190 @@ def run_jobs(jobs: Sequence[PoolJob], workers: int,
                     for queued_job, _ in queue:
                         _run_serial(queued_job, report)
                     queue.clear()
+                    break
+                running.append(started)
+                report.attempts[job.name] = attempt + 1
+                if verbose:
+                    print(f"[pool] {job.name}: attempt {attempt + 1}",
+                          flush=True)
             if not running:
                 continue
 
             deadlines = [entry.deadline for entry in running
                          if entry.deadline is not None]
-            wait([entry.conn for entry in running if not entry.conn.closed]
-                 + [entry.process.sentinel for entry in running],
+            wait([fd for entry in running for fd in entry.fds()],
                  max(0.0, min(deadlines) - time.monotonic())
                  if deadlines else None)
 
-            finished: List[_Running] = []
-            for entry in running:
-                outcome = _receive(entry.conn)
+            for entry in list(running):
+                outcome = entry.outcome()
                 if outcome is None:
-                    if entry.process.is_alive():
-                        if entry.deadline is not None and \
-                                time.monotonic() >= entry.deadline:
-                            settle(entry, "timeout",
-                                   f"no result within {entry.job.timeout}s")
-                            finished.append(entry)
-                        continue
-                    # The result may have landed between the poll and
-                    # the exit.
-                    outcome = _receive(entry.conn)
-                    if outcome is None:
-                        settle(entry, "crash", f"worker exited with code "
-                                               f"{entry.process.exitcode}")
-                        finished.append(entry)
-                        continue
-                status, payload = outcome
-                if status == "ok":
-                    report.results[entry.job.name] = payload
-                else:
-                    settle(entry, "exception", payload)
-                finished.append(entry)
-
-            for entry in finished:
+                    continue
                 running.remove(entry)
-                entry.conn.close()
-                _kill(entry.process)
+                entry.kill()
+                kind, payload = outcome
+                if kind == "ok":
+                    report.results[entry.job.name] = payload
+                elif entry.attempt < retries:
+                    queue.append((entry.job, entry.attempt + 1))
+                else:
+                    failure = JobFailure(entry.job.name, kind,
+                                         entry.attempt + 1, payload)
+                    report.failures[entry.job.name] = failure
+                    if verbose:
+                        print(f"[pool] {failure}", flush=True)
     finally:
         for entry in running:  # defensive: never leak workers
-            entry.conn.close()
-            _kill(entry.process)
+            entry.kill()
 
     return report
+
+
+# -- the async face -----------------------------------------------------------
+
+
+async def _ready(loop, fds: List[int], deadline: Optional[float]) -> None:
+    """Return once any of *fds* is readable or :func:`time.monotonic`
+    reaches *deadline* (``None``: no deadline)."""
+    woken = loop.create_future()
+
+    def wake() -> None:
+        if not woken.done():
+            woken.set_result(None)
+
+    for fd in fds:
+        loop.add_reader(fd, wake)
+    timer = (loop.call_later(max(0.0, deadline - time.monotonic()), wake)
+             if deadline is not None else None)
+    try:
+        await woken
+    finally:
+        for fd in fds:
+            loop.remove_reader(fd)
+        if timer is not None:
+            timer.cancel()
+
+
+class AsyncPool:
+    """Bounded async process pool with per-job timeout/retry/cancel.
+
+    An :class:`asyncio.Semaphore` bounds concurrency; attempts waiting
+    for a slot are the pool's *queue depth*.
+    :class:`~repro.serve.testing.FaultyPool` overrides
+    :meth:`_attempt_process` to inject faults.
+    """
+
+    def __init__(self, workers: int = 2, retries: int = 1):
+        self.workers = max(1, workers)
+        self.retries = max(0, retries)
+        # Created lazily on first use so the pool can be constructed
+        # off-loop (e.g. on a test's main thread) and still bind its
+        # primitives to the loop that runs it (Python 3.9 semantics).
+        self._slots = None
+        #: Attempts waiting for a worker slot right now.
+        self.queued = 0
+        #: Workers running right now.
+        self.active = 0
+        # Lifetime counters (exposed by the server's /stats endpoint).
+        self.spawned = 0
+        self.crashes = 0
+        self.timeouts = 0
+        self.exceptions = 0
+        self.retried = 0
+        self.cancelled = 0
+        self.degraded = False
+
+    def health(self) -> dict:
+        """Worker-health snapshot for ``/stats``."""
+        return {
+            "workers": self.workers, "retries": self.retries,
+            "queued": self.queued, "active": self.active,
+            "spawned": self.spawned, "crashes": self.crashes,
+            "timeouts": self.timeouts, "exceptions": self.exceptions,
+            "retried": self.retried, "cancelled": self.cancelled,
+            "degraded": self.degraded,
+        }
+
+    async def run(self, job: PoolJob,
+                  on_start: Optional[Callable[[int], None]] = None,
+                  on_retry: Optional[
+                      Callable[[int, JobFailure], None]] = None) -> Any:
+        """Run *job* to completion; return its result.
+
+        *on_start(attempt)* fires when a worker slot is acquired for an
+        attempt (0-based); *on_retry(attempt, failure)* fires before a
+        retry with the failure that caused it.  Raises
+        :class:`PoolError` after retries are exhausted.  Cancelling the
+        awaiting task kills the in-flight worker first.
+        """
+        import asyncio
+        if self._slots is None:
+            self._slots = asyncio.Semaphore(self.workers)
+        for attempt in range(self.retries + 1):
+            self.queued += 1
+            try:
+                await self._slots.acquire()
+            finally:
+                self.queued -= 1
+            try:
+                if on_start is not None:
+                    on_start(attempt)
+                kind, payload = await self._attempt_process(job, attempt)
+            except asyncio.CancelledError:
+                self.cancelled += 1
+                raise
+            finally:
+                self._slots.release()
+            if kind == "ok":
+                return payload
+            if kind == "crash":
+                self.crashes += 1
+            elif kind == "timeout":
+                self.timeouts += 1
+            else:
+                self.exceptions += 1
+            failure = JobFailure(job.name, kind, attempt + 1, str(payload))
+            if attempt == self.retries:
+                raise PoolError(failure)
+            self.retried += 1
+            if on_retry is not None:
+                on_retry(attempt + 1, failure)
+
+    async def _attempt_process(self, job: PoolJob,
+                               attempt: int) -> Tuple[str, Any]:
+        """One attempt: ``("ok", result)`` or ``(kind, message)``."""
+        import asyncio
+        running = None if self.degraded else _Attempt.start(job, attempt)
+        if running is None:
+            self.degraded = True
+            return await self._attempt_serial(job)
+        loop = asyncio.get_running_loop()
+        self.spawned += 1
+        self.active += 1
+        try:
+            while True:
+                outcome = running.outcome()
+                if outcome is not None:
+                    return outcome
+                await _ready(loop, running.fds(), running.deadline)
+        finally:
+            self.active -= 1
+            running.kill()
+
+    async def _attempt_serial(self, job: PoolJob) -> Tuple[str, Any]:
+        """Degraded mode: run in a thread (injection hooks are ignored,
+        like the blocking face's serial fallback)."""
+        import asyncio
+        loop = asyncio.get_running_loop()
+        self.active += 1
+        try:
+            result = await asyncio.wait_for(
+                loop.run_in_executor(None, job.func, *job.args),
+                job.timeout)
+        except asyncio.TimeoutError:
+            return "timeout", f"no result within {job.timeout}s"
+        except Exception as exc:
+            return "exception", repr(exc)
+        finally:
+            self.active -= 1
+        return "ok", result

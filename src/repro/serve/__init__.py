@@ -12,7 +12,7 @@ backbone every sweep, diff and CI scenario plugs into as a client
 
 Layers (see ``docs/serve.md``):
 
-* :mod:`~repro.serve.apool` -- the async process pool;
+* :class:`~repro.parallel.pool.AsyncPool` -- the pool's async face;
 * :mod:`~repro.serve.jobs` -- job specs, content keys, the worker
   entry, the canonical :func:`profile_report`;
 * :mod:`~repro.serve.server` -- the HTTP daemon;
@@ -22,7 +22,7 @@ Layers (see ``docs/serve.md``):
   server fixture the daemon's test harness is built on.
 """
 
-from .apool import AsyncPool, PoolError
+from ..parallel.pool import AsyncPool, PoolError
 from .client import (ClientError, JobCancelled, JobFailed, ServeClient,
                      run_suite_via_server)
 from .jobs import (JobSpec, ProgramSpec, execute_job, job_key,

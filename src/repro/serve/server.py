@@ -4,7 +4,7 @@
 accepts program + config + schedule submissions, content-hashes each
 job with the existing ``SimCache`` key machinery so duplicate
 submissions coalesce onto one in-flight future, queues misses onto
-per-job worker processes (:class:`~repro.serve.apool.AsyncPool`) with
+per-job worker processes (:class:`~repro.parallel.pool.AsyncPool`) with
 per-job timeout/retry/cancel, and streams progress events plus final
 profile reports to any number of concurrent clients.
 
@@ -39,8 +39,7 @@ import pickle
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel.pool import JobFailure, PoolJob
-from .apool import AsyncPool, PoolError
+from ..parallel.pool import AsyncPool, JobFailure, PoolError, PoolJob
 from .http import (BadRequest, Request, json_response, ndjson_line,
                    read_request, stream_head)
 from .jobs import (CANCELLED, DEFAULT_JOB_TIMEOUT, DONE, ERROR, QUEUED,

@@ -2,14 +2,14 @@
 server fixture.
 
 A daemon is only trustworthy with a harness that can break it on
-purpose.  :class:`FaultyPool` wraps :class:`~repro.serve.apool.
+purpose.  :class:`FaultyPool` wraps :class:`~repro.parallel.pool.
 AsyncPool` with declarative :class:`Fault` rules that make selected
 attempts crash (worker dies), hang (until the job timeout kills it),
-raise, or start slowly -- reusing the injection hooks the synchronous
-pool already ships.  :func:`running_server` runs a real
-:class:`~repro.serve.server.ProfileServer` on a background thread with
-its own event loop, so ordinary blocking clients (and many of them,
-concurrently) can exercise the full HTTP surface from a test.
+raise, or start slowly -- mapped onto the pool's own injection hooks.
+:func:`running_server` runs a real :class:`~repro.serve.server.
+ProfileServer` on a background thread with its own event loop, so
+ordinary blocking clients (and many of them, concurrently) can exercise
+the full HTTP surface from a test.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from ..parallel.pool import PoolJob
-from .apool import AsyncPool
+from ..parallel.pool import AsyncPool, PoolJob
 from .client import ServeClient
 from .server import ProfileServer
 

@@ -440,3 +440,13 @@ def test_suite_parallel_jobs(capsys):
     out = capsys.readouterr().out
     assert "exchange2" in out and "lbm" in out
     assert "sanitizer:" in out and "clean" in out
+
+
+def test_suite_parallel_failure_exits_1(capsys):
+    """A pooled benchmark that runs out of time is reported, not
+    raised, and fails the run."""
+    assert main(["suite", "lbm", "--scale", "0.05", "--jobs", "2",
+                 "--timeout", "0.01", "--retries", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED lbm: timeout after 1 attempt(s): no result within " \
+        "0.01s" in err

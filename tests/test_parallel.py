@@ -257,13 +257,73 @@ def test_pool_many_jobs_few_workers():
     assert report.results == {f"j{i}": i for i in range(6)}
 
 
+class _UnstartableProcess:
+    """A worker that cannot start, as where the platform forbids it."""
+
+    def __init__(self, target, args, daemon):
+        pass
+
+    def start(self):
+        raise OSError("cannot start a worker process")
+
+
+class _UnstartableContext:
+    Pipe = staticmethod(multiprocessing.Pipe)
+    Process = _UnstartableProcess
+
+
+def test_pool_degrades_when_no_worker_starts(monkeypatch):
+    import repro.parallel.pool as pool_mod
+    monkeypatch.setattr(pool_mod, "_pool_context", _UnstartableContext)
+    jobs = [PoolJob(f"j{i}", _double, (i,)) for i in range(3)]
+    report = run_jobs(jobs, workers=2)
+    assert report.ok and report.degraded
+    assert report.results == {f"j{i}": 2 * i for i in range(3)}
+
+
+def test_async_pool_degrades_when_no_worker_starts(monkeypatch):
+    import asyncio
+
+    import repro.parallel.pool as pool_mod
+    from repro.parallel.pool import AsyncPool
+    monkeypatch.setattr(pool_mod, "_pool_context", _UnstartableContext)
+    pool = AsyncPool(workers=2)
+
+    async def scenario():
+        return await asyncio.gather(
+            *(pool.run(PoolJob(f"j{i}", _double, (i,))) for i in range(3)))
+
+    assert asyncio.run(scenario()) == [0, 2, 4]
+    assert pool.degraded and pool.spawned == 0
+
+
+def test_blocking_pool_does_not_import_asyncio():
+    """``asyncio`` loads ``ssl`` and adds about 2.7 MB of resident
+    memory, so only the pool's async face may import it."""
+    import subprocess
+    import sys
+    code = "\n".join([
+        "import sys",
+        "import repro",
+        "from repro.parallel import PoolJob, run_jobs",
+        "jobs = [PoolJob(f'j{n}', abs, (-n,)) for n in (1, 2)]",
+        "report = run_jobs(jobs, workers=2)",
+        "assert report.results == {'j1': 1, 'j2': 2}, report",
+        "assert not report.degraded, report",
+        "assert 'asyncio' not in sys.modules, 'asyncio was imported'",
+    ])
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 # -- parallel suite ---------------------------------------------------------------
 
 
 def test_parallel_suite_matches_serial():
     scale = 0.05
     workloads = build_suite(["exchange2", "lbm"], scale=scale)
-    configs = default_profilers(29)
+    configs = default_profilers(29, policies=SEVEN_POLICIES)
     serial = run_suite(workloads, profilers=configs, scale=scale)
     parallel = run_suite(workloads, profilers=configs, scale=scale,
                          jobs=2, sanitize=True)

@@ -190,21 +190,16 @@ def _double(value):
 
 @pytest.fixture
 def pool_never_sleeps(monkeypatch):
-    """``asyncio.sleep`` fails inside the pool's module: an attempt must
-    wake on its worker's result pipe, its exit or its deadline, never
-    on a timer."""
+    """``asyncio.sleep`` fails while the test runs: an attempt must wake
+    on its worker's result pipe, its exit or its deadline, never on a
+    timer.  The pool imports ``asyncio`` inside its async face, so the
+    patch goes on the module itself."""
     import asyncio
-    import types
-
-    import repro.serve.apool as apool_mod
 
     async def no_sleep(delay, result=None):
         raise AssertionError(f"the async pool slept {delay} s")
 
-    shim = types.ModuleType("asyncio")
-    shim.__dict__.update(vars(asyncio))
-    shim.sleep = no_sleep
-    monkeypatch.setattr(apool_mod, "asyncio", shim)
+    monkeypatch.setattr(asyncio, "sleep", no_sleep)
 
 
 @pytest.mark.usefixtures("pool_never_sleeps")
@@ -235,6 +230,7 @@ def test_async_pool_wakes_on_worker_events():
     assert result == 42
     assert hung.kind == "timeout" and 0.5 <= elapsed < 3.0
     assert died.kind == "crash"
+    assert "86" in died.message
     assert pool.spawned == 3 and pool.active == 0
 
 

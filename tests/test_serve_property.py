@@ -21,6 +21,7 @@ from conftest import COUNT_LOOP
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.harness import POLICIES
 from repro.serve import JobSpec, execute_job, job_key
 from repro.serve.testing import running_server
 
@@ -32,7 +33,7 @@ SPEC_POOL = [(n, period) for n in (11, 23, 37) for period in (5, 7)]
 def make_spec(n: int, period: int) -> JobSpec:
     return JobSpec.for_source(COUNT_LOOP.format(n=n),
                               name=f"loop{n}.s", period=period,
-                              policies=("TIP", "NCI"))
+                              policies=tuple(POLICIES))
 
 
 @pytest.fixture(scope="module")
