@@ -19,7 +19,8 @@ sampled profile, every sample weighted by its interval, against Oracle's
 full profile, which it symbolizes and normalizes once for all the
 profilers it is given (:func:`profile_error` is its one-profiler case).
 Only the stricter :func:`per_sample_error` reads Oracle's watched
-intervals.
+intervals, so it needs an Oracle built with the profiler's schedule in
+``watch_schedules``; the harness Oracle watches none.
 """
 
 from __future__ import annotations
@@ -117,7 +118,12 @@ def per_sample_error(profiler: SamplingProfiler, oracle: OracleReport,
                      symbolizer: Symbolizer,
                      granularity: Granularity) -> float:
     """Per-sample error against the golden attribution of each sample's
-    own interval (a stricter, diagnostic variant of the metric)."""
+    own interval (a stricter, diagnostic variant of the metric).
+
+    *oracle* must come from an ``OracleProfiler`` that watched
+    *profiler*'s schedule (``watch_schedules``); any other report, such
+    as a harness result's, raises :class:`ValueError`.
+    """
     key = schedule_key(profiler.schedule)
     intervals = oracle.intervals.get(key)
     if intervals is None:

@@ -197,11 +197,12 @@ def cmd_suite(args) -> int:
     hits = sum(1 for result in suite.results.values() if result.cached)
     if hits:
         print(f"[suite] {hits} simulation cache hit(s)")
-    for granularity in Granularity:
-        table = suite.errors(granularity)
-        print()
-        print(render_error_table(
-            table, title=f"{granularity.value}-level error"))
+    if suite.results:  # no tables when every benchmark failed
+        for granularity in Granularity:
+            table = suite.errors(granularity)
+            print()
+            print(render_error_table(
+                table, title=f"{granularity.value}-level error"))
     if args.sanitize:
         print()
         for name, summary in suite.sanitizer_summaries().items():

@@ -141,13 +141,10 @@ def _observers(image: Program, profilers: Sequence[ProfilerConfig],
         sanitizer = TraceSanitizer(program=image,
                                    commit_width=config.commit_width,
                                    banks=config.rob_banks)
-    # Oracle watches the union of all distinct sampling schedules so
-    # the error metric can compare every sample against golden
-    # attribution.
-    distinct = {(p.period, p.mode, p.seed): p for p in profilers}
-    oracle = OracleProfiler(
-        image, watch_schedules=[p.schedule_clone()
-                                for p in distinct.values()])
+    # Every report reads the whole-run attribution, so the Oracle
+    # watches no schedule; per-sample errors need a caller's own
+    # ``OracleProfiler(image, watch_schedules=[...])``.
+    oracle = OracleProfiler(image)
     built: Dict[str, SamplingProfiler] = {}
     for profiler_config in profilers:
         if profiler_config.name in built:

@@ -58,6 +58,8 @@ def _result_checksum(result) -> str:
     Oracle profile/categorized/watched maps, every profiler's raw
     sample stream and the core statistics -- all via ``repr``, which
     round-trips floats, so two runs hash equal iff bit-identical.
+    Harness results watch no schedule, so their ``watched`` map is
+    empty and the Oracle's whole-run maps carry the comparison.
     """
     digest = hashlib.sha256()
     report = result.oracle

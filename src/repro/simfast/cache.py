@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from array import array
+import pickle
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -82,45 +82,15 @@ def program_digest(program: Program,
                     inst.imm, inst.addr)
                    for inst in program.instructions]).encode())
     h.update(repr(("entry", program.entry)).encode())
-    _hash_data(h, program.data)
+    # The data image by value, in image order, in one pass.  Pickle
+    # round-trips it exactly (int, float and bool by opcode, ints of
+    # any size, -0.0), so equal bytes mean equal images; nothing is
+    # sorted, so an equal image built in another insertion order costs
+    # a miss, never a wrong hit.
+    h.update(pickle.dumps(program.data, protocol=5))
     h.update(repr(("premapped",
                    [tuple(span) for span in premapped or ()])).encode())
     return h.hexdigest()
-
-
-def _hash_data(h, data: Dict[int, float]) -> None:
-    """Feed the data image to *h* in one pass, in image order.
-
-    Addresses hash as one int64 column.  Values hash as one int64
-    column when they are all ints; otherwise as a per-word tag (1 for
-    a float) plus an int64 column of the ints and a float64 column of
-    the floats, so ``1`` and ``1.0`` differ and so do ``0.0`` and
-    ``-0.0``.  Anything else, such as an int outside int64, falls back
-    to ``repr``.  Nothing is sorted: an equal image built in another
-    insertion order keys differently, which costs a miss, never a
-    wrong hit.
-    """
-    values = list(data.values())
-    try:
-        columns = [array("q", list(data))]
-        try:
-            columns.append(array("q", values))
-            layout = "q"
-        except TypeError:
-            floats = [type(value) is float for value in values]
-            columns += [
-                bytes(floats),
-                array("q", [value for value, is_float in zip(values, floats)
-                            if not is_float]),
-                array("d", [value for value, is_float in zip(values, floats)
-                            if is_float])]
-            layout = "tqd"
-    except (OverflowError, TypeError):
-        h.update(repr(("data", list(data.items()))).encode())
-        return
-    h.update(repr(("data", len(values), layout)).encode())
-    for column in columns:
-        h.update(column)
 
 
 def config_digest(config: CoreConfig) -> str:

@@ -447,6 +447,7 @@ def test_suite_parallel_failure_exits_1(capsys):
     raised, and fails the run."""
     assert main(["suite", "lbm", "--scale", "0.05", "--jobs", "2",
                  "--timeout", "0.01", "--retries", "0"]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "FAILED lbm: timeout after 1 attempt(s): no result within " \
         "0.01s" in err
+    assert "(empty)" not in out  # no error tables without a result

@@ -14,6 +14,7 @@ from repro.core.samples import Sample
 from repro.core.sampling import SampleSchedule
 from repro.core.baselines import LciProfiler, NciProfiler
 from repro.core.tip import TipProfiler
+from repro.cpu.machine import Machine
 from repro.cpu.trace import replay
 from repro.harness import default_profilers, run_workload
 from repro.isa.assembler import assemble
@@ -275,14 +276,22 @@ def test_slow_path_runs_once_per_address_and_granularity(monkeypatch):
             return slow(self, addr)
 
         monkeypatch.setattr(Symbolizer, method, counted)
-    result = run_workload(build("mcf", 0.02), default_profilers(13))
+    workload = build("mcf", 0.02)
+    result = run_workload(workload, default_profilers(13))
+    # The harness Oracle watches no schedule; per-sample errors read
+    # one watched on the same run.
+    machine = Machine(workload.program, premapped_data=workload.premapped)
+    watched = OracleProfiler(machine.image,
+                             watch_schedules=[SampleSchedule(13)])
+    machine.attach(watched)
+    machine.run()
     for granularity in Granularity:
         result.errors(granularity)
         for name in result.profilers:
             result.error(name, granularity)
             result.profile(name, granularity)
         result.oracle_profile(granularity)
-        per_sample_error(result.profilers["TIP"], result.oracle,
+        per_sample_error(result.profilers["TIP"], watched.report,
                          result.symbolizer, granularity)
     result.function_stacks()
     assert {method for method, _ in calls} == \

@@ -1,12 +1,19 @@
 """Experiment harness tests."""
 
+import os
+
 import pytest
 
-from repro.analysis import Granularity
+from repro.analysis import Granularity, per_sample_error
 from repro.harness import (ALL_POLICIES, ProfilerConfig, default_profilers,
-                           run_experiment, run_suite, run_workload)
+                           replay_experiment, run_experiment, run_suite,
+                           run_workload)
 from repro.isa.assembler import assemble
-from repro.workloads import build_workload, k_int_ilp, k_stream_load
+from repro.kernel import Kernel
+from repro.workloads import (build_suite, build_workload, k_int_ilp,
+                             k_stream_load)
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 WORKLOAD = build_workload("t", [
     k_int_ilp("compute", 800, width=6),
@@ -100,3 +107,49 @@ def test_random_mode_profilers():
     deltas = {b.cycle - a.cycle for a, b in zip(tip.samples,
                                                 tip.samples[1:])}
     assert len(deltas) > 1
+
+
+# -- the harness Oracle watches no schedule ------------------------------------------
+
+
+def _live(tmp_path):
+    return [run_workload(WORKLOAD, default_profilers(17))]
+
+
+def _cache_hit(tmp_path):
+    run_workload(WORKLOAD, default_profilers(17), sim="fast",
+                 cache=str(tmp_path))
+    result = run_workload(WORKLOAD, default_profilers(17), sim="fast",
+                          cache=str(tmp_path))
+    assert result.cached
+    return [result]
+
+
+def _trace_replay(tmp_path):
+    with open(os.path.join(DATA, "golden.s")) as handle:
+        image = Kernel().boot(assemble(handle.read(), name="golden.s"))
+    return [replay_experiment(os.path.join(DATA, "golden.tiptrace"),
+                              image, default_profilers(17))]
+
+
+def _pooled(tmp_path):
+    suite = run_suite(build_suite(["lbm", "mcf"], scale=0.05),
+                      profilers=default_profilers(17), jobs=2)
+    assert suite.ok and len(suite.results) == 2
+    return list(suite.results.values())
+
+
+@pytest.mark.parametrize("path", [_live, _cache_hit, _trace_replay,
+                                  _pooled],
+                         ids=["live", "cache-hit", "replay", "pooled"])
+def test_harness_oracle_watches_no_schedule(path, tmp_path):
+    """Every report reads the Oracle's whole-run attribution, so no
+    harness path pays for per-sample intervals; per-sample errors need
+    a caller's own watched Oracle."""
+    for result in path(tmp_path):
+        assert result.oracle.intervals == {}
+        assert result.oracle.watched == {}
+        assert result.oracle.profile
+        with pytest.raises(ValueError, match="did not watch"):
+            per_sample_error(result.profilers["TIP"], result.oracle,
+                             result.symbolizer, Granularity.INSTRUCTION)

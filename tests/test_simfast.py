@@ -14,20 +14,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.profiles import profile_checksum
+from repro.core.oracle import OracleProfiler
 from repro.core.profiler import SamplingProfiler
 from repro.core.sampling import SampleSchedule
 from repro.cpu import (Machine, MaxCyclesExceeded, TraceWriterV3,
                        shifted_record)
 from repro.cpu.tracefile import replay_trace
 from repro.cpu.trace import TraceCollector
-from repro.fastpath import CycleBlock
+from repro.fastpath import CycleBlock, replay_blocks
 from repro.harness.experiment import default_profilers
 from repro.harness.runner import run_suite, run_workload
 from repro.simfast import SimCache, resolve_cache
 from repro.simfast.bench import _result_checksum
 from repro.workloads.suite import BENCHMARKS, build_suite
 
-from conftest import make_record, oracle_tables
+from conftest import ORACLE_FIELDS, make_record, oracle_tables
 from test_differential import DATA_BASE, DATA_WORDS, _generate_program
 
 #: Strided loads thrash the data cache, so most cycles are memory
@@ -124,6 +125,46 @@ def test_fast_experiment_results_identical(name):
     assert r_fast.stats.fast_forwarded > 0
     if name in MEMOIZED_AT_SMALL_SCALE:
         assert r_fast.stats.steady_state_cycles > 0
+
+
+def _watched_oracle(image):
+    """An Oracle watching a periodic and a seeded random schedule."""
+    return OracleProfiler(image, watch_schedules=[
+        SampleSchedule(53), SampleSchedule(13, "random", 7)])
+
+
+@pytest.mark.parametrize("name", ("exchange2", "x264", "mcf"))
+def test_watched_oracle_identical_step_fast_and_replayed(name, tmp_path):
+    """The harness Oracle watches no schedule, so watched intervals are
+    checked here: stepping, ``sim="fast"`` (memoized periods on
+    exchange2 and x264, stall fast-forward on mcf) and a block replay
+    of the fast run's trace fill every report field alike."""
+    workload, = build_suite([name], scale=0.05)
+    path = str(tmp_path / f"{name}.tiptrace")
+    reports = {}
+    for sim in ("step", "fast"):
+        machine = Machine(workload.program,
+                          premapped_data=workload.premapped)
+        oracle = _watched_oracle(machine.image)
+        machine.attach(oracle)
+        if sim == "fast":
+            machine.attach(TraceWriterV3(path, machine.config.rob_banks))
+        stats = machine.run(sim=sim)
+        reports[sim] = oracle_tables(oracle.report)
+    assert stats.fast_forwarded > 0
+    if name in MEMOIZED_AT_SMALL_SCALE:
+        assert stats.steady_state_cycles > 0
+    replayed = _watched_oracle(machine.image)
+    replay_blocks(path, replayed)
+    # Replay reports the last record's cycle, a run the cycle after.
+    replayed.report.total_cycles = stats.cycles
+    reports["replayed"] = oracle_tables(replayed.report)
+    assert set(reports["step"]) == set(ORACLE_FIELDS)
+    assert len(reports["step"]["intervals"]) == 2
+    assert all(reports["step"]["intervals"].values())
+    assert reports["step"]["watched"]
+    assert reports["fast"] == reports["step"]
+    assert reports["replayed"] == reports["step"]
 
 
 class _StallCountingProfiler(SamplingProfiler):
@@ -489,7 +530,7 @@ def _data_program(data):
     return program
 
 
-#: One int64 column of values, and the tagged int/float columns.
+#: An all-int data image, and one mixing ints with floats.
 INTS = [(0x2000, 7), (0x2008, 1)]
 MIXED = [(0x2000, 7), (0x2008, 1), (0x2010, 0.0), (0x2018, 2.5)]
 
@@ -516,6 +557,34 @@ def test_value_outside_int64_keys_through_fallback():
     assert _run_key(_data_program(huge)) == _run_key(_data_program(huge))
     assert _run_key(_data_program(huge)) != \
         _run_key(_data_program([(0x2000, (1 << 70) + 1), (0x2008, 1.5)]))
+
+
+def _keys_of_three_images():
+    """Run keys of an all-int image (mcf), a float image (imagick-orig)
+    and a data image holding an int outside int64."""
+    return [_run_key(*BUILDERS["mcf"]()),
+            _run_key(*BUILDERS["imagick-orig"]()),
+            _run_key(_data_program([(0x2000, -(1 << 70)), (0x2008, 2)]))]
+
+
+def test_keys_are_equal_in_fresh_processes():
+    """A key names an entry that other processes read (pool workers,
+    the server, later runs), so it must not depend on the process or
+    on its string-hash seed."""
+    import subprocess
+    import sys
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(tests, os.pardir, "src"), tests]
+    code = ("from test_simfast import _keys_of_three_images\n"
+            "print(*_keys_of_three_images())")
+    keys = _keys_of_three_images()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == keys, f"PYTHONHASHSEED={seed}"
 
 
 # -- set-up once per run -------------------------------------------------------------
