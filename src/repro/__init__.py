@@ -15,8 +15,8 @@ The package provides:
 * ``repro.workloads`` -- 27 synthetic SPEC/PARSEC stand-ins plus the
   Imagick case study;
 * ``repro.harness`` -- single-simulation multi-profiler experiments;
-* ``repro.lint`` -- the static linter, dataflow engine, observer
-  contracts and commit-trace sanitizer;
+* ``repro.lint`` -- the static linter, dataflow engine, abstract
+  interpreter and commit-trace sanitizer;
 * ``repro.opt`` -- the profile-guided optimizer: dataflow-proven
   rewrites with certificates, differential verification and measured
   speedups (``repro optimize``).

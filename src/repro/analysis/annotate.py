@@ -81,11 +81,11 @@ class AnnotateReport:
     def divergent(self) -> List[AnnotatedLine]:
         """The flagged lines, largest overshoot first."""
         flagged = [line for line in self.lines if line.divergent]
-        return sorted(flagged, key=lambda l: (-l.excess, l.addr))
+        return sorted(flagged, key=lambda line: (-line.excess, line.addr))
 
     def render(self, top: Optional[int] = None) -> str:
         rows = sorted(self.lines,
-                      key=lambda l: (-l.dynamic_share, l.addr))
+                      key=lambda line: (-line.dynamic_share, line.addr))
         if top is not None:
             rows = rows[:top]
         flagged = len(self.divergent)
@@ -109,7 +109,7 @@ class AnnotateReport:
             "divergent": [line.addr for line in self.divergent],
             "lines": [line.to_dict()
                       for line in sorted(self.lines,
-                                         key=lambda l: l.addr)],
+                                         key=lambda row: row.addr)],
         }
 
 

@@ -10,7 +10,7 @@ into a Compute / Flush / Stall class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
 from ..core.oracle import OracleReport
 from ..core.samples import Category

@@ -10,7 +10,7 @@ ranked by impact -- the table a developer reads after applying a fix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ stacks, and the per-benchmark error tables behind Figures 8-10.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence)
+from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence
 
 from ..isa.program import Program
 from .cyclestacks import STACK_ORDER, CycleStack
@@ -20,18 +19,17 @@ def format_diag(severity: str, rule: str, message: str, *,
                 cycle: Optional[int] = None,
                 hint: Optional[str] = None,
                 path: Optional[str] = None,
-                line: Optional[int] = None,
-                col: Optional[int] = None) -> str:
+                line: Optional[int] = None) -> str:
     """The one shared diagnostic line format of the toolkit.
 
     Used by the linter's :class:`~repro.lint.diagnostics.Diagnostic`
     and the trace sanitizer's violation reports so every tool prints
     machine-grepable, uniformly shaped lines::
 
-        severity[RULE] path:line:col cycle N @0xADDR (function): message
+        severity[RULE] path:line cycle N @0xADDR (function): message
             hint: ...
 
-    Location parts (*path*/*line*/*col* for source files, *cycle* for
+    Location parts (*path*/*line* for source files, *cycle* for
     traces, *addr*/*function* for guest text) are optional and omitted
     when unknown.  *hint* adds an indented fix-suggestion line.
     """
@@ -40,8 +38,6 @@ def format_diag(severity: str, rule: str, message: str, *,
         location = path
         if line is not None:
             location += f":{line}"
-            if col is not None:
-                location += f":{col}"
         parts.append(location)
     if cycle is not None:
         parts.append(f"cycle {cycle}")
@@ -126,7 +122,8 @@ def render_cycle_stack(stack: CycleStack, label: str = "run") -> str:
     """One normalised cycle stack as text."""
     lines = [f"== cycle stack: {label} (total {stack.total:.0f} cycles) =="]
     for category in STACK_ORDER:
-        lines.append(f"  {category.value:<12} {stack.fraction(category):>7.2%}")
+        lines.append(f"  {category.value:<12} "
+                     f"{stack.fraction(category):>7.2%}")
     lines.append(f"  class: {stack.classify()}")
     return "\n".join(lines)
 

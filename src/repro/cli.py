@@ -443,15 +443,13 @@ def cmd_lint(args) -> int:
     Without ``--strict`` only error-severity diagnostics exit 1;
     with it any diagnostic does.
     """
-    fmt = "json" if args.json else (args.format or "text")
+    fmt = "json" if args.json else "text"
     if args.list_rules:
         return _list_rules(fmt, args.dataflow)
     if not args.targets:
         print("lint: a TARGET (or --list-rules) is required",
               file=sys.stderr)
         return 2
-    if args.observers:
-        return _lint_observers(args, fmt)
     from .isa.assembler import AssemblerError
     from .lint import Linter
     try:
@@ -479,26 +477,6 @@ def cmd_lint(args) -> int:
     if any(report.errors for report in reports):
         return 1
     if args.strict and any(report.diagnostics for report in reports):
-        return 1
-    return 0
-
-
-def _lint_observers(args, fmt: str) -> int:
-    """``repro lint --observers``: contract-check Python sources."""
-    from .lint.contracts import check_observer_contracts
-    bad = [target for target in args.targets
-           if not os.path.exists(target)]
-    if bad:
-        print("cannot lint: " + ", ".join(bad), file=sys.stderr)
-        return 2
-    report = check_observer_contracts(args.targets)
-    if fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    if report.errors:
-        return 1
-    if args.strict and report.diagnostics:
         return 1
     return 0
 
@@ -968,16 +946,11 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="statically lint programs",
         description="Lint assembly files, directories of .s files, "
                     "suite benchmark names, or imagick-orig/imagick-opt. "
-                    "With --observers, targets are Python sources checked "
-                    "against the observer/profiler contracts (C001, "
-                    "C004). "
                     "Exit status: 0 clean, 1 diagnostics found, 2 "
                     "usage/internal error.")
     lint.add_argument("targets", nargs="*")
-    lint.add_argument("--format", choices=("text", "json"), default=None,
-                      help="output format (default text)")
     lint.add_argument("--json", action="store_true",
-                      help="shorthand for --format json")
+                      help="print the JSON report to stdout")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule registry (id, severity, "
                            "tier, summary) and exit")
@@ -995,9 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--no-dataflow", dest="dataflow",
                       action="store_false",
                       help="disable the dataflow rule family")
-    lint.add_argument("--observers", action="store_true",
-                      help="check observer/profiler contracts in "
-                           "Python sources")
     lint.add_argument("--strict", action="store_true",
                       help="exit 1 on any diagnostic, not only errors")
     lint.add_argument("--no-ignores", action="store_true",

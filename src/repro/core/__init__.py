@@ -20,7 +20,8 @@ __all__ = [
     "OverheadSummary", "oracle_data_rate", "sample_payload_bytes",
     "sample_record_bytes", "sampling_data_rate", "summarize",
     "tip_storage_bytes", "SamplingProfiler", "Attribution", "Category",
-    "FlushKind", "Sample", "stall_category", "CORE_CLOCK_HZ", "DEFAULT_FREQUENCY_HZ",
+    "FlushKind", "Sample", "stall_category", "CORE_CLOCK_HZ",
+    "DEFAULT_FREQUENCY_HZ",
     "SampleSchedule", "period_for_frequency", "TipIlpProfiler",
     "TipProfiler",
 ]

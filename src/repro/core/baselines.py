@@ -40,7 +40,6 @@ class SoftwareProfiler(SamplingProfiler):
     """
 
     name = "Software"
-    block_native = True
 
     def __init__(self, schedule: SampleSchedule, skid_cycles: int = 0):
         super().__init__(schedule)
@@ -83,7 +82,6 @@ class DispatchProfiler(SamplingProfiler):
     """Tag at dispatch, as AMD IBS and Arm SPE do."""
 
     name = "Dispatch"
-    block_native = True
 
     def _attribute(self, record: CycleRecord) -> Optional[Outcome]:
         if record.dispatch_pc is not None:
@@ -113,7 +111,6 @@ class LciProfiler(SamplingProfiler):
     """Report the last-committed instruction."""
 
     name = "LCI"
-    block_native = True
 
     def __init__(self, schedule: SampleSchedule):
         super().__init__(schedule)
@@ -166,7 +163,6 @@ class NciProfiler(SamplingProfiler):
     """Report the next-committing instruction (Intel PEBS)."""
 
     name = "NCI"
-    block_native = True
 
     def _attribute(self, record: CycleRecord) -> Optional[Outcome]:
         if record.committed:

@@ -165,7 +165,7 @@ class OracleProfiler(TraceObserver):
         # addr -> tag of a head-of-ROB stall on it.
         self._stall_tags: Dict[int, int] = {}
 
-    # -- trace consumption ---------------------------------------------------------
+    # -- trace consumption ----------------------------------------------------
 
     def on_cycle(self, record: CycleRecord) -> None:
         cycle = record.cycle
@@ -328,7 +328,7 @@ class OracleProfiler(TraceObserver):
                       for watch in self._watches})
         self.report.total_cycles = final_cycle
 
-    # -- internals -------------------------------------------------------------------
+    # -- internals ------------------------------------------------------------
 
     def _commit(self, cycle: int, addrs: List[int]) -> None:
         """Attribute a commit cycle: ``UNITS // n`` to each of its *n*

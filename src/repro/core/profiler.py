@@ -14,11 +14,11 @@ reference replay call :meth:`SamplingProfiler.on_cycle` once per cycle.
 Every batch of cycles -- a fast-forwarded stall run or a memoized loop
 period under ``sim="fast"``, or a replayed trace chunk -- arrives as
 one columnar :class:`~repro.fastpath.block.CycleBlock` through
-:meth:`SamplingProfiler.on_block`; profilers that set ``block_native``
-and implement the ``_block_*`` hooks then touch only the cycles that
-matter -- sample points and pending-resolution events, located by
-bisecting the block's sparse index lists -- instead of paying a Python
-call per cycle, and all others get every record of the block through
+:meth:`SamplingProfiler.on_block`; profilers that override the
+``_block_*`` hooks then touch only the cycles that matter -- sample
+points and pending-resolution events, located by bisecting the block's
+sparse index lists -- instead of paying a Python call per cycle, and
+all others get every record of the block through
 :meth:`~SamplingProfiler.on_cycle`.  The block loop reproduces the
 per-cycle semantics exactly (state update, then pending resolution,
 then sampling, in cycle order), so both paths emit bit-identical
@@ -36,6 +36,10 @@ from .sampling import SampleSchedule
 #: Return value of ``_attribute``/``_resolve`` hooks.
 Outcome = Tuple[Attribution, Optional[Category]]
 
+#: The columnar hooks a block-native profiler overrides, all together.
+_BLOCK_HOOKS = ("_block_attribute", "_block_scan_resolve",
+                "_block_resolve_outcome")
+
 
 class SamplingProfiler(TraceObserver):
     """A statistical profiler driven by a sample schedule."""
@@ -45,9 +49,24 @@ class SamplingProfiler(TraceObserver):
     #: Whether samples may carry multiple addresses (sizes the perf
     #: record, Section 3.2).
     ilp_aware = False
-    #: Whether this profiler implements the columnar ``_block_*`` hooks.
-    #: When clear, ``on_block`` falls back to a loop over ``on_cycle``.
-    block_native = False
+    #: Derived per class from the hooks it overrides: all three of
+    #: ``_BLOCK_HOOKS`` select the columnar ``on_block``, none keeps
+    #: the per-record fallback, and a partial set fails at definition.
+    _columnar = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        overridden = [name for name in _BLOCK_HOOKS
+                      if getattr(cls, name)
+                      is not getattr(SamplingProfiler, name)]
+        if overridden and len(overridden) < len(_BLOCK_HOOKS):
+            missing = [name for name in _BLOCK_HOOKS
+                       if name not in overridden]
+            raise TypeError(
+                f"{cls.__name__} overrides {', '.join(overridden)} but "
+                f"not {', '.join(missing)}: the columnar block hooks "
+                f"are overridden together or not at all")
+        cls._columnar = bool(overridden)
 
     def __init__(self, schedule: SampleSchedule):
         self.schedule = schedule
@@ -55,7 +74,7 @@ class SamplingProfiler(TraceObserver):
         self._prev_sample_cycle = -1
         self._pending: List[Sample] = []
 
-    # -- subclass hooks ------------------------------------------------------------
+    # -- subclass hooks -------------------------------------------------------
 
     def _update_state(self, record: CycleRecord) -> None:
         """Track whatever hardware state this policy needs."""
@@ -68,7 +87,7 @@ class SamplingProfiler(TraceObserver):
         """Try to resolve pending samples with a later *record*."""
         return None
 
-    # -- trace consumption -----------------------------------------------------------
+    # -- trace consumption ----------------------------------------------------
 
     def on_cycle(self, record: CycleRecord) -> None:
         self._update_state(record)
@@ -105,7 +124,7 @@ class SamplingProfiler(TraceObserver):
         else:
             sample.weights, sample.category = outcome
 
-    # -- columnar block consumption (the fastpath engine) ------------------------------
+    # -- columnar block consumption (the fastpath engine) ---------------------
     #
     # The driver below replays the cycle engine's per-cycle semantics
     # over a CycleBlock while visiting only the cycles where something
@@ -119,7 +138,7 @@ class SamplingProfiler(TraceObserver):
     # (or a switch back to the cycle engine) chain exactly.
 
     def on_block(self, block) -> None:
-        if not self.block_native:
+        if not self._columnar:
             for record in block.records():
                 self.on_cycle(record)
             return
@@ -164,7 +183,7 @@ class SamplingProfiler(TraceObserver):
                 sample.weights, sample.category = outcome
         self._block_update_tail(block)
 
-    # -- block hooks (override together with ``block_native = True``) -----------------
+    # -- block hooks (override all three or none) -----------------------------
 
     def _block_attribute(self, block, i: int) -> Optional[Outcome]:
         """Columnar twin of ``_attribute`` for the record at index *i*.
@@ -207,7 +226,7 @@ class SamplingProfiler(TraceObserver):
                 self.samples.append(
                     Sample(cycle, interval, weights, category))
 
-    # -- results -----------------------------------------------------------------------
+    # -- results --------------------------------------------------------------
 
     @property
     def sampled_cycles(self) -> int:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Tuple
 
-from ..isa.instruction import Instruction
-from ..isa.opcodes import Kind
 from ..isa.program import Program
 
 

@@ -44,7 +44,6 @@ class TipProfiler(SamplingProfiler):
 
     name = "TIP"
     ilp_aware = True
-    block_native = True
 
     def __init__(self, schedule: SampleSchedule, program: Program):
         super().__init__(schedule)
@@ -52,7 +51,7 @@ class TipProfiler(SamplingProfiler):
         self._oir_addr: Optional[int] = None
         self._oir_flag = _FLAG_NONE
 
-    # -- OIR update unit (runs every cycle, Figure 5) ---------------------------------
+    # -- OIR update unit (runs every cycle, Figure 5) -------------------------
 
     def _update_state(self, record: CycleRecord) -> None:
         if record.committed:
@@ -68,7 +67,7 @@ class TipProfiler(SamplingProfiler):
             self._oir_addr = record.exception
             self._oir_flag = _FLAG_EXCEPTION
 
-    # -- sample selection unit (Figure 6) ----------------------------------------------
+    # -- sample selection unit (Figure 6) -------------------------------------
 
     def _attribute(self, record: CycleRecord) -> Optional[Outcome]:
         if record.committed:
@@ -102,7 +101,7 @@ class TipProfiler(SamplingProfiler):
         weights = [(c.addr, share) for c in record.committed]
         return weights, Category.EXECUTION
 
-    # -- columnar fast path (block engine) ---------------------------------------------
+    # -- columnar fast path (block engine) ------------------------------------
     #
     # The OIR mirror is only ever *read* when a sample lands on an
     # empty-ROB cycle, so instead of updating it every cycle the block

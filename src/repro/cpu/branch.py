@@ -75,7 +75,7 @@ class TagePredictor:
         self.lookups = 0
         self.mispredicts = 0
 
-    # -- prediction ------------------------------------------------------------
+    # -- prediction -----------------------------------------------------------
 
     def predict(self, pc: int) -> Prediction:
         self.lookups += 1
@@ -83,12 +83,13 @@ class TagePredictor:
         taken = self.base[(pc >> 2) % len(self.base)] >= 2
         for i, table in enumerate(self.tables):
             idx = table.index(pc, self.history)
-            if table.valid[idx] and table.tags[idx] == table.tag(pc, self.history):
+            if table.valid[idx] and \
+                    table.tags[idx] == table.tag(pc, self.history):
                 taken = table.counters[idx] >= 4
                 provider = i
         return Prediction(taken, provider, self.history)
 
-    # -- update ----------------------------------------------------------------
+    # -- update ---------------------------------------------------------------
 
     def update(self, pc: int, taken: bool, prediction: Prediction) -> None:
         correct = prediction.taken == taken

@@ -9,7 +9,6 @@ ROB, full issue queues, drains) easy to trigger.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..mem.hierarchy import MemoryConfig
 

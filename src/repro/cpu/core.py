@@ -205,7 +205,7 @@ class Core:
         self._uop_pool = MicroOpPool()
         self._retired: Deque[Tuple[int, MicroOp]] = deque()
 
-    # -- public API -------------------------------------------------------------
+    # -- public API -----------------------------------------------------------
 
     def attach(self, observer: TraceObserver) -> None:
         self.observers.append(observer)
@@ -290,7 +290,7 @@ class Core:
         self._emit_record(cycle)
         self.cycle = cycle + 1
 
-    # -- event-driven stall fast-forward (repro.simfast) -------------------------------
+    # -- event-driven stall fast-forward (repro.simfast) ----------------------
 
     def _quiet_until(self) -> Optional[int]:
         """Next-event cycle if the whole pipeline is provably stalled.
@@ -462,7 +462,7 @@ class Core:
                     f"{expected_cycle}: expected uniform stall "
                     f"{template!r}, stepped to {record!r}")
 
-    # -- branch resolution ---------------------------------------------------------
+    # -- branch resolution ----------------------------------------------------
 
     def _resolve_branches(self, cycle: int) -> None:
         if not self._resolve_queue:
@@ -480,7 +480,7 @@ class Core:
                 self.stats.branch_mispredicts += 1
                 self._squash_after(uop.seq, uop.actual_target, cycle)
 
-    # -- commit ------------------------------------------------------------------
+    # -- commit ---------------------------------------------------------------
 
     def _commit_stage(self, cycle: int) -> None:
         if self._interrupt_pending and not self._in_trap and self.rob \
@@ -620,7 +620,7 @@ class Core:
         self._squash_from(uop.seq, uop.addr, cycle)
         self.fetch_ready_cycle += self.config.flush_refill_penalty
 
-    # -- squash ----------------------------------------------------------------
+    # -- squash ---------------------------------------------------------------
 
     def _squash_after(self, seq: int, refetch_pc: int, cycle: int) -> None:
         self._squash_from(seq + 1, refetch_pc, cycle)
@@ -700,7 +700,7 @@ class Core:
             retired.popleft()
             pool.release(uop)
 
-    # -- stores draining to memory ---------------------------------------------------
+    # -- stores draining to memory --------------------------------------------
 
     def _drain_stores(self, cycle: int) -> None:
         if not self._store_drains:
@@ -715,7 +715,7 @@ class Core:
                 remaining.append((done, uop))
         self._store_drains = remaining
 
-    # -- issue / execute -----------------------------------------------------------
+    # -- issue / execute ------------------------------------------------------
 
     def _issue_stage(self, cycle: int) -> None:
         self._issue_from(self.int_iq, self.config.int_issue_width, cycle)
@@ -868,7 +868,7 @@ class Core:
                     load.fault_vpn is None:
                 load.order_violation = True
 
-    # -- dispatch ---------------------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
 
     def _iq_for(self, inst: Instruction):
         unit = inst.unit
@@ -923,7 +923,7 @@ class Core:
                 self.serialize_uop = uop
                 break
 
-    # -- fetch ------------------------------------------------------------------
+    # -- fetch ----------------------------------------------------------------
 
     def _fetch_stage(self, cycle: int) -> None:
         if self._retired:
@@ -1004,7 +1004,7 @@ class Core:
         self.fetch_pc = inst.next_addr
         return False
 
-    # -- trace emission --------------------------------------------------------------
+    # -- trace emission -------------------------------------------------------
 
     def _emit_record(self, cycle: int) -> None:
         if self._committed_now:

@@ -15,7 +15,7 @@ from ..isa.program import Program
 from ..kernel import Kernel
 from ..mem.hierarchy import MemoryHierarchy
 from .config import CoreConfig
-from .core import STEP_SIM, Core, CoreStats, SimulationError
+from .core import STEP_SIM, Core, CoreStats
 from .trace import TraceObserver
 
 

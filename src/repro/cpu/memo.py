@@ -168,7 +168,7 @@ class LoopMemoizer:
         self._stats0: Optional[tuple] = None
         self._hier0: Optional[list] = None
 
-    # -- driver hooks ------------------------------------------------------------
+    # -- driver hooks ---------------------------------------------------------
 
     def note_break(self) -> None:
         """The cycle stream is discontinuous (stall fast-forward ran)."""
@@ -194,7 +194,7 @@ class LoopMemoizer:
         elif self.core.cycle >= self._next_attempt:
             self._attempt()
 
-    # -- phase 1: detection ------------------------------------------------------
+    # -- phase 1: detection ---------------------------------------------------
 
     def _fail(self, ratchet_period: int = 0,
               phase_period: int = 0) -> None:
@@ -274,7 +274,7 @@ class LoopMemoizer:
                 return p
         return None
 
-    # -- phase 2: confirmation ---------------------------------------------------
+    # -- phase 2: confirmation ------------------------------------------------
 
     def _probe_commit(self, uop) -> None:
         self._commits.append((uop.inst, uop.result, uop.eff_addr,
@@ -353,7 +353,7 @@ class LoopMemoizer:
         items: List[tuple] = []
         for i, uop in enumerate(inflight):
             pos[id(uop)] = i
-        for i, uop in enumerate(inflight):
+        for uop in inflight:
             if (uop.squashed or uop.mispredicted or uop.order_violation
                     or uop.fault_vpn is not None
                     or uop.inst.kind is Kind.ATOMIC):
@@ -410,7 +410,7 @@ class LoopMemoizer:
             tuple(core.ras._stack),
         )
 
-    # -- phase 3+4: finalize (gate, project, skip) -------------------------------
+    # -- phase 3+4: finalize (gate, project, skip) ----------------------------
 
     def _finalize(self) -> None:
         core = self.core
@@ -511,7 +511,7 @@ class LoopMemoizer:
                     - len(core.fetch_buffer)) // length)
         return k
 
-    # -- functional projection ---------------------------------------------------
+    # -- functional projection ------------------------------------------------
 
     def _project(self, commits: List[tuple], inflight: list,
                  allowed_k: int) -> Optional[dict]:
@@ -631,7 +631,7 @@ class LoopMemoizer:
         return {"k": k, "boundary": boundary, "regs": final_regs,
                 "overlay": overlay, "values": values, "window": window}
 
-    # -- the skip ----------------------------------------------------------------
+    # -- the skip -------------------------------------------------------------
 
     def _emit(self, period: int, repeats: int) -> None:
         observers = self.core.observers

@@ -337,7 +337,7 @@ def _fsync_dir(dirname: str) -> None:
         os.close(fd)
 
 
-# -- format v3 ------------------------------------------------------------------
+# -- format v3 ----------------------------------------------------------------
 
 
 def _pack_u64(values: Sequence[int]) -> bytes:
@@ -666,7 +666,7 @@ def _read_trace_v3(stream: BinaryIO, banks: int, compressed: bool
             yield record
 
 
-# -- readers ---------------------------------------------------------------------
+# -- readers ------------------------------------------------------------------
 
 
 def _open_source(source: Union[BinaryIO, bytes, str]

@@ -110,7 +110,7 @@ class CycleBlock:
         self._exc_mask: Optional[bytes] = None
         self._disp_pc_mask: Optional[bytes] = None
 
-    # -- sparse accessors (cheap point lookups, no materialization) ----------------
+    # -- sparse accessors (cheap point lookups, no materialization) -----------
 
     def rob_empty_at(self, i: int) -> int:
         return self.flags[i] & _F_EMPTY
@@ -134,7 +134,7 @@ class CycleBlock:
             return self.opt_vals[self.opt_base[i + 1] - 1]
         return None
 
-    # -- dense columns (lazy, shared by every observer that needs them) ------------
+    # -- dense columns (lazy, shared by every observer that needs them) -------
 
     @property
     def flags_bytes(self) -> bytes:
@@ -205,7 +205,7 @@ class CycleBlock:
                 else None for i in range(self.n)]
         return self._dispatch_pc
 
-    # -- record materialization ----------------------------------------------------
+    # -- record materialization -----------------------------------------------
 
     def record(self, i: int) -> CycleRecord:
         """Materialize record *i* as a classic :class:`CycleRecord`.
@@ -248,7 +248,7 @@ class CycleBlock:
                 f"{self.start_cycle + self.n}) commits="
                 f"{len(self.commit_addr)}>")
 
-    # -- construction ----------------------------------------------------------------
+    # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_runs(cls, runs: Sequence[Tuple[CycleRecord, int]],

@@ -88,7 +88,7 @@ class ExperimentResult:
         self.cached = False
         self.symbolizer = Symbolizer(program)
 
-    # -- errors -------------------------------------------------------------------
+    # -- errors ---------------------------------------------------------------
 
     def error(self, name: str,
               granularity: Granularity = Granularity.INSTRUCTION) -> float:
@@ -103,7 +103,7 @@ class ExperimentResult:
         return profile_errors(profilers, self.oracle, self.symbolizer,
                               granularity)
 
-    # -- profiles ------------------------------------------------------------------
+    # -- profiles -------------------------------------------------------------
 
     def profile(self, name: str,
                 granularity: Granularity = Granularity.INSTRUCTION,
@@ -119,7 +119,7 @@ class ExperimentResult:
         profile = oracle_profile(self.oracle, self.symbolizer, granularity)
         return normalize(profile) if normalized else profile
 
-    # -- cycle stacks ---------------------------------------------------------------
+    # -- cycle stacks ---------------------------------------------------------
 
     def cycle_stack(self) -> CycleStack:
         return cycle_stack(self.oracle)

@@ -13,7 +13,7 @@ cores for shared binaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from ..analysis.profiles import build_profile, normalize
 from ..analysis.symbols import Granularity, Symbolizer

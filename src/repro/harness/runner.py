@@ -8,7 +8,7 @@ paper's FireSim + CPU-side trace-processing setup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..analysis.cyclestacks import CycleStack
 from ..analysis.symbols import Granularity

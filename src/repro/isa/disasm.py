@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .instruction import Instruction, Register
-from .opcodes import Kind, Op, info_for
+from .opcodes import Kind, Op
 from .program import Program
 
 _IMMEDIATE_OPS = frozenset({

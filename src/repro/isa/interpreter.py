@@ -11,7 +11,7 @@ matching a machine whose kernel installs zero-filled pages on demand.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .instruction import Register
 from .opcodes import Op

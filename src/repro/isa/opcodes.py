@@ -156,14 +156,22 @@ OPCODE_TABLE: dict = {
     Op.SLL: _info("sll", Unit.INT, Kind.ALU, 1, writes_int=True),
     Op.SRL: _info("srl", Unit.INT, Kind.ALU, 1, writes_int=True),
     Op.SLT: _info("slt", Unit.INT, Kind.ALU, 1, writes_int=True),
-    Op.ADDI: _info("addi", Unit.INT, Kind.ALU, 1, num_sources=1, writes_int=True),
-    Op.ANDI: _info("andi", Unit.INT, Kind.ALU, 1, num_sources=1, writes_int=True),
-    Op.ORI: _info("ori", Unit.INT, Kind.ALU, 1, num_sources=1, writes_int=True),
-    Op.XORI: _info("xori", Unit.INT, Kind.ALU, 1, num_sources=1, writes_int=True),
-    Op.SLLI: _info("slli", Unit.INT, Kind.ALU, 1, num_sources=1, writes_int=True),
-    Op.SRLI: _info("srli", Unit.INT, Kind.ALU, 1, num_sources=1, writes_int=True),
-    Op.SLTI: _info("slti", Unit.INT, Kind.ALU, 1, num_sources=1, writes_int=True),
-    Op.LUI: _info("lui", Unit.INT, Kind.ALU, 1, num_sources=0, writes_int=True),
+    Op.ADDI: _info("addi", Unit.INT, Kind.ALU, 1, num_sources=1,
+                   writes_int=True),
+    Op.ANDI: _info("andi", Unit.INT, Kind.ALU, 1, num_sources=1,
+                   writes_int=True),
+    Op.ORI: _info("ori", Unit.INT, Kind.ALU, 1, num_sources=1,
+                  writes_int=True),
+    Op.XORI: _info("xori", Unit.INT, Kind.ALU, 1, num_sources=1,
+                   writes_int=True),
+    Op.SLLI: _info("slli", Unit.INT, Kind.ALU, 1, num_sources=1,
+                   writes_int=True),
+    Op.SRLI: _info("srli", Unit.INT, Kind.ALU, 1, num_sources=1,
+                   writes_int=True),
+    Op.SLTI: _info("slti", Unit.INT, Kind.ALU, 1, num_sources=1,
+                   writes_int=True),
+    Op.LUI: _info("lui", Unit.INT, Kind.ALU, 1, num_sources=0,
+                  writes_int=True),
     Op.MUL: _info("mul", Unit.INT, Kind.MUL, 3, writes_int=True),
     Op.DIV: _info("div", Unit.INT, Kind.DIV, 16, writes_int=True),
     Op.REM: _info("rem", Unit.INT, Kind.DIV, 16, writes_int=True),
@@ -171,21 +179,27 @@ OPCODE_TABLE: dict = {
     Op.FADD: _info("fadd", Unit.FP, Kind.FP_ALU, 4, writes_fp=True),
     Op.FSUB: _info("fsub", Unit.FP, Kind.FP_ALU, 4, writes_fp=True),
     Op.FMUL: _info("fmul", Unit.FP, Kind.FP_ALU, 4, writes_fp=True),
-    Op.FMADD: _info("fmadd", Unit.FP, Kind.FP_ALU, 4, num_sources=3, writes_fp=True),
+    Op.FMADD: _info("fmadd", Unit.FP, Kind.FP_ALU, 4, num_sources=3,
+                    writes_fp=True),
     Op.FDIV: _info("fdiv", Unit.FP, Kind.FP_DIV, 13, writes_fp=True),
-    Op.FSQRT: _info("fsqrt", Unit.FP, Kind.FP_DIV, 20, num_sources=1, writes_fp=True),
+    Op.FSQRT: _info("fsqrt", Unit.FP, Kind.FP_DIV, 20, num_sources=1,
+                    writes_fp=True),
     Op.FMIN: _info("fmin", Unit.FP, Kind.FP_ALU, 2, writes_fp=True),
     Op.FMAX: _info("fmax", Unit.FP, Kind.FP_ALU, 2, writes_fp=True),
     Op.FEQ: _info("feq", Unit.FP, Kind.FP_ALU, 2, writes_int=True),
     Op.FLT: _info("flt", Unit.FP, Kind.FP_ALU, 2, writes_int=True),
     Op.FLE: _info("fle", Unit.FP, Kind.FP_ALU, 2, writes_int=True),
-    Op.FCVT_W_D: _info("fcvt.w.d", Unit.FP, Kind.FP_ALU, 2, num_sources=1, writes_int=True),
-    Op.FCVT_D_W: _info("fcvt.d.w", Unit.FP, Kind.FP_ALU, 2, num_sources=1, writes_fp=True),
-    Op.FMV: _info("fmv", Unit.FP, Kind.FP_ALU, 1, num_sources=1, writes_fp=True),
+    Op.FCVT_W_D: _info("fcvt.w.d", Unit.FP, Kind.FP_ALU, 2, num_sources=1,
+                       writes_int=True),
+    Op.FCVT_D_W: _info("fcvt.d.w", Unit.FP, Kind.FP_ALU, 2, num_sources=1,
+                       writes_fp=True),
+    Op.FMV: _info("fmv", Unit.FP, Kind.FP_ALU, 1, num_sources=1,
+                  writes_fp=True),
 
     Op.LW: _info("lw", Unit.MEM, Kind.LOAD, 1, num_sources=1, writes_int=True),
     Op.LD: _info("ld", Unit.MEM, Kind.LOAD, 1, num_sources=1, writes_int=True),
-    Op.FLD: _info("fld", Unit.MEM, Kind.LOAD, 1, num_sources=1, writes_fp=True),
+    Op.FLD: _info("fld", Unit.MEM, Kind.LOAD, 1, num_sources=1,
+                  writes_fp=True),
     Op.SW: _info("sw", Unit.MEM, Kind.STORE, 1, num_sources=2),
     Op.SD: _info("sd", Unit.MEM, Kind.STORE, 1, num_sources=2),
     Op.FSD: _info("fsd", Unit.MEM, Kind.STORE, 1, num_sources=2),
@@ -194,8 +208,10 @@ OPCODE_TABLE: dict = {
     Op.BNE: _info("bne", Unit.BRANCH, Kind.BRANCH, 1),
     Op.BLT: _info("blt", Unit.BRANCH, Kind.BRANCH, 1),
     Op.BGE: _info("bge", Unit.BRANCH, Kind.BRANCH, 1),
-    Op.JAL: _info("jal", Unit.BRANCH, Kind.CALL, 1, num_sources=0, writes_int=True),
-    Op.JALR: _info("jalr", Unit.BRANCH, Kind.RETURN, 1, num_sources=1, writes_int=True),
+    Op.JAL: _info("jal", Unit.BRANCH, Kind.CALL, 1, num_sources=0,
+                  writes_int=True),
+    Op.JALR: _info("jalr", Unit.BRANCH, Kind.RETURN, 1, num_sources=1,
+                   writes_int=True),
 
     Op.FRFLAGS: _info("frflags", Unit.SYSTEM, Kind.CSR, 1, num_sources=0,
                       writes_int=True, flushes_on_commit=True),

@@ -9,11 +9,11 @@ synthetic workload generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from .instruction import INSTRUCTION_BYTES, Instruction
-from .opcodes import Op, info_for
+from .opcodes import Op
 
 #: Default base address of application text.
 TEXT_BASE = 0x1_0000
@@ -212,7 +212,7 @@ class ProgramBuilder:
             self._pending.append(_PendingBranch(len(self._insts) - 1, target))
         return inst
 
-    # -- finalisation ----------------------------------------------------------
+    # -- finalisation ---------------------------------------------------------
 
     def build(self) -> Program:
         self._close_function()

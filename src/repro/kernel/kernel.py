@@ -25,7 +25,7 @@ class Kernel:
         #: (vpn, cycle) log of serviced faults.
         self.faults: List[Tuple[int, int]] = []
 
-    # -- boot-time setup --------------------------------------------------------
+    # -- boot-time setup ------------------------------------------------------
 
     def link(self, app: Program) -> Program:
         """*app* merged with the handler program: the image the core runs.
@@ -59,7 +59,7 @@ class Kernel:
             self.page_table.map_range(lo, hi)
         return image
 
-    # -- runtime ------------------------------------------------------------------
+    # -- runtime --------------------------------------------------------------
 
     def on_page_fault(self, vpn: int, cycle: int) -> int:
         """Install the missing page and return the handler entry address."""

@@ -1,6 +1,7 @@
 """Static program linter and dynamic commit-trace sanitizer.
 
-Three analysis layers over the same invariants the profilers depend on:
+Two analysis layers over the same invariants the profilers depend on,
+a static linter (the first two modules below) and a dynamic sanitizer:
 
 * :mod:`repro.lint.cfg` + :mod:`repro.lint.dataflow` +
   :mod:`repro.lint.rules` -- a control-flow graph over
@@ -16,24 +17,19 @@ Three analysis layers over the same invariants the profilers depend on:
   per-function summaries) behind the memory-safety / stack-discipline
   rules L014..L019 and the static cycle-cost model of
   ``repro lint --cost`` / ``repro annotate``;
-* :mod:`repro.lint.contracts` -- an AST-based conformance checker for
-  the observer/profiler contracts the fast paths rely on (block-native
-  hook pairing, shared-state hazards): ``repro lint --observers``;
 * :mod:`repro.lint.sanitizer` -- a :class:`~repro.cpu.trace.TraceObserver`
   that validates every cycle of the commit-stage trace against the
   commit invariants (program order, commit width, flush-drain,
   bank rotation) and fails fast with a cycle-numbered report.
 
-Entry points: :func:`lint_program`, :func:`check_observer_contracts`,
-:class:`TraceSanitizer`, and the CLI (``repro lint``, ``--sanitize``).
+Entry points: :func:`lint_program`, :class:`TraceSanitizer`, and the
+CLI (``repro lint``, ``--sanitize``).
 """
 
 from .absint import (AbsintResult, AbsState, AbsVal,
                      AbstractInterpreter, CostReport, FunctionSummary,
                      analyze_program, static_cost_report)
 from .cfg import BasicBlock, ControlFlowGraph, Loop, build_cfg
-from .contracts import (CONTRACT_RULES, ContractReport,
-                        check_observer_contracts)
 from .dataflow import (ALL_REGS, BACKWARD, BlockState,
                        ConditionalConstants, DataflowAnalysis,
                        DefiniteAssignment, DominatorTree, ENTRY_DEF,
@@ -57,7 +53,6 @@ __all__ = [
     "ENTRY_DEF", "FORWARD", "Liveness", "LoopNest", "PreheaderSite",
     "ReachingDefinitions", "loop_invariant_addrs", "preheader_site",
     "solve",
-    "CONTRACT_RULES", "ContractReport", "check_observer_contracts",
     "Diagnostic", "FixHint", "Severity",
     "Linter", "LintReport", "lint_program",
     "ABSINT_RULE_IDS",

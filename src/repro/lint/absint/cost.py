@@ -77,7 +77,7 @@ class CostReport:
 
     def render(self, top: Optional[int] = None) -> str:
         total = self.total
-        rows = sorted(self.lines, key=lambda l: (-l.total, l.addr))
+        rows = sorted(self.lines, key=lambda line: (-line.total, line.addr))
         if top is not None:
             rows = rows[:top]
         out = [f"static cost model: {total:.0f} expected cycles over "
@@ -98,7 +98,7 @@ class CostReport:
                        "text": line.text, "per_exec": line.per_exec,
                        "weight": line.weight, "total": line.total}
                       for line in sorted(self.lines,
-                                         key=lambda l: l.addr)],
+                                         key=lambda row: row.addr)],
         }
 
 
@@ -185,5 +185,5 @@ def static_cost_report(ctx: LintContext,
                 addr=inst.addr, function=block.function,
                 text=format_instruction(inst), per_exec=per_exec,
                 weight=weight))
-    report.lines.sort(key=lambda l: l.addr)
+    report.lines.sort(key=lambda line: line.addr)
     return report

@@ -1,4 +1,4 @@
-"""Control-flow graph construction over :class:`~repro.isa.program.Program` text.
+"""Control-flow graph construction over ``Program`` text.
 
 The linter's static layer: the program text is partitioned into basic
 blocks per function region, intra-function edges follow branch/jump
@@ -86,7 +86,7 @@ class ControlFlowGraph:
         self.loops = self._find_loops()
         self.loop_called = self._loop_called_functions()
 
-    # -- block construction ----------------------------------------------------
+    # -- block construction ---------------------------------------------------
 
     def _region_name(self, inst: Instruction, anon_start: int) -> str:
         func = self.program.function_of(inst.addr)
@@ -194,7 +194,7 @@ class ControlFlowGraph:
         if dst_index not in src.successors:
             src.successors.append(dst_index)
 
-    # -- lookups ----------------------------------------------------------------
+    # -- lookups --------------------------------------------------------------
 
     def block_index_of(self, addr: int) -> Optional[int]:
         """Index of the block containing *addr*, or ``None``."""
@@ -212,7 +212,7 @@ class ControlFlowGraph:
         index = self.block_index_of(addr)
         return self.blocks[index] if index is not None else None
 
-    # -- reachability ------------------------------------------------------------
+    # -- reachability ---------------------------------------------------------
 
     def _compute_reachable(self) -> Set[int]:
         """Blocks reachable from the entry, following calls and assuming
@@ -239,7 +239,7 @@ class ControlFlowGraph:
                     work.append(nxt)
         return seen
 
-    # -- dominators and loops ------------------------------------------------------
+    # -- dominators and loops -------------------------------------------------
 
     def dominators(self, function: str) -> Dict[int, Set[int]]:
         """Iterative dominator sets over one function's intra-CFG.
@@ -341,7 +341,7 @@ class ControlFlowGraph:
                         work.append((callee.function, header_addr))
         return called
 
-    # -- queries used by rules ------------------------------------------------------
+    # -- queries used by rules ------------------------------------------------
 
     def innermost_loop(self, addr: int) -> Optional[Loop]:
         """The smallest natural loop whose body contains *addr*."""

@@ -74,7 +74,6 @@ class Diagnostic:
     fix_hint: Optional[str] = None
     path: Optional[str] = None
     line: Optional[int] = None
-    col: Optional[int] = None
     fix: Optional[FixHint] = None
 
     @property
@@ -85,10 +84,10 @@ class Diagnostic:
         return format_diag(self.severity.value, self.rule, self.message,
                            addr=self.addr, function=self.function,
                            cycle=self.cycle, hint=self.fix_hint,
-                           path=self.path, line=self.line, col=self.col)
+                           path=self.path, line=self.line)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form (for ``repro lint --format json`` and CI)."""
+        """JSON-friendly form (for ``repro lint --json`` and CI)."""
         out: Dict[str, Any] = {
             "rule": self.rule,
             "severity": self.severity.value,
@@ -98,8 +97,6 @@ class Diagnostic:
             out["path"] = self.path
         if self.line is not None:
             out["line"] = self.line
-        if self.col is not None:
-            out["col"] = self.col
         if self.addr is not None:
             out["addr"] = f"{self.addr:#x}"
         if self.function is not None:

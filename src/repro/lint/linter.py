@@ -128,7 +128,7 @@ class Linter:
                 for d in report.diagnostics]
         # Stable order: errors before warnings before infos, and within
         # each severity band findings read in program (address) order in
-        # both the text and ``--format json`` outputs, independent of
+        # both the text and ``--json`` outputs, independent of
         # which rule or calling context produced them first.
         report.diagnostics.sort(
             key=lambda d: (-d.severity.rank, d.addr is None, d.addr or 0,

@@ -248,8 +248,8 @@ class CallReturnMismatchRule(LintRule):
                     f"call links through {Register.name(link)} but "
                     f"{callee.name!r} returns through {names}",
                     addr=term.addr, function=block.function,
-                    fix_hint=f"use the callee's link register or fix "
-                             f"the callee's return")
+                    fix_hint="use the callee's link register or fix "
+                             "the callee's return")
 
     @staticmethod
     def _returns_by_function(ctx: LintContext) -> Dict[str, set]:

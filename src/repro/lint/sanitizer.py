@@ -92,12 +92,12 @@ class TraceSanitizer(TraceObserver):
     def for_machine(cls, machine: "object",
                     fail_fast: bool = True) -> "TraceSanitizer":
         """Build a sanitizer matching a Machine's image and config."""
+        config = machine.config  # type: ignore[attr-defined]
         return cls(program=machine.image,  # type: ignore[attr-defined]
-                   commit_width=machine.config.commit_width,  # type: ignore[attr-defined]
-                   banks=machine.config.rob_banks,  # type: ignore[attr-defined]
-                   fail_fast=fail_fast)
+                   commit_width=config.commit_width,
+                   banks=config.rob_banks, fail_fast=fail_fast)
 
-    # -- observer interface ------------------------------------------------------
+    # -- observer interface ---------------------------------------------------
 
     def on_cycle(self, record: CycleRecord) -> None:
         if self.banks is None:
@@ -139,7 +139,7 @@ class TraceSanitizer(TraceObserver):
             self.commits_checked += snap["commits_checked"]
             self.violations.extend(snap["violations"])
 
-    # -- individual invariants -----------------------------------------------------
+    # -- individual invariants ------------------------------------------------
 
     def _check_monotone(self, record: CycleRecord) -> None:
         if self._last_cycle is None:
@@ -193,11 +193,11 @@ class TraceSanitizer(TraceObserver):
                 f"expected {self.banks}")
             return
         if record.rob_empty != (record.rob_head is None):
+            head = record.rob_head
             self._report(
                 "S007", record.cycle,
                 f"rob_empty={record.rob_empty} disagrees with "
-                f"rob_head="
-                f"{record.rob_head if record.rob_head is None else hex(record.rob_head)}")
+                f"rob_head={head if head is None else hex(head)}")
             return
         if record.rob_head is None:
             return
@@ -296,7 +296,7 @@ class TraceSanitizer(TraceObserver):
             return None  # indirect target: not statically known
         return {inst.next_addr}
 
-    # -- reporting -----------------------------------------------------------------
+    # -- reporting ------------------------------------------------------------
 
     def _report(self, rule: str, cycle: int, message: str,
                 addr: Optional[int] = None) -> None:

@@ -12,8 +12,8 @@ head-of-ROB stall patterns the profilers must attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 
 @dataclass
@@ -47,7 +47,8 @@ class MemoryLevel:
 
     name = "memory"
 
-    def access(self, addr: int, cycle: int, is_write: bool = False) -> AccessResult:
+    def access(self, addr: int, cycle: int,
+               is_write: bool = False) -> AccessResult:
         raise NotImplementedError
 
 
@@ -67,7 +68,8 @@ class MainMemory(MemoryLevel):
         self._next_free = 0
         self.accesses = 0
 
-    def access(self, addr: int, cycle: int, is_write: bool = False) -> AccessResult:
+    def access(self, addr: int, cycle: int,
+               is_write: bool = False) -> AccessResult:
         self.accesses += 1
         start = max(cycle, self._next_free)
         self._next_free = start + self.cycles_per_access
@@ -109,7 +111,7 @@ class Cache(MemoryLevel):
         self._mshrs: List[_Mshr] = []
         self.stats = CacheStats()
 
-    # -- helpers ---------------------------------------------------------------
+    # -- helpers --------------------------------------------------------------
 
     def _block_of(self, addr: int) -> int:
         return addr // self.block_size
@@ -137,9 +139,10 @@ class Cache(MemoryLevel):
         if self._mshrs:
             self._mshrs = [m for m in self._mshrs if m.ready > cycle]
 
-    # -- the access path ---------------------------------------------------------
+    # -- the access path ------------------------------------------------------
 
-    def access(self, addr: int, cycle: int, is_write: bool = False) -> AccessResult:
+    def access(self, addr: int, cycle: int,
+               is_write: bool = False) -> AccessResult:
         self.stats.accesses += 1
         block = self._block_of(addr)
         self._expire_mshrs(cycle)

@@ -8,11 +8,10 @@ latency is consistent with a partially hidden LLC hit in our setup").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from .cache import AccessResult, Cache, MainMemory
-from .tlb import (PAGE_SIZE, PageTable, PageTableWalker, Tlb, TlbHierarchy,
-                  TranslationResult, vpn_of)
+from .cache import Cache, MainMemory
+from .tlb import PageTable, PageTableWalker, Tlb, TlbHierarchy
 
 
 @dataclass

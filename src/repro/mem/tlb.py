@@ -10,7 +10,7 @@ a load" walkthrough), which the miniature kernel then handles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from .cache import MemoryLevel
 
@@ -35,7 +35,8 @@ class PageTable:
 
     def map_range(self, lo_addr: int, hi_addr: int) -> None:
         """Map every page overlapping [lo_addr, hi_addr)."""
-        for vpn in range(vpn_of(lo_addr), vpn_of(max(hi_addr - 1, lo_addr)) + 1):
+        last = vpn_of(max(hi_addr - 1, lo_addr))
+        for vpn in range(vpn_of(lo_addr), last + 1):
             self._mapped.add(vpn)
 
     def unmap_page(self, vpn: int) -> None:

@@ -37,8 +37,8 @@ from ..lint.diagnostics import Diagnostic
 from ..lint.linter import Linter
 from ..lint.rules import LintContext, RULES_BY_ID
 from .legality import (Certificate, DeadStorePlan, FlushPairPlan,
-                       HoistPlan, PrunePlan, plan_dead_store,
-                       plan_flush_pair, plan_hoist, plan_prune)
+                       plan_dead_store, plan_flush_pair, plan_hoist,
+                       plan_prune)
 
 #: Rules whose fix hints the optimizer can prove and apply.
 OPTIMIZABLE_RULES: Tuple[str, ...] = ("L001", "L012", "L010", "L011",

@@ -21,7 +21,7 @@ import http.client
 import json
 import pickle
 import socket
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .jobs import TERMINAL_STATES, JobSpec, ProgramSpec
 

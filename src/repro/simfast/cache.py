@@ -137,7 +137,7 @@ class SimCache:
         self.max_bytes = max_bytes
         os.makedirs(self.root, exist_ok=True)
 
-    # -- keys ------------------------------------------------------------------------
+    # -- keys -----------------------------------------------------------------
 
     def key_for(self, program: Program, config: CoreConfig,
                 premapped: Optional[Sequence[Tuple[int, int]]] = None,
@@ -157,7 +157,7 @@ class SimCache:
     def _meta_path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
 
-    # -- hits ------------------------------------------------------------------------
+    # -- hits -----------------------------------------------------------------
 
     def lookup(self, key: str,
                max_cycles: Optional[int] = None) -> Optional[CacheHit]:
@@ -185,7 +185,7 @@ class SimCache:
         return CacheHit(key, trace_path,
                         CoreStats.from_dict(meta.get("stats", {})))
 
-    # -- fills -----------------------------------------------------------------------
+    # -- fills ----------------------------------------------------------------
 
     def open_writer(self, key: str, banks: int,
                     compress: bool = False) -> TraceWriterV3:
@@ -219,7 +219,7 @@ class SimCache:
         os.replace(tmp, meta_path)
         self._evict_lru()
 
-    # -- maintenance -----------------------------------------------------------------
+    # -- maintenance ----------------------------------------------------------
 
     def keys(self) -> List[str]:
         return sorted(name[:-5] for name in os.listdir(self.root)
@@ -302,7 +302,7 @@ class SimCache:
             entries.append((mtime, size, key))
             total += size
         entries.sort()
-        for mtime, size, key in entries:
+        for _mtime, size, key in entries:
             if total <= self.max_bytes:
                 break
             self.evict(key)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..isa.assembler import assemble
 from ..isa.program import Program, TEXT_BASE
@@ -104,7 +104,7 @@ def k_int_ilp(name: str, iters: int, width: int = 6) -> Kernel:
     for i in range(width):
         reg = 7 + i
         body.append(f"    add  x{reg}, x{reg}, x6")
-    body += [f"    andi x15, x6, 3",
+    body += ["    andi x15, x6, 3",
              f"    bne  x15, x0, {name}_S",
              "    xor  x7, x7, x8",
              "    add  x9, x9, x7",
@@ -121,7 +121,7 @@ def k_fp_ilp(name: str, iters: int, width: int = 4) -> Kernel:
         op = "fadd" if i % 2 == 0 else "fmul"
         reg = 1 + i
         body.append(f"    {op} f{reg}, f{reg}, f{8 + (i % 4)}")
-    body += [f"    andi x15, x6, 3",
+    body += ["    andi x15, x6, 3",
              f"    bne  x15, x0, {name}_S",
              "    fadd f6, f6, f1",
              f"{name}_S:",

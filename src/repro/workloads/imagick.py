@@ -46,10 +46,10 @@ def _rounding_func(name: str, direction: str, optimized: bool) -> str:
     save = "nop" if optimized else "frflags x7"
     restore = "nop" if optimized else "fsflags x7"
     if direction == "up":
-        compare = f"    flt  x9, f2, f1        # trunc < x: round up"
+        compare = "    flt  x9, f2, f1        # trunc < x: round up"
         adjust = "    fadd f2, f2, f11"
     else:
-        compare = f"    flt  x9, f1, f2        # x < trunc: round down"
+        compare = "    flt  x9, f1, f2        # x < trunc: round down"
         adjust = "    fsub f2, f2, f11"
     return f""".func {name}
 {name}:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .generator import (Kernel, Workload, build_workload, k_branchy,
-                        k_calls, k_csr_flush, k_dep_chain, k_fault,
-                        k_fp_div, k_fp_ilp, k_icache, k_int_ilp,
-                        k_pointer_chase, k_serialize, k_stream_load,
+from .generator import (Workload, build_workload, k_branchy, k_calls,
+                        k_csr_flush, k_dep_chain, k_fault, k_fp_div, k_fp_ilp,
+                        k_icache, k_int_ilp, k_pointer_chase, k_stream_load,
                         k_stream_store)
 
 # Distinct data regions used by kernels within one workload.
@@ -90,7 +89,7 @@ def _builders(scale: float) -> Dict[str, Callable[[], Workload]]:
             k_int_ilp("paths", s(1200), width=5),
         ], rounds=2, description="FP ILP Monte Carlo"),
 
-        # -- Flush-intensive ---------------------------------------------------
+        # -- Flush-intensive --------------------------------------------------
         "imagick": lambda: build_workload("imagick", [
             k_csr_flush("resize", s(900), work=3),
             k_fp_ilp("filter", s(900), width=4),
@@ -140,7 +139,7 @@ def _builders(scale: float) -> Dict[str, Callable[[], Workload]]:
             k_fault("mmap", 12, FAULT_BASE),
         ], rounds=2, description="compiler: mispredicts, pointers, faults"),
 
-        # -- Stall-intensive ----------------------------------------------------
+        # -- Stall-intensive --------------------------------------------------
         "canneal": lambda: build_workload("canneal", [
             k_pointer_chase("swap", s(750), BASE_C, 512 * KB // 8),
             k_branchy("accept", s(300), BASE_A, taken_bias=0.5),

@@ -25,7 +25,8 @@ import os
 from repro.analysis.profiles import profile_checksum
 from repro.cpu.machine import Machine
 from repro.cpu.tracefile import TraceWriterV3
-from repro.harness.experiment import ProfilerConfig, replay_experiment
+from repro.harness.experiment import (POLICIES, ProfilerConfig,
+                                     replay_experiment)
 from repro.isa import assemble
 from repro.kernel import Kernel
 
@@ -37,14 +38,11 @@ MODE = "random"
 SEED = 2021
 CHUNK_CYCLES = 256
 
-#: All seven sampling policies of the paper's comparison.
-SEVEN_POLICIES = ("Software", "Dispatch", "LCI", "NCI", "NCI+ILP",
-                  "TIP-ILP", "TIP")
-
 
 def golden_configs():
+    """One configuration per registered sampling policy."""
     return [ProfilerConfig(policy, PERIOD, MODE, SEED)
-            for policy in SEVEN_POLICIES]
+            for policy in POLICIES]
 
 
 def main():

@@ -168,19 +168,6 @@ five:
     jalr x0, x1, 0
 """)
     assert not result.degraded
-    program = assemble("""
-.entry main
-.func main
-main:
-    jal  x1, five
-    addi x6, x5, 1
-    halt
-
-.func five
-five:
-    addi x5, x0, 5
-    jalr x0, x1, 0
-""")
     # after the call, x5 is the callee's return value
     assert result.value_before(0x10004, 5).singleton == 5
 
@@ -707,8 +694,8 @@ main:
 .data 0x400 1
 """, regions=((0, 1 << 27),))
     big = static_cost_report(ctx)
-    small_ld = next(l for l in small.lines if "ld" in l.text)
-    big_ld = next(l for l in big.lines if "ld" in l.text)
+    small_ld = next(line for line in small.lines if "ld" in line.text)
+    big_ld = next(line for line in big.lines if "ld" in line.text)
     assert big_ld.per_exec >= small_ld.per_exec
 
 

@@ -110,7 +110,8 @@ def test_to_dict_round_trips_through_json():
     assert payload["policy"] == "TIP"
     line_addrs = [line["addr"] for line in payload["lines"]]
     assert line_addrs == sorted(line_addrs)
-    assert payload["divergent"] == [l.addr for l in report.divergent]
+    assert payload["divergent"] == [line.addr
+                                    for line in report.divergent]
     for line in payload["lines"]:
         assert set(line) == {"addr", "function", "text", "static_share",
                              "dynamic_share", "divergent"}
@@ -156,8 +157,10 @@ def test_imagick_flush_hotspot_divergent_only_in_orig():
     flush = _flush_addrs(orig.program)
     assert flush, "imagick-orig lost its frflags/fsflags pair"
 
-    orig_divergent = {l.addr for l in _annotate_workload(orig).divergent}
-    opt_divergent = {l.addr for l in _annotate_workload(opt).divergent}
+    orig_divergent = {line.addr
+                      for line in _annotate_workload(orig).divergent}
+    opt_divergent = {line.addr
+                     for line in _annotate_workload(opt).divergent}
 
     # The paper's hotspot: every flush-train instruction overshoots its
     # static expectation in the original...

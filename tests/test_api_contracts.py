@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cpu.config import CoreConfig
-from repro.mem.hierarchy import MemoryConfig
 from repro.workloads.generator import (build_workload, k_stream_load,
                                        k_stream_store)
 

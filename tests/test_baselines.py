@@ -5,14 +5,12 @@ and LCI (and Dispatch/Software) put their samples -- including the
 systematic misattributions the paper identifies.
 """
 
-import pytest
-
 from repro.core.baselines import (DispatchProfiler, LciProfiler,
                                   NciIlpProfiler, NciProfiler,
                                   SoftwareProfiler)
 from repro.core.sampling import SampleSchedule
 from repro.cpu.trace import replay
-from tests.test_oracle import BR, I1, I3, I5, LOAD, PROGRAM
+from tests.test_oracle import BR, I1, I3, I5, LOAD
 from conftest import make_record
 
 
@@ -22,7 +20,7 @@ def _run(cls, records):
     return {s.cycle: s for s in profiler.samples}
 
 
-# -- Figure 4b: Stalled ------------------------------------------------------------
+# -- Figure 4b: Stalled -------------------------------------------------------
 
 STALL_TRACE = (
     [make_record(0, committed=[(I1, False, False)], rob_head=LOAD)]
@@ -55,7 +53,7 @@ def test_nci_ilp_spreads_over_commit_group():
     assert sorted(samples[5].weights) == [(LOAD, 0.5), (I3, 0.5)]
 
 
-# -- Figure 4c: Flushed -------------------------------------------------------------
+# -- Figure 4c: Flushed -------------------------------------------------------
 
 FLUSH_TRACE = (
     [make_record(0, committed=[(I1, False, False), (BR, True, False)])]
@@ -86,7 +84,7 @@ def test_nci_never_attributes_to_branch():
     assert BR not in sampled  # committed in parallel with I1: invisible
 
 
-# -- Dispatch and Software -----------------------------------------------------------
+# -- Dispatch and Software ----------------------------------------------------
 
 def test_dispatch_samples_dispatch_stage():
     records = [make_record(0, rob_head=LOAD, dispatch_pc=I5),

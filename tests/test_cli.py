@@ -186,7 +186,7 @@ def test_lint_format_json_carries_locations(tmp_path, capsys):
     import json
     source = tmp_path / "hot.s"
     source.write_text(HOT_LOOP)
-    assert main(["lint", str(source), "--format", "json"]) == 0
+    assert main(["lint", str(source), "--json"]) == 0
     reports = json.loads(capsys.readouterr().out)
     diags = reports[0]["diagnostics"]
     assert {d["rule"] for d in diags} == {"L001", "L012"}
@@ -204,69 +204,19 @@ def test_lint_assembler_error_exits_2(tmp_path, capsys):
     assert "cannot lint" in capsys.readouterr().err
 
 
-def test_lint_observers_shipped_tree_is_clean(capsys):
-    import repro
-    import os
-    tree = os.path.dirname(repro.__file__)
-    assert main(["lint", "--observers", tree, "--strict"]) == 0
-    assert "observer class(es)" in capsys.readouterr().out
-
-
-def test_lint_observers_seeded_violation_exits_1(tmp_path, capsys):
-    seeded = tmp_path / "seeded.py"
-    seeded.write_text("""
-class HalfBlockNative(TraceObserver):
-    block_native = True
-
-    def on_block(self, start, instructions, cycles):
-        self.cycles = cycles
-""")
-    assert main(["lint", "--observers", str(seeded)]) == 1
-    assert "C001" in capsys.readouterr().out
-
-
-def test_lint_observers_strict_promotes_warnings(tmp_path):
-    seeded = tmp_path / "seeded.py"
-    seeded.write_text("""
-class ForgotTheFlag(TraceObserver):
-    block_native = False
-
-    def _block_attribute(self, *a):
-        return []
-
-    def _block_scan_resolve(self, *a):
-        return []
-
-    def _block_resolve_outcome(self, *a):
-        self.done = True
-""")
-    # The hooks exist but block_native is False, so C001 is only a
-    # warning here.
-    assert main(["lint", "--observers", str(seeded)]) == 0
-    assert main(["lint", "--observers", str(seeded), "--strict"]) == 1
-
-
-def test_lint_observers_json(tmp_path, capsys):
-    import json
-    seeded = tmp_path / "seeded.py"
-    seeded.write_text("""
-class HalfBlockNative(TraceObserver):
-    block_native = True
-
-    def on_block(self, start, instructions, cycles):
-        self.cycles = cycles
-""")
-    assert main(["lint", "--observers", str(seeded),
-                 "--format", "json"]) == 1
-    data = json.loads(capsys.readouterr().out)
-    assert data["errors"] == 1
-    assert data["diagnostics"][0]["rule"] == "C001"
-    assert data["diagnostics"][0]["path"] == str(seeded)
-
-
-def test_lint_observers_bad_target_exits_2(capsys):
-    assert main(["lint", "--observers", "no/such/dir"]) == 2
-    assert "cannot lint" in capsys.readouterr().err
+@pytest.mark.parametrize("removed", [
+    ["--observers"],
+    ["--format", "json"],
+], ids=["observers", "format-json"])
+def test_lint_removed_options_exit_2(tmp_path, removed, capsys):
+    """``--json`` is the one JSON switch, and observer contracts hold by
+    construction, so neither option parses any more."""
+    source = tmp_path / "hot.s"
+    source.write_text(HOT_LOOP)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", *removed, str(source)])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_profile_sanitize(tmp_path, capsys):

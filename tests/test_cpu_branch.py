@@ -1,9 +1,7 @@
 """Unit tests for branch prediction structures."""
 
-import pytest
-
-from repro.cpu.branch import (BranchTargetBuffer, Prediction,
-                              ReturnAddressStack, TagePredictor)
+from repro.cpu.branch import (BranchTargetBuffer, ReturnAddressStack,
+                              TagePredictor)
 
 
 def test_tage_learns_always_taken():

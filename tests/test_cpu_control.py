@@ -1,7 +1,5 @@
 """Control-flow prediction behaviour of the core."""
 
-import pytest
-
 from conftest import run_asm
 
 

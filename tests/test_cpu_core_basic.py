@@ -4,9 +4,6 @@ These tests run small programs to completion and check the architectural
 results -- registers and memory -- independent of timing.
 """
 
-import pytest
-
-from repro.isa.instruction import Register
 from conftest import run_asm
 
 

@@ -6,8 +6,6 @@ page-fault exceptions running the kernel handler, serialization, and
 memory-ordering replays.
 """
 
-import pytest
-
 from repro.cpu.config import CoreConfig
 from repro.isa.program import KERNEL_TEXT_BASE
 from conftest import run_asm

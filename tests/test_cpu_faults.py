@@ -1,7 +1,5 @@
 """Fault-path coverage: store faults, atomic faults, fault interactions."""
 
-import pytest
-
 from conftest import run_asm
 
 

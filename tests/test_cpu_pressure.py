@@ -5,8 +5,6 @@ and check both that execution stays architecturally correct under
 pressure and that the expected back-pressure appears in the trace.
 """
 
-import pytest
-
 from repro.cpu.config import CoreConfig
 from conftest import run_asm
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cpu.trace import (CommittedInst, CycleRecord, TraceCollector,
-                             replay)
+from repro.cpu.trace import CommittedInst, TraceCollector, replay
 from conftest import make_record, run_asm
 
 

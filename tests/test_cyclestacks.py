@@ -9,7 +9,7 @@ from repro.analysis.symbols import Granularity, Symbolizer
 from repro.core.oracle import OracleProfiler
 from repro.core.samples import Category
 from repro.cpu.trace import replay
-from tests.test_oracle import BR, I1, I3, I5, LOAD, PROGRAM
+from tests.test_oracle import I1, LOAD, PROGRAM
 from conftest import make_record
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.diff import (ProfileDiff, SymbolDelta, diff_profiles,
-                                 render_diff)
+from repro.analysis.diff import SymbolDelta, diff_profiles, render_diff
 
 
 def test_symbol_delta_properties():

@@ -1,6 +1,5 @@
 """Disassembler tests, including assemble/disassemble round trips."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.assembler import assemble

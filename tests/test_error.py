@@ -21,7 +21,7 @@ from repro.isa.assembler import assemble
 from repro.isa.program import FunctionSymbol, Program
 from repro.kernel import Kernel
 from repro.workloads import build
-from tests.test_oracle import BR, I1, I3, I5, LOAD, PROGRAM
+from tests.test_oracle import I1, I3, LOAD, PROGRAM
 from conftest import make_record
 
 

@@ -8,6 +8,7 @@ checked-in golden trace.
 """
 
 import io
+import itertools
 import json
 import os
 from types import SimpleNamespace
@@ -19,18 +20,16 @@ from conftest import make_record, oracle_tables
 from repro.analysis.profiles import profile_checksum
 from repro.core.baselines import SoftwareProfiler
 from repro.core.oracle import OracleProfiler
+from repro.core.profiler import SamplingProfiler
 from repro.core.sampling import SampleSchedule
 from repro.cpu.tracefile import TraceReaderV3, TraceWriterV3, replay_trace
 from repro.fastpath import (CycleBlock, replay_blocks, replay_with_engine,
                             run_hotpath_bench)
-from repro.harness import ProfilerConfig, replay_experiment
+from repro.harness import POLICIES, ProfilerConfig, replay_experiment
 from repro.isa import assemble
 from repro.kernel import Kernel
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-
-SEVEN_POLICIES = ("Software", "Dispatch", "LCI", "NCI", "NCI+ILP",
-                  "TIP-ILP", "TIP")
 
 TINY = """
 .func main
@@ -86,7 +85,7 @@ def _random_records(draw):
 
 
 def _profilers_under_test(image):
-    for policy in SEVEN_POLICIES:
+    for policy in POLICIES:
         for mode in ("periodic", "random"):
             yield ProfilerConfig(policy, 3, mode, 11).build(image)
     yield SoftwareProfiler(SampleSchedule(3), skid_cycles=2)
@@ -211,7 +210,7 @@ def golden():
     image = Kernel().boot(assemble(source, name="golden.s"))
     configs = tuple(ProfilerConfig(policy, expected["period"],
                                    expected["mode"], expected["seed"])
-                    for policy in SEVEN_POLICIES)
+                    for policy in POLICIES)
     return trace, expected, image, configs
 
 
@@ -255,7 +254,52 @@ def test_validate_engine_rejects_unknown(golden):
             replay_with_engine(trace, [], engine=engine)
 
 
-# -- hot-path benchmark -----------------------------------------------------------
+# -- block-nativeness follows from the hooks a class overrides ----------------
+
+BLOCK_HOOKS = ("_block_attribute", "_block_scan_resolve",
+               "_block_resolve_outcome")
+
+
+def _hook(self, block, i):
+    return None
+
+
+@pytest.mark.parametrize("hooks", [
+    hooks for size in (1, 2)
+    for hooks in itertools.combinations(BLOCK_HOOKS, size)],
+    ids="+".join)
+def test_partial_block_hooks_fail_at_definition(hooks):
+    """Overriding some but not all columnar hooks is a ``TypeError``
+    when the class is defined, naming the hooks still missing."""
+    namespace = {name: _hook for name in hooks}
+    with pytest.raises(TypeError) as excinfo:
+        type("HalfColumnar", (SamplingProfiler,), namespace)
+    message = str(excinfo.value)
+    assert "HalfColumnar" in message
+    for name in BLOCK_HOOKS:
+        if name not in hooks:
+            assert name in message, name
+
+
+def test_every_policy_consumes_blocks_without_on_cycle(golden):
+    """Every registered policy, the inherited ``TIP-ILP`` and
+    ``NCI+ILP`` included, takes the columnar path: block replay of the
+    golden trace never calls ``on_cycle`` and still reproduces the
+    golden sample streams."""
+    trace, expected, image, configs = golden
+
+    def no_per_record_fallback(record):
+        raise AssertionError(f"on_cycle called at cycle {record.cycle}")
+
+    profilers = {config.name: config.build(image) for config in configs}
+    assert set(profilers) == set(POLICIES)
+    for profiler in profilers.values():
+        profiler.on_cycle = no_per_record_fallback
+    assert replay_blocks(trace, *profilers.values()) == expected["cycles"]
+    _check_against_golden(SimpleNamespace(profilers=profilers), expected)
+
+
+# -- hot-path benchmark -------------------------------------------------------
 
 
 def test_hotpath_bench_quick(golden, tmp_path):

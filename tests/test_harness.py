@@ -109,7 +109,7 @@ def test_random_mode_profilers():
     assert len(deltas) > 1
 
 
-# -- the harness Oracle watches no schedule ------------------------------------------
+# -- the harness Oracle watches no schedule -----------------------------------
 
 
 def _live(tmp_path):

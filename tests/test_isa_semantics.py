@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.instruction import Instruction, Register
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, info_for
 from repro.isa.semantics import (INT64_MAX, INT64_MIN, ExecResult,
                                  evaluate, to_signed)

@@ -1,7 +1,5 @@
 """Kernel model tests."""
 
-import pytest
-
 from repro.isa.assembler import assemble
 from repro.isa.program import KERNEL_TEXT_BASE
 from repro.kernel import KERNEL_DATA_BASE, Kernel, build_handler_program

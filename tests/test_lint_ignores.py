@@ -111,7 +111,7 @@ def test_cli_lint_no_ignores_overrides(pragma_file, capsys):
 def test_cli_json_includes_fix_payload(tmp_path, capsys):
     path = tmp_path / "flushy.s"
     path.write_text(FLUSHY.format(pragma=""))
-    assert main(["lint", str(path), "--format", "json"]) == 0
+    assert main(["lint", str(path), "--json"]) == 0
     (report,) = json.loads(capsys.readouterr().out)
     fixes = {d["rule"]: d.get("fix") for d in report["diagnostics"]}
     assert fixes["L001"]["action"] == "nop"

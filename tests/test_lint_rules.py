@@ -15,7 +15,7 @@ def _rules(report):
     return {d.rule for d in report.diagnostics}
 
 
-# -- L001 flush-in-loop -----------------------------------------------------------
+# -- L001 flush-in-loop -------------------------------------------------------
 
 def test_l001_flush_in_loop_trigger():
     report = _lint("""
@@ -67,7 +67,7 @@ def test_l001_imagick_optimized_is_clean():
     assert report.diagnostics == []
 
 
-# -- L002 serialize-in-loop -------------------------------------------------------
+# -- L002 serialize-in-loop ---------------------------------------------------
 
 def test_l002_serialize_in_loop_trigger():
     report = _lint("""
@@ -98,7 +98,7 @@ main:
     assert report.by_rule("L002") == []
 
 
-# -- L003 unreachable-block -------------------------------------------------------
+# -- L003 unreachable-block ---------------------------------------------------
 
 def test_l003_unreachable_trigger():
     report = _lint("""
@@ -128,7 +128,7 @@ out:
     assert report.by_rule("L003") == []
 
 
-# -- L004 fall-through-off-text ---------------------------------------------------
+# -- L004 fall-through-off-text -----------------------------------------------
 
 def test_l004_falls_off_text_trigger():
     report = _lint("""
@@ -154,7 +154,7 @@ main:
     assert report.by_rule("L004") == []
 
 
-# -- L005 zero-register-write -----------------------------------------------------
+# -- L005 zero-register-write -------------------------------------------------
 
 def test_l005_zero_write_trigger():
     report = _lint("""
@@ -182,7 +182,7 @@ out:
     assert report.by_rule("L005") == []
 
 
-# -- L006 function-overlap --------------------------------------------------------
+# -- L006 function-overlap ----------------------------------------------------
 
 def _with_functions(source, functions):
     base = assemble(source, name="overlap-test")
@@ -221,7 +221,7 @@ def test_l006_near_miss_adjacent():
     assert lint_program(program).by_rule("L006") == []
 
 
-# -- L007 call-return-mismatch ----------------------------------------------------
+# -- L007 call-return-mismatch ------------------------------------------------
 
 def test_l007_call_into_middle_trigger():
     report = _lint("""
@@ -277,7 +277,7 @@ helper:
     assert report.by_rule("L007") == []
 
 
-# -- L008 implicit-fall-through ---------------------------------------------------
+# -- L008 implicit-fall-through -----------------------------------------------
 
 def test_l008_fall_into_next_function_trigger():
     report = _lint("""
@@ -324,7 +324,7 @@ second:
     assert report.by_rule("L003") != []
 
 
-# -- framework --------------------------------------------------------------------
+# -- framework ----------------------------------------------------------------
 
 def test_rule_registry_consistent():
     ids = [rule.rule_id for rule in DEFAULT_RULES]

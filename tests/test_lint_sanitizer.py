@@ -53,7 +53,7 @@ def _raw_record(cycle, commits, rob_head=None, rob_empty=None,
         oldest_bank=oldest_bank)
 
 
-# -- S001 monotone-cycle ----------------------------------------------------------
+# -- S001 monotone-cycle ------------------------------------------------------
 
 def test_s001_cycle_gap():
     sanitizer = _collect([make_record(0), make_record(2)])
@@ -61,7 +61,7 @@ def test_s001_cycle_gap():
     assert sanitizer.violations[0].cycle == 2
 
 
-# -- S002 commit-width ------------------------------------------------------------
+# -- S002 commit-width --------------------------------------------------------
 
 def test_s002_too_many_commits():
     record = make_record(0, committed=[(0x10000, False, False),
@@ -77,7 +77,7 @@ def test_s002_width_defaults_to_banks():
     assert _collect([record]).ok  # exactly the inferred width: fine
 
 
-# -- S003 program-order -----------------------------------------------------------
+# -- S003 program-order -------------------------------------------------------
 
 def test_s003_commit_outside_text():
     program = assemble(STRAIGHT, name="s003")
@@ -115,7 +115,7 @@ def test_s003_branch_successors_allowed():
     assert _collect([taken], program=program, banks=4).ok
 
 
-# -- S004 bank-rotation -----------------------------------------------------------
+# -- S004 bank-rotation -------------------------------------------------------
 
 def test_s004_banks_must_rotate():
     commits = [CommittedInst(0x10000, 0, False, False),
@@ -124,7 +124,7 @@ def test_s004_banks_must_rotate():
     assert "S004" in _rules(sanitizer)
 
 
-# -- S005 flush-drain -------------------------------------------------------------
+# -- S005 flush-drain ---------------------------------------------------------
 
 def test_s005_flush_not_last():
     record = make_record(0, committed=[(0x10000, False, True),
@@ -148,7 +148,7 @@ def test_s005_no_commit_in_drain_cycle():
     assert sanitizer.violations[0].cycle == 1
 
 
-# -- S006 exception-exclusive -----------------------------------------------------
+# -- S006 exception-exclusive -------------------------------------------------
 
 def test_s006_exception_fires_alone():
     record = make_record(0, committed=[(0x10000, False, False)],
@@ -169,7 +169,7 @@ def test_s006_ordering_flag_needs_exception():
     assert "S006" in _rules(sanitizer)
 
 
-# -- S007 head-consistency --------------------------------------------------------
+# -- S007 head-consistency ----------------------------------------------------
 
 def test_s007_bank_count_mismatch():
     sanitizer = _collect([make_record(0, banks=2)], banks=4)
@@ -190,7 +190,7 @@ def test_s007_head_bank_disagrees_with_rob_head():
     assert "S007" in _rules(sanitizer)
 
 
-# -- S008 flag-consistency --------------------------------------------------------
+# -- S008 flag-consistency ----------------------------------------------------
 
 def test_s008_mispredict_flag_on_non_control():
     program = assemble(STRAIGHT, name="s008")
@@ -206,7 +206,7 @@ def test_s008_flush_flag_disagrees_with_opcode():
     assert "S008" in _rules(sanitizer)
 
 
-# -- fail-fast and reporting ------------------------------------------------------
+# -- fail-fast and reporting --------------------------------------------------
 
 def test_fail_fast_raises_with_cycle_number():
     sanitizer = TraceSanitizer()  # fail_fast by default
@@ -230,7 +230,7 @@ def test_summary_and_report():
     assert "S001" in bad.report()
 
 
-# -- real machine runs are clean --------------------------------------------------
+# -- real machine runs are clean ----------------------------------------------
 
 def _run_sanitized(source, config=None, max_cycles=200_000):
     program = assemble(source, name="sanitized")
@@ -270,7 +270,7 @@ loop:
     assert sanitizer.commits_checked > 40
 
 
-# -- trace-file replay ------------------------------------------------------------
+# -- trace-file replay --------------------------------------------------------
 
 def test_recorded_trace_sanitizes_clean():
     program = assemble(COUNT_LOOP.format(n=300), name="roundtrip")

@@ -1,9 +1,6 @@
 """Unit tests for the assembled memory hierarchy."""
 
-import pytest
-
 from repro.mem.hierarchy import MemoryConfig, MemoryHierarchy
-from repro.mem.tlb import PAGE_SIZE
 
 
 def _hierarchy():

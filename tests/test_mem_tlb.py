@@ -1,7 +1,5 @@
 """Unit tests for TLBs, the page-table walker, and page tables."""
 
-import pytest
-
 from repro.mem.cache import MainMemory
 from repro.mem.tlb import (PAGE_SIZE, PageTable, PageTableWalker, Tlb,
                            TlbHierarchy, vpn_of)

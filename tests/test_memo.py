@@ -65,7 +65,7 @@ def _content_stats(stats):
             if k not in CoreStats.DRIVER_FIELDS}
 
 
-# -- memoized fast-forward vs single-stepping --------------------------------------
+# -- memoized fast-forward vs single-stepping ---------------------------------
 
 
 def test_memoizer_fires_and_traces_bit_identical():
@@ -161,7 +161,7 @@ def test_sanitizer_accepts_memoized_run():
     assert batched.commits_checked == stepped.commits_checked
 
 
-# -- a memoized-period block at the trace writer, in isolation --------------------
+# -- a memoized-period block at the trace writer, in isolation ----------------
 
 
 def _period_records(n=3, base_cycle=1, commits=True):

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.overhead import (OverheadSummary, oracle_data_rate,
-                                 sample_payload_bytes, sample_record_bytes,
-                                 sampling_data_rate, summarize,
-                                 tip_storage_bytes)
+from repro.core.overhead import (oracle_data_rate, sample_payload_bytes,
+                                 sample_record_bytes, sampling_data_rate,
+                                 summarize, tip_storage_bytes)
 from repro.cpu.config import CoreConfig
 
 

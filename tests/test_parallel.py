@@ -15,21 +15,21 @@ import pytest
 
 from conftest import oracle_tables
 from repro.analysis.profiles import profile_checksum
+from repro.core.oracle import OracleProfiler
 from repro.cpu.core import CoreStats
-from repro.harness import (ProfilerConfig, default_profilers,
+from repro.fastpath import replay_blocks
+from repro.harness import (POLICIES, ProfilerConfig, default_profilers,
                            replay_experiment, run_suite)
 from repro.isa import assemble
 from repro.kernel import Kernel
+from repro.lint import TraceSanitizer
 from repro.parallel import INJECT_KINDS, PoolJob, run_jobs
 from repro.workloads.suite import build_suite
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
-SEVEN_POLICIES = ("Software", "Dispatch", "LCI", "NCI", "NCI+ILP",
-                  "TIP-ILP", "TIP")
 
-
-# -- golden-trace differential harness ------------------------------------------
+# -- golden-trace differential harness ----------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def golden():
     image = Kernel().boot(assemble(source, name="golden.s"))
     configs = tuple(ProfilerConfig(policy, expected["period"],
                                    expected["mode"], expected["seed"])
-                    for policy in SEVEN_POLICIES)
+                    for policy in POLICIES)
     return trace, expected, image, configs
 
 
@@ -70,6 +70,45 @@ def test_serial_replay_matches_golden(golden):
     assert oracle == expected["oracle_profile"]
 
 
+def _fresh_observers(image, configs):
+    """(label -> profiler, watching Oracle, sanitizer), all new."""
+    profilers = {config.name: config.build(image) for config in configs}
+    oracle = OracleProfiler(image,
+                            watch_schedules=[configs[0].schedule_clone()])
+    return profilers, oracle, TraceSanitizer(program=image)
+
+
+def test_observers_share_no_trace_state(golden):
+    """Two fresh instances of every registered policy, the Oracle and
+    the sanitizer share one block replay, and each equals a solo
+    replay and the golden.  An observer that kept trace state on its
+    class or in its module would see every cycle twice here, as it
+    would lose it across pooled and served runs."""
+    trace, expected, image, configs = golden
+    pair = [_fresh_observers(image, configs) for _ in range(2)]
+    side_by_side = [observer for profilers, oracle, sanitizer in pair
+                    for observer in (*profilers.values(), oracle,
+                                     sanitizer)]
+    assert replay_blocks(trace, *side_by_side) == expected["cycles"]
+    solo = _fresh_observers(image, configs)
+    solo_profilers, solo_oracle, solo_sanitizer = solo
+    assert replay_blocks(trace, *solo_profilers.values(), solo_oracle,
+                         solo_sanitizer) == expected["cycles"]
+    assert set(solo_profilers) == set(POLICIES)
+    oracle_profile = {hex(addr): weight for addr, weight
+                      in solo_oracle.report.profile.items()}
+    assert oracle_profile == expected["oracle_profile"]
+    for profilers, oracle, sanitizer in (*pair, solo):
+        for name, want in expected["profilers"].items():
+            assert profile_checksum(profilers[name].samples) == \
+                want["checksum"], name
+        assert oracle_tables(oracle.report) == \
+            oracle_tables(solo_oracle.report)
+        assert sanitizer.ok, sanitizer.report()
+        assert sanitizer.cycles_checked == expected["cycles"]
+        assert sanitizer.commits_checked == expected["committed"]
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_legacy_trace_is_rejected(golden, version):
     """Legacy traces are not replayed; the error names the upgrade
@@ -89,14 +128,14 @@ def test_sanitizer_attached_once_per_replay(golden):
     per profiler pass would multiply them by the profiler count."""
     trace, expected, image, configs = golden
     result = replay_experiment(trace, image, configs, sanitize=True)
-    assert len(result.profilers) == len(SEVEN_POLICIES)
+    assert len(result.profilers) == len(POLICIES)
     assert result.sanitizer is not None
     assert result.sanitizer.cycles_checked == expected["cycles"]
     assert result.sanitizer.commits_checked == expected["committed"]
     assert result.sanitizer.ok
 
 
-# -- process pool: failure injection ---------------------------------------------
+# -- process pool: failure injection ------------------------------------------
 
 
 def _double(value):
@@ -317,13 +356,13 @@ def test_blocking_pool_does_not_import_asyncio():
     assert done.returncode == 0, done.stderr
 
 
-# -- parallel suite ---------------------------------------------------------------
+# -- parallel suite -----------------------------------------------------------
 
 
 def test_parallel_suite_matches_serial():
     scale = 0.05
     workloads = build_suite(["exchange2", "lbm"], scale=scale)
-    configs = default_profilers(29, policies=SEVEN_POLICIES)
+    configs = default_profilers(29, policies=tuple(POLICIES))
     serial = run_suite(workloads, profilers=configs, scale=scale)
     parallel = run_suite(workloads, profilers=configs, scale=scale,
                          jobs=2, sanitize=True)
@@ -337,6 +376,8 @@ def test_parallel_suite_matches_serial():
                 f"{name}/{label}"
         assert parallel.results[name].stats.cycles == \
             serial.results[name].stats.cycles
+        assert oracle_tables(parallel.results[name].oracle) == \
+            oracle_tables(serial.results[name].oracle), name
         assert parallel.results[name].sanitizer.ok
 
 
@@ -526,7 +567,7 @@ def test_spawned_workers_unpickle_the_workload(namd, monkeypatch):
     _assert_same_results(pooled, serial)
 
 
-# -- fd hygiene: path traces are opened once per reader and closed ---------------
+# -- fd hygiene: path traces are opened once per reader and closed ------------
 
 
 def _open_fds():

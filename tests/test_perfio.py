@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.perfio import (FLAG_FLUSH, FLAG_FRONTEND,
-                               FLAG_MISPREDICTED, PerfDecoder, PerfEncoder,
-                               PerfSession, RecordLayout)
+from repro.core.perfio import (PerfDecoder, PerfEncoder, PerfSession,
+                               RecordLayout)
 from repro.core.samples import Category, Sample
 
 
@@ -77,8 +76,6 @@ def test_decoder_rejects_torn_buffer():
 def test_session_profile_matches_direct_aggregation():
     """Post-processing the binary buffer reproduces the profiler's own
     profile exactly."""
-    from repro.core.tip import TipProfiler
-    from repro.core.sampling import SampleSchedule
     from repro.harness import run_workload, ProfilerConfig
     from repro.workloads import build_workload, k_int_ilp, k_stream_load
 

@@ -14,7 +14,7 @@ from repro.mem.tlb import PageTable, vpn_of
 from tests.test_oracle import BR, I1, I3, I5, LOAD, PROGRAM
 from conftest import make_record
 
-# -- sampling schedules ------------------------------------------------------------
+# -- sampling schedules -------------------------------------------------------
 
 
 @given(period=st.integers(1, 50), horizon=st.integers(1, 400))
@@ -37,7 +37,7 @@ def test_random_schedule_one_per_interval(period, seed, horizon):
     assert horizon // period - 1 <= len(fires) <= horizon // period + 1
 
 
-# -- overlap metric -------------------------------------------------------------------
+# -- overlap metric -----------------------------------------------------------
 
 weight_maps = st.dictionaries(st.integers(0, 20),
                               st.floats(0.0, 1.0, allow_nan=False),
@@ -58,7 +58,7 @@ def test_overlap_with_self_is_total(a):
     assert overlap(a, a) == pytest.approx(sum(a.values()))
 
 
-# -- oracle conservation ----------------------------------------------------------------
+# -- oracle conservation ------------------------------------------------------
 
 _commit_entry = st.sampled_from([I1, LOAD, I3, BR, I5])
 
@@ -68,7 +68,6 @@ def trace_strategy(draw):
     """Random but well-formed commit-stage traces."""
     length = draw(st.integers(2, 60))
     records = []
-    empty = True
     for cycle in range(length):
         kind = draw(st.sampled_from(
             ["commit", "stall", "empty", "dispatch"]))
@@ -78,19 +77,15 @@ def trace_strategy(draw):
                        for _ in range(n)]
             records.append(make_record(cycle, committed=commits,
                                        rob_head=draw(_commit_entry)))
-            empty = False
         elif kind == "stall":
             records.append(make_record(cycle,
                                        rob_head=draw(_commit_entry)))
-            empty = False
         elif kind == "dispatch":
             addr = draw(_commit_entry)
             records.append(make_record(cycle, rob_head=addr,
                                        dispatched=[addr]))
-            empty = False
         else:
             records.append(make_record(cycle))
-            empty = True
     # Terminate with a dispatch so trailing drains resolve.
     records.append(make_record(length, rob_head=I1, dispatched=[I1]))
     return records
@@ -107,7 +102,7 @@ def test_oracle_attributes_every_cycle_exactly_once(records):
         pytest.approx(len(records))
 
 
-# -- cache model ---------------------------------------------------------------------
+# -- cache model --------------------------------------------------------------
 
 
 @given(addrs=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=60))
@@ -138,7 +133,7 @@ def test_cache_repeat_access_hits(addrs):
         cycle += 100
 
 
-# -- page table -----------------------------------------------------------------------
+# -- page table ---------------------------------------------------------------
 
 
 @given(pages=st.sets(st.integers(0, 1000), max_size=40))
@@ -163,7 +158,7 @@ def test_page_table_range_covers_all_addresses(lo, size):
         assert table.is_mapped(vpn_of(addr))
 
 
-# -- RAS / TAGE -----------------------------------------------------------------------
+# -- RAS / TAGE ---------------------------------------------------------------
 
 
 @given(pushes=st.lists(st.integers(0, 1 << 20), max_size=12))

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis import Granularity
-from repro.harness import (ExperimentResult, SuiteResult, default_profilers,
-                           run_suite)
+from repro.harness import ExperimentResult, SuiteResult, run_suite
 from repro.workloads import build_suite
 
 

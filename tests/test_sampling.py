@@ -1,6 +1,7 @@
 """Sampling schedule tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.sampling import (CORE_CLOCK_HZ, SampleSchedule,
                                  period_for_frequency)
@@ -74,9 +75,7 @@ def test_is_sample_ignores_skipped_cycles():
     assert schedule.is_sample(24)
 
 
-# -- fast_forward: deterministic mid-stream resumption ---------------------------
-
-from hypothesis import given, settings, strategies as st
+# -- fast_forward: deterministic mid-stream resumption ------------------------
 
 
 @given(period=st.integers(1, 50),

@@ -74,7 +74,6 @@ def test_sampling_adds_bounded_overhead(runs):
 def test_nested_trap_deferred():
     """A sampling interrupt during a page-fault handler is delayed, not
     nested: the fault still completes correctly."""
-    from conftest import run_asm
     from repro.isa import assemble
     workload_src = """
     .func main

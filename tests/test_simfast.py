@@ -70,7 +70,7 @@ def _trace_of(program, sim, paranoid=False, premapped=None):
     return buffer.getvalue(), stats
 
 
-# -- fast-forward vs single-stepping ----------------------------------------------
+# -- fast-forward vs single-stepping ------------------------------------------
 
 
 @settings(max_examples=10, deadline=None)
@@ -212,7 +212,7 @@ def test_unknown_sim_mode_rejected():
         machine.run(100, sim="warp")
 
 
-# -- stall runs reach the writer as blocks -----------------------------------------
+# -- stall runs reach the writer as blocks ------------------------------------
 
 
 def test_on_stall_run_matches_repeated_on_cycle():
@@ -239,7 +239,7 @@ def test_on_stall_run_matches_repeated_on_cycle():
         assert stepped.getvalue() == batched.getvalue(), chunk_cycles
 
 
-# -- the content-addressed cache ---------------------------------------------------
+# -- the content-addressed cache ----------------------------------------------
 
 
 def test_cache_round_trip_bit_identical(tmp_path):
@@ -318,7 +318,7 @@ def test_resolve_cache_forms(tmp_path):
     assert resolve_cache(str(tmp_path)).root == cache.root
 
 
-# -- max-cycles budget -------------------------------------------------------------
+# -- max-cycles budget --------------------------------------------------------
 
 
 def test_max_cycles_raises_and_never_caches(tmp_path):
@@ -339,7 +339,7 @@ def test_suite_surfaces_max_cycles_failure():
     assert "mcf" not in suite.results
 
 
-# -- atomic path-mode trace writer -------------------------------------------------
+# -- atomic path-mode trace writer --------------------------------------------
 
 
 def test_writer_v3_path_mode_is_atomic(tmp_path):
@@ -367,7 +367,7 @@ def test_writer_v3_abort_leaves_nothing(tmp_path):
     writer.abort()  # idempotent
 
 
-# -- CLI surface -------------------------------------------------------------------
+# -- CLI surface --------------------------------------------------------------
 
 
 def test_cli_cache_subcommand(tmp_path, capsys):
@@ -462,7 +462,7 @@ loop:
     assert "instruction profile" in second.stdout
 
 
-# -- the cache key ------------------------------------------------------------------
+# -- the cache key ------------------------------------------------------------
 
 EXAMPLES_ASM = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             os.pardir, "examples", "asm")
@@ -587,7 +587,7 @@ def test_keys_are_equal_in_fresh_processes():
         assert done.stdout.split() == keys, f"PYTHONHASHSEED={seed}"
 
 
-# -- set-up once per run -------------------------------------------------------------
+# -- set-up once per run ------------------------------------------------------
 
 
 def test_cache_hit_builds_no_machine(tmp_path, monkeypatch):

@@ -1,7 +1,5 @@
 """Symbolizer tests: basic-block recovery and granularity mapping."""
 
-import pytest
-
 from repro.analysis.symbols import (Granularity, OFF_TEXT, Symbolizer,
                                     UNKNOWN_FUNCTION)
 from repro.isa.assembler import assemble
@@ -96,7 +94,6 @@ def test_num_basic_blocks():
 
 
 def test_unknown_function_for_uncovered_text():
-    from repro.isa.program import Program
     # Build a program whose instructions are outside any function.
     from repro.isa.opcodes import Op
     from repro.isa.program import ProgramBuilder

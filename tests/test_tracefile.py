@@ -397,7 +397,7 @@ def test_v2_replay_drives_profilers():
     assert streams[2] == streams[0]
 
 
-# -- format v3: zero-copy columnar traces ---------------------------------------
+# -- format v3: zero-copy columnar traces -------------------------------------
 
 
 @given(records=_random_records(),

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.harness import default_profilers, run_workload
-from repro.workloads.generator import (build_workload, k_branchy, k_calls,
-                                       k_csr_flush, k_dep_chain, k_fault,
-                                       k_fp_div, k_fp_ilp, k_icache,
-                                       k_int_ilp, k_pointer_chase,
-                                       k_serialize, k_stream_load,
-                                       k_stream_store)
+from repro.workloads.generator import (build_workload, k_branchy, k_csr_flush,
+                                       k_fault, k_icache, k_int_ilp,
+                                       k_pointer_chase, k_serialize,
+                                       k_stream_load, k_stream_store)
 from repro.workloads.suite import (BENCHMARKS, PAPER_CLASSES, build,
                                    build_suite, workload_names)
 
