@@ -8,6 +8,11 @@ time.  The paper-shape assertions hold at the default 0.6 but not at
 0.3: there xalancbmk commits 52.2% of its cycles and classifies as
 Compute instead of Stall, so Figure 7 fails (at 0.6 it commits 46.5%).
 
+The suite run and the Figure 11a sweep share one simulation cache in a
+temporary directory of the session, so the sweep's six benchmarks
+replay the suite run's traces instead of simulating again; the user's
+cache directory is never touched.
+
 Rendered tables are also written to ``benchmarks/out/`` so the results
 can be inspected after a run (they back EXPERIMENTS.md).
 """
@@ -21,6 +26,7 @@ import pytest
 
 from repro.harness import (ProfilerConfig, default_profilers, run_suite,
                            run_workload)
+from repro.simfast import SimCache
 from repro.workloads import build_imagick, build_suite
 
 #: Iteration multiplier for the suite workloads.
@@ -64,10 +70,16 @@ def _suite_profilers():
 
 
 @pytest.fixture(scope="session")
-def suite_result():
+def sim_cache(tmp_path_factory):
+    """The session's simulation cache, in a temporary directory."""
+    return SimCache(str(tmp_path_factory.mktemp("simcache")))
+
+
+@pytest.fixture(scope="session")
+def suite_result(sim_cache):
     """The full 27-benchmark suite, simulated once."""
     return run_suite(profilers=_suite_profilers(), scale=SCALE,
-                     verbose=True)
+                     verbose=True, cache=sim_cache)
 
 
 @pytest.fixture(scope="session")
@@ -81,13 +93,15 @@ def imagick_pair():
 
 
 @pytest.fixture(scope="session")
-def frequency_sweep():
-    """Figure 11a: the same runs sampled at five frequencies at once."""
+def frequency_sweep(sim_cache):
+    """Figure 11a: the same runs sampled at five frequencies at once,
+    replayed from the cached traces of the suite run (or recorded for
+    it, whichever fixture runs first)."""
     configs = []
     for label, period in FREQUENCY_PERIODS.items():
         for policy in ("NCI", "TIP-ILP", "TIP"):
             configs.append(ProfilerConfig(policy, period,
                                           label=f"{policy}@{label}"))
     workloads = build_suite(SWEEP_BENCHMARKS, scale=SCALE)
-    return {workload.name: run_workload(workload, configs)
+    return {workload.name: run_workload(workload, configs, cache=sim_cache)
             for workload in workloads}

@@ -8,9 +8,9 @@ store write-buffer that produces the Store-stall cycle-stack component.
 
 from repro.core.samples import Category
 from repro.cpu.config import CoreConfig
-from repro.harness import default_profilers, run_workload
+from repro.harness import default_profilers
 from repro.workloads import (build_imagick, build_workload, k_icache,
-                             k_stream_load, k_stream_store)
+                             k_stream_store)
 
 from conftest import write_artifact
 

@@ -8,7 +8,6 @@ the Software-vs-NCI gap is of the same order as on real hardware.
 """
 
 from repro.analysis import Granularity, render_error_table
-from repro.workloads.suite import BENCHMARKS
 
 from conftest import write_artifact
 

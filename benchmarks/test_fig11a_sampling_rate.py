@@ -7,8 +7,6 @@ The frequency labels map onto sampling periods anchored at
 4 kHz = the default period (see conftest).
 """
 
-import pytest
-
 from repro.analysis import Granularity
 
 from conftest import FREQUENCY_PERIODS, SWEEP_BENCHMARKS, write_artifact
@@ -32,10 +30,10 @@ def _sweep_table(frequency_sweep):
 def _render(table):
     labels = list(FREQUENCY_PERIODS)
     lines = ["== Figure 11a: error vs sampling frequency ==",
-             f"{'policy':<8} " + " ".join(f"{l:>8}" for l in labels)]
+             f"{'policy':<8} " + " ".join(f"{lb:>8}" for lb in labels)]
     for policy, row in table.items():
         lines.append(f"{policy:<8} "
-                     + " ".join(f"{row[l]:>7.2%}" for l in labels))
+                     + " ".join(f"{row[lb]:>7.2%}" for lb in labels))
     return "\n".join(lines)
 
 

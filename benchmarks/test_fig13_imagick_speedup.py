@@ -8,7 +8,7 @@ the processor's ability to hide latencies; IPC improves from 1.2 to 2.3
 and the caller MeanShiftImage gets faster too.
 """
 
-from repro.analysis import Granularity, render_stacks_table
+from repro.analysis import render_stacks_table
 from repro.core.samples import Category
 
 from conftest import write_artifact

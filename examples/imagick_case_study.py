@@ -11,8 +11,7 @@ Run:  python examples/imagick_case_study.py
 """
 
 from repro import Granularity, default_profilers
-from repro.analysis import (render_cycle_stack, render_profile_table,
-                            render_stacks_table)
+from repro.analysis import render_profile_table, render_stacks_table
 from repro.harness import run_workload
 from repro.workloads import build_imagick
 

@@ -9,11 +9,12 @@ commit; TIP's drained samples wait for the next dispatch) -- those become
 resolve before the run ends keep an empty attribution and count as
 misattributed, which is the conservative choice.
 
-Profilers are driven two ways.  Stepped simulation and the per-record
-reference replay call :meth:`SamplingProfiler.on_cycle` once per cycle.
-Every batch of cycles -- a fast-forwarded stall run or a memoized loop
-period under ``sim="fast"``, or a replayed trace chunk -- arrives as
-one columnar :class:`~repro.fastpath.block.CycleBlock` through
+Profilers are driven two ways.  The per-record reference replay calls
+:meth:`SamplingProfiler.on_cycle` once per cycle.  Every live run and
+block replay hands them batches of cycles -- the core's open block of
+stepped cycles and stall runs, a memoized loop period under
+``sim="fast"``, or a replayed trace chunk -- each as one columnar
+:class:`~repro.fastpath.block.CycleBlock` through
 :meth:`SamplingProfiler.on_block`; profilers that override the
 ``_block_*`` hooks then touch only the cycles that matter -- sample
 points and pending-resolution events, located by bisecting the block's

@@ -3,11 +3,11 @@
 A cycle-driven model of a BOOM-style superscalar processor: in-order
 front-end (fetch with branch prediction, decode, dispatch), out-of-order
 issue and execution, and in-order commit through a banked ROB.  Every
-stepped cycle the core emits a :class:`~repro.cpu.trace.CycleRecord` to
-its attached trace observers, and every batch of cycles it skips under
-``sim="fast"`` one columnar block -- the commit-stage trace that the
-Oracle, TIP and all baseline profilers consume out-of-band, exactly
-mirroring the paper's FireSim methodology.
+cycle, stepped or skipped under ``sim="fast"``, becomes one row of the
+commit-stage trace in columnar :class:`~repro.fastpath.block.CycleBlock`
+form; the attached trace observers -- the Oracle, TIP and all baseline
+profilers -- consume those blocks out-of-band, exactly mirroring the
+paper's FireSim methodology.
 
 The model is a *timing* simulator with embedded functional execution:
 instruction semantics run when a uop issues, architectural state (register
@@ -18,9 +18,12 @@ speculative results that were carried on the uops.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..fastpath.block import CycleBlock
+from ..fastpath.block import (_F_DISP_PC, _F_EMPTY, _F_EXC, _F_HEAD,
+                              _F_ORD, _M_FLUSHES, _M_MISPREDICT,
+                              _ROW_COMMITS, _ROW_DISPATCHED, CycleBlock)
 from ..isa.instruction import Instruction, Register
 from ..isa.opcodes import Kind, Op, Unit
 from ..isa.program import Program
@@ -29,7 +32,8 @@ from ..mem.hierarchy import MemoryHierarchy
 from ..mem.tlb import vpn_of
 from .branch import BranchTargetBuffer, ReturnAddressStack, TagePredictor
 from .config import CoreConfig
-from .trace import CommittedInst, CycleRecord, HeadEntry, TraceObserver
+from .trace import TraceObserver
+from .tracefile import DEFAULT_CHUNK_CYCLES
 from .uop import MicroOp, MicroOpPool
 
 _WORD_SHIFT = 3  # conflict detection at 8-byte granularity
@@ -186,12 +190,17 @@ class Core:
         self._in_trap = False
 
         # Per-cycle scratch (rebuilt each cycle).
-        self._committed_now: List[CommittedInst] = []
+        self._committed_now: List[int] = []
+        self._commit_metas: List[int] = []
         self._dispatched_now: List[int] = []
         self._exception_now: Optional[int] = None
         self._exception_ordering = False
-        #: The record emitted for the most recent cycle.
-        self._last_record: Optional[CycleRecord] = None
+        #: The row emitted for the most recent stepped cycle.
+        self._last_row: Optional[tuple] = None
+        #: The open block: its columns, then the stepped rows not yet
+        #: columnarized (none while no observer is attached).
+        self._open = CycleBlock.open(0, self.config.rob_banks)
+        self._rows: List[tuple] = []
         #: Steady-state memoizer hook: when set, called with each uop
         #: at the moment it commits (after its architectural effects).
         self._commit_probe: Optional[Callable[[MicroOp], None]] = None
@@ -214,20 +223,26 @@ class Core:
             paranoid: bool = False) -> CoreStats:
         """Run until the program halts (or *max_cycles* elapse).
 
+        Every cycle reaches the observers as part of a
+        :class:`~repro.fastpath.block.CycleBlock` (``on_block``): the
+        core appends each stepped cycle to one open block and hands it
+        out once it holds ``DEFAULT_CHUNK_CYCLES`` cycles, when the run
+        ends, and before any exception leaves this method (so a
+        sanitizer fault on those cycles is raised instead).
+
         ``sim="fast"`` enables the event-driven stall fast-forward:
         whenever :meth:`_quiet_until` proves that no pipeline stage can
         make progress before a known future event, the intervening
-        identical stall cycles reach observers as one
-        :class:`~repro.fastpath.block.CycleBlock` (``on_block``)
-        instead of one ``on_cycle`` each.  It also enables the
-        steady-state loop memoizer
+        identical stall cycles join the open block as one run.  It also
+        enables the steady-state loop memoizer
         (:class:`~repro.cpu.memo.LoopMemoizer`): once the full pipeline
         state is proven periodic, whole loop iterations are skipped and
-        handed to observers as one block as well.  The emitted trace
-        and all observer results are bit-identical to ``sim="step"``.
-        *paranoid* cross-checks every fast-forwarded region and every
-        memoized skip against single-stepping (raising
-        :class:`SimFastError` on divergence) at single-step speed.
+        handed to observers as one block of their own, after the open
+        block.  The emitted trace and all observer results are
+        bit-identical to ``sim="step"``.  *paranoid* cross-checks every
+        fast-forwarded region and every memoized skip against
+        single-stepping (raising :class:`SimFastError` on divergence)
+        at single-step speed.
 
         Raises :class:`MaxCyclesExceeded` (a distinct
         :class:`SimulationError`) when the budget runs out.
@@ -240,39 +255,49 @@ class Core:
         if fast:
             from .memo import LoopMemoizer  # local: avoids import cycle
             memo = LoopMemoizer(self, max_cycles, paranoid)
-        while not self.halted:
-            if self.cycle >= max_cycles:
-                raise MaxCyclesExceeded(max_cycles)
-            # Only pay for the quiescence scan once the pipeline shows
-            # signs of stalling (the previous cycle neither committed
-            # nor dispatched); at worst this single-steps the first
-            # cycle of a stall region before batching the rest.
-            last = self._last_record
-            if fast and (last is None
-                         or (not last.committed and not last.dispatched)):
-                target = self._quiet_until()
-                if target is not None:
-                    n = min(target, max_cycles) - self.cycle
-                    if n > 0:
-                        if paranoid:
-                            self._paranoid_forward(n)
-                        else:
-                            self._fast_forward(n)
-                        self.stats.fast_forwarded += n
-                        memo.note_break()
-                        continue
-            self.step()
-            if memo is not None and not self.halted:
-                memo.after_step()
+        try:
+            while not self.halted:
+                if self.cycle >= max_cycles:
+                    raise MaxCyclesExceeded(max_cycles)
+                # Only pay for the quiescence scan once the pipeline
+                # shows signs of stalling (the previous cycle neither
+                # committed nor dispatched); at worst this single-steps
+                # the first cycle of a stall region before batching the
+                # rest.
+                last = self._last_row
+                if fast and (last is None
+                             or (not last[_ROW_COMMITS]
+                                 and not last[_ROW_DISPATCHED])):
+                    target = self._quiet_until()
+                    if target is not None:
+                        n = min(target, max_cycles) - self.cycle
+                        if n > 0:
+                            if paranoid:
+                                self._paranoid_forward(n)
+                            else:
+                                self._fast_forward(n)
+                            self.stats.fast_forwarded += n
+                            memo.note_break()
+                            continue
+                self.step()
+                if memo is not None and not self.halted:
+                    memo.after_step()
+        finally:
+            self._close_block(self.cycle)
         self.stats.cycles = self.cycle
         for observer in self.observers:
             observer.on_finish(self.cycle)
         return self.stats
 
     def step(self) -> None:
-        """Advance the core by one clock cycle."""
+        """Advance the core by one clock cycle.
+
+        The cycle's row joins the open block; observers see it when
+        the block closes or :meth:`run` ends.
+        """
         cycle = self.cycle
         self._committed_now = []
+        self._commit_metas = []
         self._dispatched_now = []
         self._exception_now = None
         self._exception_ordering = False
@@ -287,7 +312,7 @@ class Core:
         self._issue_stage(cycle)
         self._dispatch_stage(cycle)
         self._fetch_stage(cycle)
-        self._emit_record(cycle)
+        self._emit_row()
         self.cycle = cycle + 1
 
     # -- event-driven stall fast-forward (repro.simfast) ----------------------
@@ -414,53 +439,28 @@ class Core:
         target = min(events)
         return target if target > cycle else None
 
-    def _stall_record(self, cycle: int) -> CycleRecord:
-        """The record every cycle of a quiescent region emits."""
-        banks = self.config.rob_banks
-        head_banks: List[Optional[HeadEntry]] = [None] * banks
-        rob = self.rob
-        for i in range(min(banks, len(rob))):
-            uop = rob[i]
-            head_banks[uop.bank] = HeadEntry(uop.inst.addr, False)
-        return CycleRecord(
-            cycle=cycle,
-            committed=(),
-            rob_head=rob[0].inst.addr if rob else None,
-            rob_empty=not rob,
-            exception=None,
-            exception_is_ordering=False,
-            dispatched=(),
-            dispatch_pc=(self.fetch_buffer[0].inst.addr
-                         if self.fetch_buffer else None),
-            fetch_pc=self.fetch_pc,
-            head_banks=tuple(head_banks),
-            oldest_bank=rob[0].bank if rob else 0,
-        )
-
     def _fast_forward(self, count: int) -> None:
-        """Emit *count* identical stall cycles as one block."""
-        if self.observers:
-            block = CycleBlock.from_runs(
-                [(self._stall_record(self.cycle), count)],
-                self.config.rob_banks)
-            for observer in self.observers:
-                observer.on_block(block)
+        """Append *count* identical stall rows to the open block."""
         self.cycle += count
+        if not self.observers:
+            return
+        block = self._seal()
+        block.append_run(self._row([], [], [], None, False), count)
+        if block.n >= DEFAULT_CHUNK_CYCLES:
+            self._close_block(self.cycle)
 
     def _paranoid_forward(self, count: int) -> None:
-        """Single-step a claimed stall region, checking every record."""
-        template = self._stall_record(self.cycle)
+        """Single-step a claimed stall region, checking every row."""
+        template = self._row([], [], [], None, False)
         end = self.cycle + count
         while self.cycle < end:
             expected_cycle = self.cycle
             self.step()
-            record = self._last_record
-            if record is None or \
-                    not _stall_equal(record, template, expected_cycle):
+            if self._last_row != template:
                 raise SimFastError(
                     f"fast-forward divergence at cycle "
                     f"{expected_cycle}: expected uniform stall "
-                    f"{template!r}, stepped to {record!r}")
+                    f"{template!r}, stepped to {self._last_row!r}")
 
     # -- branch resolution ----------------------------------------------------
 
@@ -568,9 +568,10 @@ class Core:
 
         if self._commit_probe is not None:
             self._commit_probe(uop)
-        self._committed_now.append(
-            CommittedInst(inst.addr, uop.bank, uop.mispredicted,
-                          inst.flushes_on_commit))
+        self._committed_now.append(inst.addr)
+        self._commit_metas.append(
+            (uop.bank & 0x3F) | (_M_MISPREDICT if uop.mispredicted else 0)
+            | (_M_FLUSHES if inst.flushes_on_commit else 0))
 
     def _flush_after_commit(self, uop: MicroOp, cycle: int) -> None:
         """Pipeline flush triggered by a committing CSR/sret instruction."""
@@ -1006,62 +1007,82 @@ class Core:
 
     # -- trace emission -------------------------------------------------------
 
-    def _emit_record(self, cycle: int) -> None:
-        if self._committed_now:
-            self.stats.commit_hist[len(self._committed_now)] += 1
-        banks = self.config.rob_banks
-        head_banks: List[Optional[HeadEntry]] = [None] * banks
+    def _emit_row(self) -> None:
+        """Append this cycle's row to the open block."""
+        committed = self._committed_now
+        if committed:
+            self.stats.commit_hist[len(committed)] += 1
+        row = self._row(committed, self._commit_metas,
+                        self._dispatched_now, self._exception_now,
+                        self._exception_ordering)
+        self._last_row = row
+        if not self.observers:
+            return
+        rows = self._rows
+        rows.append(row)
+        if len(rows) + self._open.n >= DEFAULT_CHUNK_CYCLES:
+            self._close_block(self.cycle + 1)
+        elif len(rows) >= _ROW_BATCH:
+            self._seal()
+
+    def _row(self, committed: List[int], metas: List[int],
+             dispatched: List[int], exception: Optional[int],
+             ordering: bool) -> tuple:
+        """The commit-stage row of the current state (see
+        :meth:`CycleBlock.append_rows`).
+
+        ``heads`` holds the address at the head of every ROB bank,
+        oldest first.  No column stores it, but the loop memoizer
+        compares whole rows, so a period must repeat every bank's head,
+        not only the oldest one.
+        """
         rob = self.rob
-        for i in range(min(banks, len(rob))):
-            uop = rob[i]
-            head_banks[uop.bank] = HeadEntry(uop.inst.addr, False)
-        record = CycleRecord(
-            cycle=cycle,
-            committed=tuple(self._committed_now),
-            rob_head=rob[0].inst.addr if rob else None,
-            rob_empty=not rob,
-            exception=self._exception_now,
-            exception_is_ordering=self._exception_ordering,
-            dispatched=tuple(self._dispatched_now),
-            dispatch_pc=(self.fetch_buffer[0].inst.addr
-                         if self.fetch_buffer else None),
-            fetch_pc=self.fetch_pc,
-            head_banks=tuple(head_banks),
-            oldest_bank=rob[0].bank if rob else 0,
-        )
-        self._last_record = record
-        for observer in self.observers:
-            observer.on_cycle(record)
+        if rob:
+            head = rob[0]
+            flags = _F_HEAD
+            opts = [head.inst.addr]
+            oldest = head.bank
+        else:
+            flags = _F_EMPTY
+            opts = []
+            oldest = 0
+        if exception is not None:
+            flags |= _F_EXC
+            opts.append(exception)
+        if ordering:
+            flags |= _F_ORD
+        if self.fetch_buffer:
+            flags |= _F_DISP_PC
+            opts.append(self.fetch_buffer[0].inst.addr)
+        heads = [uop.inst.addr
+                 for uop in islice(rob, self.config.rob_banks)]
+        return (flags, oldest, self.fetch_pc, opts, committed, metas,
+                dispatched, heads)
+
+    def _seal(self) -> CycleBlock:
+        """Columnarize the pending stepped rows into the open block."""
+        block = self._open
+        block.append_rows(self._rows)
+        self._rows = []
+        return block
+
+    def _close_block(self, next_cycle: int) -> None:
+        """Hand the open block to every observer and open the next one
+        at *next_cycle*.
+
+        The next block is open before any observer runs, so an
+        exception an observer raises leaves no rows to hand out twice.
+        """
+        block = self._seal()
+        self._open = CycleBlock.open(next_cycle, self.config.rob_banks)
+        if block.n:
+            for observer in self.observers:
+                observer.on_block(block)
 
 
-def _head_banks_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if (x is None) != (y is None):
-            return False
-        if x is not None and (x.addr != y.addr
-                              or x.committing != y.committing):
-            return False
-    return True
-
-
-def _stall_equal(record: CycleRecord, template: CycleRecord,
-                 cycle: int) -> bool:
-    """Is *record* the stall *template* rematerialized at *cycle*?"""
-    return (record.cycle == cycle
-            and not record.committed
-            and not record.dispatched
-            and record.exception is None
-            and record.exception_is_ordering
-            == template.exception_is_ordering
-            and record.rob_head == template.rob_head
-            and record.rob_empty == template.rob_empty
-            and record.dispatch_pc == template.dispatch_pc
-            and record.fetch_pc == template.fetch_pc
-            and record.oldest_bank == template.oldest_bank
-            and _head_banks_equal(record.head_banks,
-                                  template.head_banks))
+#: Stepped rows columnarized at a time: the open block holds at most
+#: this many row tuples (about half a kilobyte each) at once.
+_ROW_BATCH = 256
 
 
 class _ForwardSentinel:

@@ -10,10 +10,11 @@ core statistics bit-identical to single stepping.
 
 The scheme has four phases:
 
-1. **Detection.**  A rolling ring of the last stepped
-   :class:`~repro.cpu.trace.CycleRecord` objects is scanned (throttled
-   with exponential backoff) for the smallest period ``P`` such that
-   the last two ``P``-cycle windows are identical record-by-record.
+1. **Detection.**  A rolling ring of the rows of the last stepped
+   cycles (cycle-free tuples, see :meth:`~repro.cpu.core.Core._row`)
+   is scanned (throttled with exponential backoff) for the smallest
+   period ``P`` such that the last two ``P``-cycle windows are
+   identical row by row.
 
 2. **Confirmation.**  A full microarchitectural fingerprint ``F1`` is
    taken -- every in-flight uop with *relative* timing fields but
@@ -37,7 +38,8 @@ The scheme has four phases:
    margin, further capped so the skip never crosses the next sampling
    interrupt or the ``max_cycles`` budget.
 
-4. **Skip.**  The ``K`` iterations reach observers as one
+4. **Skip.**  The core's open block closes, and the ``K`` iterations
+   reach observers after it as one
    :class:`~repro.fastpath.block.CycleBlock` (the template period
    columnarized once and repeated ``K`` times) through
    :meth:`~repro.cpu.trace.TraceObserver.on_block`, the architectural
@@ -53,12 +55,12 @@ no live MSHRs, no draining stores, and no unissued uop reading a
 committed producer.  Branch mispredicts *are* allowed as long as they
 are part of the limit cycle -- a loop whose predictor mispredicts the
 same internal branch every N iterations repeats its squash/refetch
-machinery exactly once per period, which the record-by-record
+machinery exactly once per period, which the row-by-row
 confirmation and the fingerprint both verify; the mispredict counters
 then advance by a fixed per-period delta like ``committed`` does.
 Anything time-dependent that survives those gates is covered by the
 fingerprint.  ``--paranoid`` replaces
-the skip with single-stepping every cycle, checking each record
+the skip with single-stepping every cycle, checking each row
 against the template and the final architectural state against the
 projection, raising :class:`~repro.cpu.core.SimFastError` on any
 divergence.
@@ -67,13 +69,15 @@ divergence.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
+from operator import itemgetter
 from typing import Deque, List, Optional
 
-from ..fastpath.block import CycleBlock
+from ..fastpath.block import (_F_EXC, _M_FLUSHES, _ROW_COMMITS,
+                              _ROW_FLAGS, _ROW_METAS, CycleBlock)
 from ..isa.opcodes import Kind
 from ..isa.semantics import evaluate
 from .core import SimFastError
-from .trace import CycleRecord, shifted_record
 from .uop import _NOT_DONE
 
 #: Longest period (in cycles) the detector will consider.
@@ -109,33 +113,6 @@ def _val_eq(a, b) -> bool:
     return a == b or (a != a and b != b)
 
 
-def _records_equal(a: CycleRecord, b: CycleRecord) -> bool:
-    """Full content equality of two records, ignoring cycle numbers."""
-    if (a.rob_head != b.rob_head or a.rob_empty != b.rob_empty
-            or a.fetch_pc != b.fetch_pc
-            or a.dispatch_pc != b.dispatch_pc
-            or a.oldest_bank != b.oldest_bank
-            or a.exception is not None or b.exception is not None
-            or a.dispatched != b.dispatched
-            or len(a.committed) != len(b.committed)):
-        return False
-    for x, y in zip(a.committed, b.committed):
-        if (x.addr != y.addr or x.bank != y.bank
-                or x.mispredicted != y.mispredicted
-                or x.flushes != y.flushes):
-            return False
-    ha, hb = a.head_banks, b.head_banks
-    if len(ha) != len(hb):
-        return False
-    for x, y in zip(ha, hb):
-        if (x is None) != (y is None):
-            return False
-        if x is not None and (x.addr != y.addr
-                              or x.committing != y.committing):
-            return False
-    return True
-
-
 class LoopMemoizer:
     """Per-run steady-state detector and iteration skipper.
 
@@ -149,20 +126,19 @@ class LoopMemoizer:
         self.core = core
         self.max_cycles = max_cycles
         self.paranoid = paranoid
-        self._ring: Deque[CycleRecord] = deque(maxlen=RING_SIZE)
+        self._ring: Deque[tuple] = deque(maxlen=RING_SIZE)
         self._next_attempt = 0
         self._backoff = MIN_BACKOFF
-        #: Smallest period worth trying: record-level periodicity can
+        #: Smallest period worth trying: row-level periodicity can
         #: be a divisor of true state-level periodicity (e.g. a loop
-        #: whose records repeat every iteration but whose predictor
+        #: whose rows repeat every iteration but whose predictor
         #: phase repeats every four), so fingerprint failures ratchet
         #: this up until the full period is found.
         self._min_period = 1
         self._phase_retries = 0
         self._confirming = False
-        self._expected: List[CycleRecord] = []
+        self._expected: List[tuple] = []
         self._idx = 0
-        self._t0 = 0
         self._f1 = None
         self._commits: List[tuple] = []
         self._stats0: Optional[tuple] = None
@@ -183,14 +159,14 @@ class LoopMemoizer:
             self._abort_confirm()
 
     def after_step(self) -> None:
-        """Feed the record just stepped; may detect, confirm or skip."""
-        record = self.core._last_record
-        if record.exception is not None:
+        """Feed the row just stepped; may detect, confirm or skip."""
+        row = self.core._last_row
+        if row[_ROW_FLAGS] & _F_EXC:
             self._reset_region()
             return
-        self._ring.append(record)
+        self._ring.append(row)
         if self._confirming:
-            self._confirm_step(record)
+            self._confirm_step(row)
         elif self.core.cycle >= self._next_attempt:
             self._attempt()
 
@@ -230,47 +206,36 @@ class LoopMemoizer:
             self._fail()
             return
         expected = seq[-period:]
-        commits = 0
-        for rec in expected:
-            for c in rec.committed:
-                # Periodic mispredicted commits are part of the limit
-                # cycle and fine; commit-time flushes redirect into the
-                # kernel and are not.
-                if c.flushes:
-                    self._fail()
-                    return
-            commits += len(rec.committed)
-        if commits == 0:
+        # One meta byte per commit.  Periodic mispredicted commits are
+        # part of the limit cycle and fine; commit-time flushes redirect
+        # into the kernel and are not (the flush flag is a meta byte's
+        # top bit, so the largest meta carries it if any does).
+        metas = list(chain.from_iterable(
+            map(itemgetter(_ROW_METAS), expected)))
+        if not metas or max(metas) & _M_FLUSHES:
             self._fail()
             return
         fingerprint = self._fingerprint()
         if fingerprint is None:
             self._fail(phase_period=period)
             return
-        # Enter confirmation: step one more full period, record by
-        # record, with a commit probe capturing architectural effects.
+        # Enter confirmation: step one more full period, row by row,
+        # with a commit probe capturing architectural effects.
         self._confirming = True
         self._expected = expected
         self._idx = 0
-        self._t0 = self.core.cycle
         self._f1 = fingerprint
         self._commits = []
         self.core._commit_probe = self._probe_commit
         self._stats0 = self._stats_tuple()
         self._hier0 = self._hier_counters()
 
-    def _find_period(self, seq: List[CycleRecord]) -> Optional[int]:
+    def _find_period(self, seq: List[tuple]) -> Optional[int]:
         n = len(seq)
         limit = min(MAX_PERIOD, (n - 1) // 2)
         last = seq[-1]
         for p in range(max(self._min_period, 1), limit + 1):
-            cand = seq[-1 - p]
-            if (cand.rob_head != last.rob_head
-                    or cand.fetch_pc != last.fetch_pc
-                    or len(cand.committed) != len(last.committed)):
-                continue
-            if all(_records_equal(seq[-i], seq[-i - p])
-                   for i in range(1, p + 1)):
+            if seq[-1 - p] == last and seq[-p:] == seq[-2 * p:-p]:
                 return p
         return None
 
@@ -280,10 +245,8 @@ class LoopMemoizer:
         self._commits.append((uop.inst, uop.result, uop.eff_addr,
                               uop.store_value, uop.actual_taken))
 
-    def _confirm_step(self, record: CycleRecord) -> None:
-        expected = self._expected[self._idx]
-        if record.cycle != self._t0 + self._idx or \
-                not _records_equal(record, expected):
+    def _confirm_step(self, row: tuple) -> None:
+        if row != self._expected[self._idx]:
             self._fail()
             return
         self._idx += 1
@@ -460,13 +423,11 @@ class LoopMemoizer:
         if len(commits) != d_committed or d_committed == 0:
             self._fail()
             return
-        flat = 0
-        for rec in self._expected:
-            for c in rec.committed:
-                if commits[flat][0].addr != c.addr:
-                    self._fail()
-                    return
-                flat += 1
+        if [c[0].addr for c in commits] != [
+                addr for row in self._expected
+                for addr in row[_ROW_COMMITS]]:
+            self._fail()
+            return
 
         allowed_k = self._allowed_k(period, len(commits))
         if allowed_k < 1:
@@ -488,12 +449,8 @@ class LoopMemoizer:
         # Re-arm immediately: the machine is still (briefly) periodic,
         # so seed the ring with the last two skipped periods and retry
         # without backoff.
-        k, expected = plan["k"], self._expected
         self._ring.clear()
-        for rec in expected:
-            self._ring.append(shifted_record(rec, k * period))
-        for rec in expected:
-            self._ring.append(shifted_record(rec, (k + 1) * period))
+        self._ring.extend(self._expected * 2)
         self._backoff = MIN_BACKOFF
         self._next_attempt = core.cycle
         self._min_period = period
@@ -634,18 +591,18 @@ class LoopMemoizer:
     # -- the skip -------------------------------------------------------------
 
     def _emit(self, period: int, repeats: int) -> None:
-        observers = self.core.observers
-        if not observers:
+        """Close the open block, then hand out the skipped iterations."""
+        core = self.core
+        now = core.cycle
+        core._close_block(now + period * repeats)
+        if not core.observers:
             return
-        # The template records cover ``[t0 - P, t0)`` and confirmation
-        # stepped (and emitted) ``[t0, t0 + P)``, so the batch starts
-        # two periods past the template base.
-        template = self._expected
-        runs = [(shifted_record(template[0], 2 * period), 1)]
-        runs += [(record, 1) for record in template[1:]]
-        one = CycleBlock.from_runs(runs, self.core.config.rob_banks)
+        # Confirmation stepped one period up to now; the skipped
+        # iterations follow it.
+        one = CycleBlock.open(now, core.config.rob_banks)
+        one.append_rows(self._expected)
         block = CycleBlock.concat([(one, 0, period)] * repeats)
-        for observer in observers:
+        for observer in core.observers:
             observer.on_block(block)
 
     def _apply_skip(self, plan: dict, period: int, inflight: list,
@@ -679,8 +636,7 @@ class LoopMemoizer:
             core.fetch_ready_cycle += skip
 
         core.cycle = now + skip
-        core._last_record = shifted_record(self._expected[-1],
-                                           skip + period)
+        core._last_row = self._expected[-1]
 
         stats = core.stats
         stats.committed += k * d_committed
@@ -708,13 +664,12 @@ class LoopMemoizer:
             for offset, template in enumerate(self._expected):
                 expected_cycle = start + (repeat - 1) * period + offset
                 core.step()
-                record = core._last_record
-                if record.cycle != expected_cycle or \
-                        not _records_equal(record, template):
+                if core._last_row != template:
                     raise SimFastError(
                         f"steady-state divergence at cycle "
                         f"{expected_cycle} (iteration {repeat}/{k}): "
-                        f"expected {template!r}, stepped to {record!r}")
+                        f"expected {template!r}, stepped to "
+                        f"{core._last_row!r}")
         stats1 = self._stats_tuple()
         if (stats1[0] - stats0[0] != k * d_committed
                 or stats1[1] - stats0[1] != k * d_fetched

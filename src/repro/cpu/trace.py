@@ -3,10 +3,14 @@
 The paper modified FireSim to "trace out the instruction address and the
 valid, commit, exception, flush, and mispredicted flags of the head
 ROB-entry in each ROB bank every cycle" and modelled all profilers
-out-of-band on that trace.  :class:`CycleRecord` is our equivalent.  The
-core hands every attached :class:`TraceObserver` one record per stepped
-cycle and one columnar block per batch of cycles it skips; records are
-transient, so arbitrarily long runs need no trace storage.
+out-of-band on that trace.  :class:`CycleRecord` is our per-cycle
+equivalent.  A live core writes the same fields as columns: it hands
+every attached :class:`TraceObserver` one columnar block per
+``DEFAULT_CHUNK_CYCLES`` cycles (and one per memoized loop period), and
+blocks are transient, so arbitrarily long runs need no trace storage.
+Records remain the per-cycle reference: :func:`replay`,
+:func:`~repro.cpu.tracefile.replay_trace` and observers without a
+columnar path consume them.
 """
 
 from __future__ import annotations
@@ -111,14 +115,18 @@ def shifted_record(record: CycleRecord, offset: int) -> CycleRecord:
 class TraceObserver:
     """Interface for out-of-band trace consumers (profilers, collectors).
 
-    The trace reaches an observer in two forms only: :meth:`on_cycle`
-    for each single-stepped cycle and :meth:`on_block` for every batch
-    of consecutive cycles -- a fast-forwarded stall run or a memoized
-    loop period under ``sim="fast"`` (:mod:`repro.simfast`,
-    :mod:`repro.cpu.memo`), or a replayed trace chunk
-    (:mod:`repro.fastpath`).  Both forms carry the same cycles, so an
-    observer that implements only :meth:`on_cycle` sees exactly what a
-    stepped run would show it.
+    The trace reaches an observer in two forms only.  Live runs and
+    block replays call :meth:`on_block` with every batch of consecutive
+    cycles: the core's open block (stepped cycles and fast-forwarded
+    stall runs, closed every ``DEFAULT_CHUNK_CYCLES`` cycles and when
+    the run ends), a memoized loop period under ``sim="fast"``
+    (:mod:`repro.cpu.memo`), or a replayed trace chunk
+    (:mod:`repro.fastpath`).  :meth:`on_cycle` takes one record: the
+    per-record reference replays (:func:`replay`,
+    :func:`~repro.cpu.tracefile.replay_trace`) call it, and so does the
+    default :meth:`on_block`, so an observer that implements only
+    :meth:`on_cycle` sees every cycle a stepped run has, in order, each
+    once its block closes.
     """
 
     def on_cycle(self, record: CycleRecord) -> None:
@@ -127,16 +135,16 @@ class TraceObserver:
     def on_block(self, block) -> None:
         """Consume a :class:`~repro.fastpath.CycleBlock` of records.
 
-        The simulator's fast path and block replay hand observers whole
-        batches of consecutive cycles at once.  The default
-        implementation materializes each record and falls back to
-        :meth:`on_cycle`, so observers that never opt in behave as they
-        would on a stepped run; observers with a columnar fast path
-        override this.  A materialized record carries only the oldest
-        bank's head entry in ``head_banks`` (the other banks are
-        ``None``), exactly as a record decoded from a v3 trace does; a
-        per-record observer sees the batched cycles of a ``sim="fast"``
-        run that way too.  No shipped observer reads another bank.
+        The simulator and block replay hand observers whole batches of
+        consecutive cycles at once.  The default implementation
+        materializes each record and falls back to :meth:`on_cycle`,
+        so observers that never opt in see the same records as a
+        per-record replay; observers with a columnar fast path override
+        this.  A materialized record carries only the oldest bank's
+        head entry in ``head_banks`` (the other banks are ``None``),
+        exactly as a record decoded from a v3 trace does; a per-record
+        observer sees every cycle of a live run that way too.  No
+        shipped observer reads another bank.
         """
         for record in block.records():
             self.on_cycle(record)

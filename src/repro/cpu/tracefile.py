@@ -462,15 +462,16 @@ def _block_from_columns(view: memoryview, start_cycle: int,
 class TraceWriterV3(TraceObserver):
     """Observer that serializes the trace in the columnar v3 format.
 
-    Buffers stepped records and record ranges of blocks, and flushes
-    chunks of *chunk_cycles* records whose payload **is** the chunk's
-    :class:`~repro.fastpath.block.CycleBlock` columns, 8-byte aligned
-    behind a per-column offset table, so readers decode by casting an
-    ``mmap`` of the file instead of looping over records.  A block that
-    crosses a chunk boundary is sliced there.  Each chunk header stores
-    the cycle range and the machine state carried into the chunk
-    (:class:`ChunkCarry`), computed once per chunk, at flush, from the
-    previous chunk's columns.
+    Buffers record ranges of blocks (a live run's only input) and
+    single records (:meth:`on_cycle`, which legacy conversion feeds),
+    and flushes chunks of *chunk_cycles* records whose payload **is**
+    the chunk's :class:`~repro.fastpath.block.CycleBlock` columns,
+    8-byte aligned behind a per-column offset table, so readers decode
+    by casting an ``mmap`` of the file instead of looping over records.
+    A block that crosses a chunk boundary is sliced there.  Each chunk
+    header stores the cycle range and the machine state carried into
+    the chunk (:class:`ChunkCarry`), computed once per chunk, at flush,
+    from the previous chunk's columns.
 
     *stream* may be an open binary stream or a filesystem path.  In
     path mode the writer is **atomic**: it writes to a unique ``*.tmp``
@@ -501,7 +502,7 @@ class TraceWriterV3(TraceObserver):
         self.compress = compress
         self.records_written = 0
         self.chunks_written = 0
-        #: Stepped records not yet columnarized, as count-1 runs.
+        #: Single records not yet columnarized, as count-1 runs.
         self._runs: List[Tuple[CycleRecord, int]] = []
         #: ``(block, lo, hi)`` record ranges of the buffered chunk.
         self._parts: List[Tuple[CycleBlock, int, int]] = []

@@ -38,13 +38,15 @@ finds the next committing/dispatching record in O(log n), and the
 cached flag masks (``exc_mask``, ``disp_pc_mask``) answer "next
 record with this flag" through C-speed ``bytes.find``/``rfind``.
 
-Blocks are built three ways.  :meth:`CycleBlock.from_runs` columnarizes
-``(record, count)`` runs into Python containers -- the simulator's
-stall fast-forward and loop memoizer hand observers such blocks -- and
-:meth:`CycleBlock.concat` joins record ranges of existing blocks (a
-memoized period repeated, a trace chunk assembled from pieces); the v3
-trace writer (:mod:`repro.cpu.tracefile`) serializes exactly those
-columns as a chunk's payload.  Reading a v3 chunk back wraps the
+Blocks are built three ways.  A live core grows one
+:meth:`CycleBlock.open` block: stepped cycles arrive as row tuples
+that :meth:`~CycleBlock.append_rows` columnarizes in bulk, and stall
+runs through :meth:`~CycleBlock.append_run`;
+:meth:`CycleBlock.from_runs` does the same for ``(record, count)``
+runs.  :meth:`CycleBlock.concat` joins record ranges of existing
+blocks (a memoized period repeated, a trace chunk assembled from
+pieces); the v3 trace writer (:mod:`repro.cpu.tracefile`) serializes
+exactly those columns as a chunk's payload.  Reading a v3 chunk back wraps the
 stored columns in place as zero-copy ``memoryview`` casts over the
 mmap-ed file; all forms support the indexing, slicing and bisection
 the fast paths rely on.  ``record(i)``/``records()`` materialize
@@ -55,6 +57,7 @@ columnar fast path.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..cpu.trace import CommittedInst, CycleRecord, HeadEntry
@@ -64,6 +67,14 @@ _F_EXC = 1 << 1
 _F_ORD = 1 << 2
 _F_DISP_PC = 1 << 3
 _F_HEAD = 1 << 4
+#: Commit-meta bits above the 6-bit bank.
+_M_MISPREDICT = 1 << 6
+_M_FLUSHES = 1 << 7
+#: Row fields read by name (see :meth:`CycleBlock.append_rows`).
+_ROW_FLAGS = 0
+_ROW_COMMITS = 4
+_ROW_METAS = 5
+_ROW_DISPATCHED = 6
 
 #: ``translate`` tables expanding one flag bit into a 0/1 column.
 _EMPTY_TABLE = bytes(1 if f & _F_EMPTY else 0 for f in range(256))
@@ -217,8 +228,8 @@ class CycleBlock:
         lo, hi = self.commit_base[i], self.commit_base[i + 1]
         committed = tuple(
             CommittedInst(self.commit_addr[k], self.commit_meta[k] & 0x3F,
-                          bool(self.commit_meta[k] & 0x40),
-                          bool(self.commit_meta[k] & 0x80))
+                          bool(self.commit_meta[k] & _M_MISPREDICT),
+                          bool(self.commit_meta[k] & _M_FLUSHES))
             for k in range(lo, hi))
         dlo, dhi = self.disp_base[i], self.disp_base[i + 1]
         rob_head = self.rob_head_at(i)
@@ -251,68 +262,73 @@ class CycleBlock:
     # -- construction ---------------------------------------------------------
 
     @classmethod
+    def open(cls, start_cycle: int, banks: int) -> "CycleBlock":
+        """An empty block that grows by :meth:`append_rows` and
+        :meth:`append_run`; it is handed out only once complete."""
+        return cls(start_cycle, 0, banks, bytearray(), bytearray(), [], [],
+                   array("I", [0]), array("I", [0]), [], bytearray(),
+                   array("I", [0]), [])
+
+    def append_rows(self, rows: Sequence[tuple]) -> None:
+        """Append one cycle per row, every column in one C-speed pass.
+
+        A row is one cycle in the column layout, as a tuple ``(flags,
+        oldest_bank, fetch_pc, opts, commit_addrs, commit_metas,
+        disp_addrs, heads)``: ``opts`` lists the present optional u64s
+        in column order and ``heads`` is not stored (see
+        :meth:`Core._row <repro.cpu.core.Core._row>`).
+        """
+        if not rows:
+            return
+        flags, oldest, fetch_pc, opts, commits, metas, disps, _ = \
+            zip(*rows)
+        self.flags += bytes(flags)
+        self.oldest_bank += bytes(oldest)
+        self.fetch_pc += fetch_pc
+        _extend_groups(self.opt_base, self.opt_vals, opts)
+        _extend_groups(self.commit_base, self.commit_addr, commits)
+        self.commit_meta += bytes(chain.from_iterable(metas))
+        _extend_groups(self.disp_base, self.disp_addr, disps)
+        self.n += len(rows)
+
+    def append_run(self, row: tuple, count: int) -> None:
+        """Append *count* cycles identical to *row* (a stall run).
+
+        Columns expand through C-speed sequence multiplication instead
+        of per-cycle appends.
+        """
+        flags, oldest, fetch_pc, opts, commits, metas, disps, _ = row
+        self.flags += bytes((flags,)) * count
+        self.oldest_bank += bytes((oldest,)) * count
+        self.fetch_pc += [fetch_pc] * count
+        if opts:
+            self.opt_vals += opts * count
+        _extend_prefix(self.opt_base, len(opts), count)
+        if commits:
+            self.commit_addr += commits * count
+            self.commit_meta += bytes(metas) * count
+        _extend_prefix(self.commit_base, len(commits), count)
+        if disps:
+            self.disp_addr += disps * count
+        _extend_prefix(self.disp_base, len(disps), count)
+        self.n += count
+
+    @classmethod
     def from_runs(cls, runs: Sequence[Tuple[CycleRecord, int]],
                   banks: int) -> "CycleBlock":
         """Columnarize ``(record, count)`` runs of consecutive cycles.
 
         A run stands for *count* cycles identical to its record except
-        for the cycle number -- a fast-forwarded stall region is one
-        run; a run of count 1 is one plain cycle.  The block starts at
-        the first record's cycle; later records' cycle numbers are not
-        read.  Columns for repeated records expand through C-speed
-        sequence multiplication instead of per-cycle appends.
+        for the cycle number; a run of count 1 is one plain cycle.  The
+        block starts at the first record's cycle; later records' cycle
+        numbers are not read.  The trace writer's per-record input and
+        tests build blocks this way; a live run's core appends its rows
+        to an open block directly.
         """
-        flags = bytearray()
-        oldest = bytearray()
-        fetch_pc: List[int] = []
-        opt_vals: List[int] = []
-        opt_base = array("I", [0])
-        commit_base = array("I", [0])
-        commit_addr: List[int] = []
-        commit_meta = bytearray()
-        disp_base = array("I", [0])
-        disp_addr: List[int] = []
-        n = 0
+        block = cls.open(runs[0][0].cycle if runs else 0, banks)
         for record, count in runs:
-            record_flags = 0
-            opts: List[int] = []
-            if record.rob_empty:
-                record_flags |= _F_EMPTY
-            if record.exception_is_ordering:
-                record_flags |= _F_ORD
-            if record.rob_head is not None:
-                record_flags |= _F_HEAD
-                opts.append(record.rob_head)
-            if record.exception is not None:
-                record_flags |= _F_EXC
-                opts.append(record.exception)
-            if record.dispatch_pc is not None:
-                record_flags |= _F_DISP_PC
-                opts.append(record.dispatch_pc)
-            flags.extend(bytes((record_flags,)) * count)
-            oldest.extend(bytes((record.oldest_bank,)) * count)
-            fetch_pc.extend([record.fetch_pc] * count)
-            if opts:
-                opt_vals.extend(opts * count)
-            _extend_prefix(opt_base, len(opts), count)
-            committed = record.committed
-            if committed:
-                commit_addr.extend(
-                    [c.addr for c in committed] * count)
-                commit_meta.extend(bytes(
-                    (c.bank & 0x3F)
-                    | (0x40 if c.mispredicted else 0)
-                    | (0x80 if c.flushes else 0)
-                    for c in committed) * count)
-            _extend_prefix(commit_base, len(committed), count)
-            if record.dispatched:
-                disp_addr.extend(list(record.dispatched) * count)
-            _extend_prefix(disp_base, len(record.dispatched), count)
-            n += count
-        start = runs[0][0].cycle if runs else 0
-        return cls(start, n, banks, flags, oldest, fetch_pc, opt_vals,
-                   opt_base, commit_base, commit_addr, commit_meta,
-                   disp_base, disp_addr)
+            block.append_run(_record_row(record), count)
+        return block
 
     @classmethod
     def concat(cls, parts: Sequence[Tuple["CycleBlock", int, int]]
@@ -365,6 +381,38 @@ def _extend_range(base: "array", values: List[int], src_base,
     else:
         base.extend(src_base[lo + 1:hi + 1])
     return v_lo, v_hi
+
+
+def _extend_groups(base: "array", values: List[int], groups) -> None:
+    """Flatten *groups* onto *values*, one prefix-sum entry per group."""
+    last = base.pop()
+    base.extend(accumulate(map(len, groups), initial=last))
+    values += chain.from_iterable(groups)
+
+
+def _record_row(record: CycleRecord) -> tuple:
+    """*record* as a row (see :meth:`CycleBlock.append_rows`)."""
+    flags = 0
+    opts: List[int] = []
+    if record.rob_empty:
+        flags |= _F_EMPTY
+    if record.exception_is_ordering:
+        flags |= _F_ORD
+    if record.rob_head is not None:
+        flags |= _F_HEAD
+        opts.append(record.rob_head)
+    if record.exception is not None:
+        flags |= _F_EXC
+        opts.append(record.exception)
+    if record.dispatch_pc is not None:
+        flags |= _F_DISP_PC
+        opts.append(record.dispatch_pc)
+    committed = record.committed
+    return (flags, record.oldest_bank, record.fetch_pc, opts,
+            [c.addr for c in committed],
+            [(c.bank & 0x3F) | (_M_MISPREDICT if c.mispredicted else 0)
+             | (_M_FLUSHES if c.flushes else 0) for c in committed],
+            list(record.dispatched), ())
 
 
 def _extend_prefix(base: "array", k: int, count: int) -> None:

@@ -52,10 +52,17 @@ class TraceInvariantError(RuntimeError):
 class TraceSanitizer(TraceObserver):
     """Validates the commit-stage trace cycle by cycle.
 
-    Batches -- fast-forwarded stall runs, memoized loop periods and
-    replayed chunks -- are checked record by record through the default
+    Every batch -- a live core's open block of stepped cycles and
+    stall runs, a memoized loop period, a replayed chunk -- is checked
+    record by record through the default
     :meth:`~repro.cpu.trace.TraceObserver.on_block` fallback, so every
-    cycle of a ``sim="fast"`` run is checked, not inferred.
+    cycle is checked, not inferred.  Those records carry only the
+    oldest bank's head entry, so S007 checks ``rob_empty``,
+    ``rob_head`` and ``oldest_bank`` against each other, live and
+    replayed alike.  A fault on a live run surfaces when its block
+    closes: the core closes the open block before any exception leaves
+    :meth:`~repro.cpu.core.Core.run`, so the violation is raised
+    first.
 
     Parameters
     ----------

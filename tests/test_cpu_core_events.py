@@ -7,6 +7,8 @@ memory-ordering replays.
 """
 
 from repro.cpu.config import CoreConfig
+from repro.cpu.machine import Machine
+from repro.isa.assembler import assemble
 from repro.isa.program import KERNEL_TEXT_BASE
 from conftest import run_asm
 
@@ -165,8 +167,15 @@ def test_trace_cycles_are_contiguous():
     assert cycles == list(range(len(cycles)))
 
 
-def test_head_banks_consistent_with_rob_head():
-    _, collector = run_asm("""
+def test_head_banks_consistent_with_rob_head(monkeypatch):
+    """Each stepped cycle's head columns are the core's ROB head.
+
+    With one cycle per block, every block reaches the observer while
+    the core still holds the state its row was taken from.
+    """
+    import repro.cpu.core as core_module
+    monkeypatch.setattr(core_module, "DEFAULT_CHUNK_CYCLES", 1)
+    program = assemble("""
     .func main
         addi x1, x0, 0
         addi x2, x0, 50
@@ -180,12 +189,26 @@ def test_head_banks_consistent_with_rob_head():
         addi x2, x2, -1
         bne  x2, x0, loop
         halt
-    """, premapped=[(0x2000, 0x2200)])
-    for record in collector.records:
-        if record.rob_head is not None:
-            entry = record.head_banks[record.oldest_bank]
-            assert entry is not None
-            assert entry.addr == record.rob_head
+    """, name="test")
+    machine = Machine(program, premapped_data=[(0x2000, 0x2200)])
+    heads = []
+
+    class HeadCheck:
+        def on_block(self, block):
+            assert block.n == 1
+            rob = machine.core.rob
+            head = rob[0].inst.addr if rob else None
+            assert block.rob_head_at(0) == head
+            assert block.oldest_bank[0] == (rob[0].bank if rob else 0)
+            heads.append(head)
+
+        def on_finish(self, final_cycle):
+            pass
+
+    machine.attach(HeadCheck())
+    machine.run(500_000)
+    assert len(heads) == machine.stats.cycles
+    assert None in heads and any(heads)
 
 
 def test_max_cycles_raises():

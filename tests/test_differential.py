@@ -46,15 +46,16 @@ def _generate_program(rng: random.Random, blocks: int = 4,
             elif choice < 0.5:
                 lines.append(f"    addi x{rd}, x{rs1}, "
                              f"{rng.randint(-32, 32)}")
-            elif choice < 0.65:
-                rng.randint(0, DATA_WORDS - 1)  # keeps seeded programs
-                lines.append(f"    andi x16, x{rs1}, "
-                             f"{8 * (DATA_WORDS - 1)}")
-                lines.append(f"    ld   x{rd}, {DATA_BASE}(x16)")
             elif choice < 0.8:
+                # Index and displacement each span half the data words,
+                # so every access stays inside the premapped region.
+                offset = DATA_BASE + 8 * rng.randint(0, DATA_WORDS // 2 - 1)
                 lines.append(f"    andi x16, x{rs1}, "
-                             f"{8 * (DATA_WORDS - 1)}")
-                lines.append(f"    sd   x{rs2}, {DATA_BASE}(x16)")
+                             f"{8 * (DATA_WORDS // 2 - 1)}")
+                if choice < 0.65:
+                    lines.append(f"    ld   x{rd}, {offset}(x16)")
+                else:
+                    lines.append(f"    sd   x{rs2}, {offset}(x16)")
             elif choice < 0.9:
                 # A data-dependent forward skip within the block.
                 lines.append(f"    andi x17, x{rs1}, 1")
