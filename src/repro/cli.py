@@ -221,7 +221,7 @@ def cmd_stacks(args) -> int:
     names = args.benchmarks or None
     workloads = build_suite(names, scale=args.scale)
     suite = run_suite(workloads, profilers=_profilers(args),
-                      verbose=True)
+                      verbose=True, sim="fast")
     print()
     print(render_stacks_table(suite.cycle_stacks(),
                               title="cycle stacks (Figure 7)"))
@@ -229,8 +229,10 @@ def cmd_stacks(args) -> int:
 
 
 def cmd_imagick(args) -> int:
-    orig = run_workload(build_imagick(optimized=False), _profilers(args))
-    opt = run_workload(build_imagick(optimized=True), _profilers(args))
+    orig = run_workload(build_imagick(optimized=False), _profilers(args),
+                        sim="fast")
+    opt = run_workload(build_imagick(optimized=True), _profilers(args),
+                       sim="fast")
     print(render_stacks_table({"original": orig.cycle_stack(),
                                "optimized": opt.cycle_stack()},
                               title="Imagick before/after"))
@@ -661,11 +663,10 @@ def _submit_spec(args):
         spec = JobSpec.for_source(source, name=args.target,
                                   premap_all=args.map_all, **common)
     elif args.target in ("imagick-orig", "imagick-opt"):
-        from .serve.jobs import _default_profilers
         program = ProgramSpec(kind="imagick", name=args.target,
                               optimized=args.target.endswith("-opt"))
         spec = JobSpec(program=program,
-                       profilers=_default_profilers(**common))
+                       profilers=tuple(default_profilers(**common)))
     elif args.target in BENCHMARKS:
         spec = JobSpec.for_benchmark(args.target, scale=args.scale,
                                      **common)

@@ -39,6 +39,7 @@ from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from ..cpu.trace import CycleRecord, TraceObserver
+from ..fastpath.block import _F_DISP_PC, _F_EXC, _F_HEAD, _F_ORD
 from ..isa.program import Program
 from .samples import Attribution, Category, FlushKind, stall_category
 from .sampling import SampleSchedule
@@ -49,12 +50,9 @@ UNITS = 360360
 #: The most commits one trace record can hold (its 4-bit wire count).
 MAX_COMMITS = 15
 
-#: Trace wire-format flag bits (mirrors ``repro.cpu.tracefile``), used
-#: by the vectorized block loop to read optional columns in place.
-_WIRE_ORD = 1 << 2
-_WIRE_HEAD = 1 << 4
 #: flags byte -> number of optional u64s per record (wire order).
-_WIRE_NOPT = tuple(bin(f & 0b11010).count("1") for f in range(256))
+_WIRE_NOPT = tuple(bin(f & (_F_HEAD | _F_EXC | _F_DISP_PC)).count("1")
+                   for f in range(256))
 
 #: Key identifying a sampling schedule: (period, mode, seed).
 ScheduleKey = Tuple[int, str, int]
@@ -236,7 +234,7 @@ class OracleProfiler(TraceObserver):
             if exc_mask[i]:
                 f = flags_b[i]
                 oir_addr = opt_vals[opt_base[i] + ((f >> 4) & 1)]
-                oir_kind = (_KIND_ORDERING if f & _WIRE_ORD
+                oir_kind = (_KIND_ORDERING if f & _F_ORD
                             else _KIND_EXCEPTION)
                 credit(start + i, 1, oir_addr, _FLUSH_TAG[oir_kind])
                 i += 1
@@ -297,8 +295,8 @@ class OracleProfiler(TraceObserver):
             # Head-of-ROB stall run.  With uniform flags every head sits
             # at the same stride, so one slice compare proves them equal.
             f = flags_b[i]
-            if f & _WIRE_HEAD and (run == 1
-                                   or flags_b.count(f, i, t) == run):
+            if f & _F_HEAD and (run == 1
+                                or flags_b.count(f, i, t) == run):
                 step = _WIRE_NOPT[f]
                 base = opt_base[i]
                 heads = opt_vals[base:base + step * run:step]

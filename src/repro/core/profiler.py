@@ -140,8 +140,7 @@ class SamplingProfiler(TraceObserver):
 
     def on_block(self, block) -> None:
         if not self._columnar:
-            for record in block.records():
-                self.on_cycle(record)
+            TraceObserver.on_block(self, block)
             return
         n = block.n
         if not n:
@@ -219,13 +218,11 @@ class SamplingProfiler(TraceObserver):
                         for s in self.samples],
         }
 
-    def restore_snapshots(self, snapshots) -> None:
-        """Fill this (fresh) profiler from ordered snapshots (a pool
-        worker's payload)."""
-        for snap in snapshots:
-            for cycle, interval, weights, category in snap["samples"]:
-                self.samples.append(
-                    Sample(cycle, interval, weights, category))
+    def restore(self, snapshot: dict) -> None:
+        """Fill this (fresh) profiler from a snapshot (a pool worker's
+        payload)."""
+        for cycle, interval, weights, category in snapshot["samples"]:
+            self.samples.append(Sample(cycle, interval, weights, category))
 
     # -- results --------------------------------------------------------------
 

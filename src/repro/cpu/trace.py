@@ -9,8 +9,8 @@ every attached :class:`TraceObserver` one columnar block per
 ``DEFAULT_CHUNK_CYCLES`` cycles (and one per memoized loop period), and
 blocks are transient, so arbitrarily long runs need no trace storage.
 Records remain the per-cycle reference: :func:`replay`,
-:func:`~repro.cpu.tracefile.replay_trace` and observers without a
-columnar path consume them.
+:func:`~repro.cpu.tracefile.replay_trace` and observers written without
+a columnar path consume them.
 """
 
 from __future__ import annotations
@@ -38,23 +38,18 @@ class CommittedInst:
         return f"<commit {self.addr:#x} bank={self.bank} {flags}>"
 
 
-class HeadEntry:
-    """Head-of-bank ROB entry as seen by TIP's sample-selection unit."""
-
-    __slots__ = ("addr", "committing")
-
-    def __init__(self, addr: int, committing: bool):
-        self.addr = addr
-        self.committing = committing
-
-
 class CycleRecord:
-    """Everything the profilers may observe about one clock cycle."""
+    """Everything the profilers may observe about one clock cycle.
+
+    The fields are a v3 trace row's: the head of the ROB is its oldest
+    entry (``rob_head``, in bank ``oldest_bank``); the other banks'
+    heads are not part of the trace.
+    """
 
     __slots__ = (
         "cycle", "committed", "rob_head", "rob_empty", "exception",
         "exception_is_ordering", "dispatched", "dispatch_pc", "fetch_pc",
-        "head_banks", "oldest_bank",
+        "oldest_bank",
     )
 
     def __init__(self, cycle: int,
@@ -66,7 +61,6 @@ class CycleRecord:
                  dispatched: Sequence[int],
                  dispatch_pc: Optional[int],
                  fetch_pc: int,
-                 head_banks: Sequence[Optional[HeadEntry]],
                  oldest_bank: int):
         self.cycle = cycle
         #: Instructions committed this cycle, oldest first.
@@ -85,8 +79,6 @@ class CycleRecord:
         self.dispatch_pc = dispatch_pc
         #: The front-end's next fetch PC (what a software sample observes).
         self.fetch_pc = fetch_pc
-        #: Per-bank head ROB entries (index = bank id), ``None`` if invalid.
-        self.head_banks = head_banks
         #: Bank holding the oldest in-flight instruction.
         self.oldest_bank = oldest_bank
 
@@ -108,8 +100,7 @@ def shifted_record(record: CycleRecord, offset: int) -> CycleRecord:
         exception=record.exception,
         exception_is_ordering=record.exception_is_ordering,
         dispatched=record.dispatched, dispatch_pc=record.dispatch_pc,
-        fetch_pc=record.fetch_pc, head_banks=record.head_banks,
-        oldest_bank=record.oldest_bank)
+        fetch_pc=record.fetch_pc, oldest_bank=record.oldest_bank)
 
 
 class TraceObserver:
@@ -121,10 +112,11 @@ class TraceObserver:
     stall runs, closed every ``DEFAULT_CHUNK_CYCLES`` cycles and when
     the run ends), a memoized loop period under ``sim="fast"``
     (:mod:`repro.cpu.memo`), or a replayed trace chunk
-    (:mod:`repro.fastpath`).  :meth:`on_cycle` takes one record: the
-    per-record reference replays (:func:`replay`,
+    (:mod:`repro.fastpath`).  Every shipped observer but
+    :class:`TraceCollector` reads those columns.  :meth:`on_cycle` takes
+    one record: the per-record reference replays (:func:`replay`,
     :func:`~repro.cpu.tracefile.replay_trace`) call it, and so does the
-    default :meth:`on_block`, so an observer that implements only
+    default :meth:`on_block`, so an observer written with only
     :meth:`on_cycle` sees every cycle a stepped run has, in order, each
     once its block closes.
     """
@@ -140,11 +132,7 @@ class TraceObserver:
         materializes each record and falls back to :meth:`on_cycle`,
         so observers that never opt in see the same records as a
         per-record replay; observers with a columnar fast path override
-        this.  A materialized record carries only the oldest bank's
-        head entry in ``head_banks`` (the other banks are ``None``),
-        exactly as a record decoded from a v3 trace does; a per-record
-        observer sees every cycle of a live run that way too.  No
-        shipped observer reads another bank.
+        this.
         """
         for record in block.records():
             self.on_cycle(record)

@@ -4,7 +4,8 @@ The paper's methodology streams a per-cycle trace out of FireSim and
 processes it on the CPU side; re-running a new profiler configuration
 does not require re-simulating.  This module provides the same record/
 replay split for our simulator: :class:`TraceWriterV3` is a trace
-observer that serializes every :class:`~repro.cpu.trace.CycleRecord`,
+observer that serializes the :class:`~repro.fastpath.block.CycleBlock`
+columns it is handed (its one input, :meth:`TraceWriterV3.on_block`),
 :class:`TraceReaderV3` maps the file for random chunk access, and
 :func:`read_trace` / :func:`replay_trace` reconstruct the records one
 at a time (the per-record reference replay).
@@ -43,7 +44,8 @@ replay always starts at the first chunk.
 
 Formats v1 (``TIPTRC01``) and v2 (``TIPTRC02``) are read-only legacy
 input: :func:`read_trace` still decodes them and :func:`convert_trace`
-(``repro convert-trace``) upgrades them to v3 losslessly.  v1 is a flat
+(``repro convert-trace``) upgrades them to v3 losslessly, handing the
+writer their records as blocks of ``chunk_cycles`` records.  v1 is a flat
 stream (magic, banks byte, one record per cycle); v2 frames the same
 records in chunks behind ``_CHUNK_HDR`` headers.  Their per-record
 encoding (little-endian; v3's flags and commit-meta columns hold the
@@ -70,12 +72,15 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import (Any, BinaryIO, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from ..fastpath.block import CycleBlock
-from .trace import CommittedInst, CycleRecord, HeadEntry, TraceObserver
+from ..fastpath.block import (_F_DISP_PC, _F_EMPTY, _F_EXC, _F_HEAD,
+                              _F_ORD, _M_FLUSHES, _M_MISPREDICT, CycleBlock)
+from .trace import CommittedInst, CycleRecord, TraceObserver
 
 MAGIC = b"TIPTRC01"
 MAGIC_V2 = b"TIPTRC02"
@@ -109,16 +114,6 @@ _CHUNK_HDR_V3 = struct.Struct("<QIIIBBBBQQ3I10I4x")
 (_COL_FETCH_PC, _COL_OPT_VALS, _COL_COMMIT_ADDR, _COL_DISP_ADDR,
  _COL_OPT_BASE, _COL_COMMIT_BASE, _COL_DISP_BASE, _COL_FLAGS,
  _COL_OLDEST, _COL_COMMIT_META) = range(10)
-
-_F_EMPTY = 1 << 0
-_F_EXC = 1 << 1
-_F_ORD = 1 << 2
-_F_DISP_PC = 1 << 3
-_F_HEAD = 1 << 4
-
-#: Commit-meta bits (``bank | mispredicted << 6 | flushes << 7``).
-_M_MISPREDICT = 1 << 6
-_M_FLUSHES = 1 << 7
 
 #: File-header flags.
 _FILE_F_ZLIB = 1 << 0
@@ -240,8 +235,8 @@ class TraceIndex:
 # -- legacy v1/v2 decoding (read-only) ----------------------------------------
 
 
-def _decode_record(buf: bytes, pos: int, cycle: int,
-                   banks: int) -> Tuple[CycleRecord, int]:
+def _decode_record(buf: bytes, pos: int,
+                   cycle: int) -> Tuple[CycleRecord, int]:
     """Decode one record from *buf* at *pos*; returns (record, new pos)."""
     end = pos + _HDR.size
     if end > len(buf):
@@ -269,31 +264,28 @@ def _decode_record(buf: bytes, pos: int, cycle: int,
         meta = buf[pos]
         pos += 1
         committed.append(CommittedInst(
-            addr, meta & 0x3F, bool(meta & 0x40), bool(meta & 0x80)))
+            addr, meta & 0x3F, bool(meta & _M_MISPREDICT),
+            bool(meta & _M_FLUSHES)))
     dispatched = tuple(u64() for _ in range(counts >> 4))
-    head_banks: List[Optional[HeadEntry]] = [None] * banks
-    if rob_head is not None:
-        head_banks[oldest_bank] = HeadEntry(rob_head, False)
     record = CycleRecord(
         cycle=cycle, committed=tuple(committed), rob_head=rob_head,
         rob_empty=bool(flags & _F_EMPTY), exception=exception,
         exception_is_ordering=bool(flags & _F_ORD),
         dispatched=dispatched, dispatch_pc=dispatch_pc,
-        fetch_pc=fetch_pc, head_banks=tuple(head_banks),
-        oldest_bank=oldest_bank)
+        fetch_pc=fetch_pc, oldest_bank=oldest_bank)
     return record, pos
 
 
-def _read_trace_v1(stream: BinaryIO, banks: int) -> Iterator[CycleRecord]:
+def _read_trace_v1(stream: BinaryIO) -> Iterator[CycleRecord]:
     buf = stream.read()
     pos = cycle = 0
     while pos < len(buf):
-        record, pos = _decode_record(buf, pos, cycle, banks)
+        record, pos = _decode_record(buf, pos, cycle)
         yield record
         cycle += 1
 
 
-def _read_trace_v2(stream: BinaryIO, banks: int, compressed: bool
+def _read_trace_v2(stream: BinaryIO, compressed: bool
                    ) -> Iterator[CycleRecord]:
     while True:
         header = stream.read(_CHUNK_HDR.size)
@@ -311,7 +303,7 @@ def _read_trace_v2(stream: BinaryIO, banks: int, compressed: bool
             raise ValueError("chunk payload size mismatch")
         pos = 0
         for i in range(n_records):
-            record, pos = _decode_record(raw, pos, start_cycle + i, banks)
+            record, pos = _decode_record(raw, pos, start_cycle + i)
             yield record
         if pos != len(raw):
             raise ValueError("trailing bytes in trace chunk")
@@ -462,10 +454,11 @@ def _block_from_columns(view: memoryview, start_cycle: int,
 class TraceWriterV3(TraceObserver):
     """Observer that serializes the trace in the columnar v3 format.
 
-    Buffers record ranges of blocks (a live run's only input) and
-    single records (:meth:`on_cycle`, which legacy conversion feeds),
-    and flushes chunks of *chunk_cycles* records whose payload **is**
-    the chunk's :class:`~repro.fastpath.block.CycleBlock` columns,
+    Its one input is :meth:`on_block`: it buffers record ranges of the
+    blocks it is handed (a live run's, a replayed chunk, legacy records
+    columnarized by :func:`convert_trace`) and flushes chunks of
+    *chunk_cycles* records whose payload **is** the chunk's
+    :class:`~repro.fastpath.block.CycleBlock` columns,
     8-byte aligned behind a per-column offset table, so readers decode
     by casting an ``mmap`` of the file instead of looping over records.
     A block that crosses a chunk boundary is sliced there.  Each chunk
@@ -502,8 +495,6 @@ class TraceWriterV3(TraceObserver):
         self.compress = compress
         self.records_written = 0
         self.chunks_written = 0
-        #: Single records not yet columnarized, as count-1 runs.
-        self._runs: List[Tuple[CycleRecord, int]] = []
         #: ``(block, lo, hi)`` record ranges of the buffered chunk.
         self._parts: List[Tuple[CycleBlock, int, int]] = []
         self._buffered = 0
@@ -515,13 +506,6 @@ class TraceWriterV3(TraceObserver):
             banks, _FILE_F_ZLIB if compress else 0, chunk_cycles))
         self.stream.write(_FILE_PAD_V3)
 
-    def on_cycle(self, record: CycleRecord) -> None:
-        self._runs.append((record, 1))
-        self._buffered += 1
-        self.records_written += 1
-        if self._buffered >= self.chunk_cycles:
-            self._flush_chunk()
-
     def on_block(self, block: CycleBlock) -> None:
         # The serialized columns carry no cycle numbers (the chunk
         # header provides the start cycle), so a block is buffered as
@@ -531,7 +515,6 @@ class TraceWriterV3(TraceObserver):
         lo = 0
         while lo < n:
             hi = min(n, lo + self.chunk_cycles - self._buffered)
-            self._seal_runs()
             self._parts.append((block, lo, hi))
             self._buffered += hi - lo
             lo = hi
@@ -566,15 +549,7 @@ class TraceWriterV3(TraceObserver):
             except OSError:
                 pass
 
-    def _seal_runs(self) -> None:
-        """Columnarize the buffered stepped records as one range."""
-        if self._runs:
-            block = CycleBlock.from_runs(self._runs, self.banks)
-            self._parts.append((block, 0, block.n))
-            self._runs = []
-
     def _flush_chunk(self) -> None:
-        self._seal_runs()
         block = CycleBlock.concat(self._parts)
         raw, offsets, (n_opt, n_commit, n_disp) = \
             _serialize_block_columns(block)
@@ -605,25 +580,21 @@ class TraceWriterV3(TraceObserver):
         self.chunks_written += 1
 
 
-def _read_file_header(stream: BinaryIO):
-    """Read the magic and header; returns (version, banks, compressed,
-    chunk_cycles)."""
-    magic = stream.read(len(MAGIC))
+def _read_legacy(stream: BinaryIO, magic: bytes
+                 ) -> Tuple[int, Iterator[CycleRecord]]:
+    """``(banks, records)`` of a v1/v2 trace whose *magic* was read."""
     if magic == MAGIC:
         banks = stream.read(1)
         if not banks:
             raise ValueError("truncated v1 trace header")
-        return 1, banks[0], False, 0
-    if magic in (MAGIC_V2, MAGIC_V3):
-        version = 2 if magic == MAGIC_V2 else 3
-        size = _FILE_HDR_V2.size + (len(_FILE_PAD_V3) if version == 3
-                                    else 0)
-        header = stream.read(size)
-        if len(header) < size:
-            raise ValueError(f"truncated v{version} trace header")
-        banks, flags, chunk_cycles = _FILE_HDR_V2.unpack_from(header)
-        return version, banks, bool(flags & _FILE_F_ZLIB), chunk_cycles
-    raise ValueError("not a TIP trace stream")
+        return banks[0], _read_trace_v1(stream)
+    if magic != MAGIC_V2:
+        raise ValueError("not a TIP trace stream")
+    header = stream.read(_FILE_HDR_V2.size)
+    if len(header) < _FILE_HDR_V2.size:
+        raise ValueError("truncated v2 trace header")
+    banks, flags, _chunk_cycles = _FILE_HDR_V2.unpack(header)
+    return banks, _read_trace_v2(stream, bool(flags & _FILE_F_ZLIB))
 
 
 def _unpack_chunk_header_v3(buf, pos: int = 0
@@ -644,29 +615,6 @@ def _unpack_chunk_header_v3(buf, pos: int = 0
             counts, columns)
 
 
-def _read_trace_v3(stream: BinaryIO, banks: int, compressed: bool
-                   ) -> Iterator[CycleRecord]:
-    while True:
-        header = stream.read(_CHUNK_HDR_V3.size)
-        if not header:
-            return
-        if len(header) < _CHUNK_HDR_V3.size:
-            raise ValueError("truncated chunk header")
-        (start_cycle, n_records, payload_bytes, raw_bytes, _carry,
-         counts, columns) = _unpack_chunk_header_v3(header)
-        stored = payload_bytes + (-payload_bytes % 8)
-        payload = stream.read(stored)
-        if len(payload) < stored:
-            raise ValueError("truncated chunk payload")
-        raw = _inflate(payload[:payload_bytes]) if compressed else payload
-        if len(raw) != raw_bytes:
-            raise ValueError("chunk payload size mismatch")
-        block = _block_from_columns(memoryview(raw), start_cycle,
-                                    n_records, banks, counts, columns)
-        for record in block.records():
-            yield record
-
-
 # -- readers ------------------------------------------------------------------
 
 
@@ -680,19 +628,45 @@ def _open_source(source: Union[BinaryIO, bytes, str]
     return source, False
 
 
-def _open_records(stream: BinaryIO) -> Tuple[int, Iterator[CycleRecord]]:
-    """``(banks, records)`` of a serialized trace of any version."""
-    version, banks, compressed, _chunk_cycles = _read_file_header(stream)
-    if version == 1:
-        return banks, _read_trace_v1(stream, banks)
-    if version == 2:
-        return banks, _read_trace_v2(stream, banks, compressed)
-    return banks, _read_trace_v3(stream, banks, compressed)
+@contextmanager
+def _trace_blocks(source: Union[BinaryIO, bytes, str], chunk_cycles: int
+                  ) -> Iterator[Tuple[int, Iterator[CycleBlock]]]:
+    """``(banks, blocks)`` of a serialized trace of any version.
+
+    A v3 trace yields its stored chunks through :class:`TraceReaderV3`,
+    which maps a path source instead of reading it; the records of a
+    legacy v1/v2 trace are columnarized *chunk_cycles* at a time.
+    Whatever was opened is closed on exit.
+    """
+    stream, owns = _open_source(source)
+    try:
+        magic = stream.read(len(MAGIC_V3))
+        if magic != MAGIC_V3:
+            banks, records = _read_legacy(stream, magic)
+
+            def blocks() -> Iterator[CycleBlock]:
+                while True:
+                    runs = [(record, 1)
+                            for record in islice(records, chunk_cycles)]
+                    if not runs:
+                        return
+                    yield CycleBlock.from_runs(runs, banks)
+            yield banks, blocks()
+            return
+        with TraceReaderV3(source if owns
+                           else magic + stream.read()) as reader:
+            yield reader.banks, map(reader.chunk_block,
+                                    reader.index.chunks)
+    finally:
+        if owns:
+            stream.close()
 
 
 def read_trace(stream: BinaryIO) -> Iterator[CycleRecord]:
     """Iterate over the records of a serialized trace (v1, v2 or v3)."""
-    return _open_records(stream)[1]
+    with _trace_blocks(stream, DEFAULT_CHUNK_CYCLES) as (_banks, blocks):
+        for block in blocks:
+            yield from block.records()
 
 
 def _scan_index_buffer(buf: memoryview) -> TraceIndex:
@@ -809,16 +783,10 @@ class TraceReaderV3:
                                    self.index.banks, chunk.counts,
                                    chunk.columns)
 
-    def chunk_records(self, chunk: ChunkInfo) -> List[CycleRecord]:
-        """Decode the records of one chunk."""
-        block = self.chunk_block(chunk)
-        return [block.record(i) for i in range(chunk.n_records)]
-
     def records(self) -> Iterator[CycleRecord]:
         """Iterate over every record of the trace in cycle order."""
         for chunk in self.index.chunks:
-            for record in self.chunk_records(chunk):
-                yield record
+            yield from self.chunk_block(chunk).records()
 
     def close(self) -> None:
         if self._closed:
@@ -857,18 +825,15 @@ def open_reader(source: Union[BinaryIO, bytes, str]) -> TraceReaderV3:
 
 def replay_trace(source: Union[BinaryIO, bytes, str],
                  *observers: TraceObserver) -> int:
-    """Replay a serialized trace through *observers*; returns cycles
-    (0 for a trace without records)."""
-    stream, owns = _open_source(source)
+    """Replay a serialized trace through *observers* one record at a
+    time; returns cycles (0 for a trace without records)."""
     cycles = 0
-    try:
-        for record in read_trace(stream):
-            cycles = record.cycle + 1
-            for observer in observers:
-                observer.on_cycle(record)
-    finally:
-        if owns:
-            stream.close()
+    with _trace_blocks(source, DEFAULT_CHUNK_CYCLES) as (_banks, blocks):
+        for block in blocks:
+            for record in block.records():
+                for observer in observers:
+                    observer.on_cycle(record)
+            cycles = block.start_cycle + block.n
     for observer in observers:
         observer.on_finish(max(cycles - 1, 0))
     return cycles
@@ -880,30 +845,25 @@ def convert_trace(source: Union[BinaryIO, bytes, str],
                   compress: bool = False) -> int:
     """Re-encode a trace of any version (v1, v2 or v3) as v3.
 
-    Every record is preserved losslessly.  Records are dense from cycle
-    0, which pins the chunking, and the carry state is recomputed
+    Every record is preserved losslessly: a v3 source reaches the
+    writer chunk by chunk as stored, a legacy one as blocks of
+    *chunk_cycles* decoded records.  Records are dense from cycle 0,
+    which pins the chunking, and the carry state is recomputed
     deterministically, so equal records and chunk parameters give
     byte-identical output whatever the source version.  A path *dest*
     is written atomically: when the source is not a trace or is cut
     short, the :class:`ValueError` propagates and the destination is
     left as it was.  Returns the number of records converted.
     """
-    in_stream, owns_in = _open_source(source)
-    try:
-        banks, records = _open_records(in_stream)
+    with _trace_blocks(source, chunk_cycles) as (banks, blocks):
         writer = TraceWriterV3(dest, banks=banks,
                                chunk_cycles=chunk_cycles,
                                compress=compress)
         try:
-            final_cycle = 0
-            for record in records:
-                writer.on_cycle(record)
-                final_cycle = record.cycle
-            writer.on_finish(final_cycle)
+            for block in blocks:
+                writer.on_block(block)
+            writer.on_finish(max(writer.records_written - 1, 0))
         except BaseException:
             writer.abort()
             raise
-        return writer.records_written
-    finally:
-        if owns_in:
-            in_stream.close()
+    return writer.records_written

@@ -50,8 +50,8 @@ exactly those columns as a chunk's payload.  Reading a v3 chunk back wraps the
 stored columns in place as zero-copy ``memoryview`` casts over the
 mmap-ed file; all forms support the indexing, slicing and bisection
 the fast paths rely on.  ``record(i)``/``records()`` materialize
-classic ``CycleRecord`` objects on demand for observers without a
-columnar fast path.
+``CycleRecord`` objects on demand for the per-record reference and for
+observers written without a columnar path.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ from array import array
 from itertools import accumulate, chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..cpu.trace import CommittedInst, CycleRecord, HeadEntry
+from ..cpu.trace import CommittedInst, CycleRecord
 
+#: Flag-byte bits of a trace row (the v3 ``flags`` column, and the
+#: legacy v1/v2 record header byte); every other module imports them.
 _F_EMPTY = 1 << 0
 _F_EXC = 1 << 1
 _F_ORD = 1 << 2
@@ -219,11 +221,13 @@ class CycleBlock:
     # -- record materialization -----------------------------------------------
 
     def record(self, i: int) -> CycleRecord:
-        """Materialize record *i* as a classic :class:`CycleRecord`.
+        """Materialize record *i* as a :class:`CycleRecord`.
 
-        Matches the per-record decoder of :func:`~repro.cpu.tracefile.
-        read_trace` bit for bit; like the trace file, only the oldest
-        bank's head entry is represented in ``head_banks``.
+        Only the per-record paths call this: the reference replays
+        (:func:`~repro.cpu.tracefile.read_trace`) and the default
+        :meth:`~repro.cpu.trace.TraceObserver.on_block` of an observer
+        written without a columnar path.  No shipped observer but
+        :class:`~repro.cpu.trace.TraceCollector` does.
         """
         lo, hi = self.commit_base[i], self.commit_base[i + 1]
         committed = tuple(
@@ -232,19 +236,15 @@ class CycleBlock:
                           bool(self.commit_meta[k] & _M_FLUSHES))
             for k in range(lo, hi))
         dlo, dhi = self.disp_base[i], self.disp_base[i + 1]
-        rob_head = self.rob_head_at(i)
-        head_banks: List[Optional[HeadEntry]] = [None] * self.banks
-        if rob_head is not None:
-            head_banks[self.oldest_bank[i]] = HeadEntry(rob_head, False)
         return CycleRecord(
             cycle=self.start_cycle + i, committed=committed,
-            rob_head=rob_head, rob_empty=bool(self.flags[i] & _F_EMPTY),
+            rob_head=self.rob_head_at(i),
+            rob_empty=bool(self.flags[i] & _F_EMPTY),
             exception=self.exception_at(i),
             exception_is_ordering=bool(self.flags[i] & _F_ORD),
             dispatched=tuple(self.disp_addr[dlo:dhi]),
             dispatch_pc=self.dispatch_pc_at(i),
-            fetch_pc=self.fetch_pc[i],
-            head_banks=tuple(head_banks), oldest_bank=self.oldest_bank[i])
+            fetch_pc=self.fetch_pc[i], oldest_bank=self.oldest_bank[i])
 
     def records(self) -> Iterator[CycleRecord]:
         """Materialize every record (the ``on_cycle`` fallback path)."""
@@ -321,9 +321,9 @@ class CycleBlock:
         A run stands for *count* cycles identical to its record except
         for the cycle number; a run of count 1 is one plain cycle.  The
         block starts at the first record's cycle; later records' cycle
-        numbers are not read.  The trace writer's per-record input and
-        tests build blocks this way; a live run's core appends its rows
-        to an open block directly.
+        numbers are not read.  Legacy trace conversion and tests build
+        blocks this way; a live run's core appends its rows to an open
+        block directly.
         """
         block = cls.open(runs[0][0].cycle if runs else 0, banks)
         for record, count in runs:

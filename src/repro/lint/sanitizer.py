@@ -1,4 +1,4 @@
-"""Commit-trace sanitizer: invariant checks over the CycleRecord stream.
+"""Commit-trace sanitizer: invariant checks over the trace's columns.
 
 Every profiler in this repo silently assumes the per-cycle commit trace
 is well-formed: commits arrive in program order, cycle numbers are
@@ -6,12 +6,15 @@ dense, a pipeline flush actually drains the machine, banks rotate
 round-robin.  gem5 catches whole bug classes with built-in sanity
 checkers; :class:`TraceSanitizer` is the equivalent for our trace --
 attach it to a :class:`~repro.cpu.machine.Machine` (or a trace replay)
-and it validates every :class:`~repro.cpu.trace.CycleRecord` against
-the commit-stage invariants, failing fast with a cycle-numbered report.
+and it validates every cycle of every
+:class:`~repro.fastpath.block.CycleBlock` against the commit-stage
+invariants, failing fast with a cycle-numbered report.
 
 Invariants (rule ids used in reports and tests):
 
-* ``S001 monotone-cycle``      -- cycle numbers increase by exactly 1;
+* ``S001 monotone-cycle``      -- cycle numbers increase by exactly 1
+  (a block is dense by construction, so this is checked where one block
+  meets the next);
 * ``S002 commit-width``        -- at most commit-width commits/cycle;
 * ``S003 program-order``       -- within a cycle, each committed
   instruction's successor is consistent with its semantics (fall-through
@@ -24,8 +27,9 @@ Invariants (rule ids used in reports and tests):
 * ``S006 exception-exclusive`` -- an exception cycle commits nothing,
   leaves the ROB empty, and is followed by a drained cycle; the
   ordering-flush flag implies an exception address;
-* ``S007 head-consistency``    -- ``rob_head``/``rob_empty``/
-  ``head_banks[oldest_bank]`` agree;
+* ``S007 head-consistency``    -- ``rob_head`` and ``rob_empty`` agree,
+  ``oldest_bank`` is a valid bank, and the trace has the configured
+  bank count;
 * ``S008 flag-consistency``    -- the mispredict flag only on control
   instructions, the flush flag exactly on flush-on-commit opcodes.
 """
@@ -35,10 +39,17 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..analysis.report import format_diag
+from ..fastpath.block import (_F_EMPTY, _F_EXC, _F_HEAD, _F_ORD,
+                              _M_FLUSHES, _M_MISPREDICT, CycleBlock)
+from ..fastpath.engine import replay_blocks
 from ..isa.opcodes import Kind
 from ..isa.program import Program
-from ..cpu.trace import CommittedInst, CycleRecord, TraceObserver
+from ..cpu.trace import TraceObserver
 from .diagnostics import Diagnostic, Severity
+
+#: The flag bits that decide the per-cycle state checks; a row whose
+#: bits read "ROB holds a head" alone is a plain stall.
+_STATE = _F_EMPTY | _F_EXC | _F_ORD | _F_HEAD
 
 
 class TraceInvariantError(RuntimeError):
@@ -54,15 +65,11 @@ class TraceSanitizer(TraceObserver):
 
     Every batch -- a live core's open block of stepped cycles and
     stall runs, a memoized loop period, a replayed chunk -- is checked
-    record by record through the default
-    :meth:`~repro.cpu.trace.TraceObserver.on_block` fallback, so every
-    cycle is checked, not inferred.  Those records carry only the
-    oldest bank's head entry, so S007 checks ``rob_empty``,
-    ``rob_head`` and ``oldest_bank`` against each other, live and
-    replayed alike.  A fault on a live run surfaces when its block
-    closes: the core closes the open block before any exception leaves
-    :meth:`~repro.cpu.core.Core.run`, so the violation is raised
-    first.
+    on its columns, one cycle at a time, so every cycle is checked, not
+    inferred, and no record is materialized.  A fault on a live run
+    surfaces when its block closes: the core closes the open block
+    before any exception leaves :meth:`~repro.cpu.core.Core.run`, so
+    the violation is raised first.
 
     Parameters
     ----------
@@ -73,7 +80,7 @@ class TraceSanitizer(TraceObserver):
     commit_width:
         Maximum commits per cycle; defaults to the bank count.
     banks:
-        Number of ROB banks; inferred from the first record if ``None``.
+        Number of ROB banks; taken from the first block if ``None``.
     fail_fast:
         Raise :class:`TraceInvariantError` on the first violation
         (default).  Otherwise violations accumulate in ``violations``.
@@ -93,7 +100,6 @@ class TraceSanitizer(TraceObserver):
         self._last_cycle: Optional[int] = None
         #: A flush or exception last cycle: this cycle must commit nothing.
         self._drain_pending = False
-        self._finished = False
 
     @classmethod
     def for_machine(cls, machine: "object",
@@ -106,27 +112,87 @@ class TraceSanitizer(TraceObserver):
 
     # -- observer interface ---------------------------------------------------
 
-    def on_cycle(self, record: CycleRecord) -> None:
+    def on_block(self, block: CycleBlock) -> None:
+        n = block.n
+        if not n:
+            return
         if self.banks is None:
-            self.banks = len(record.head_banks) or None
+            self.banks = block.banks or None
         if self.commit_width is None:
             self.commit_width = self.banks
-
-        self._check_monotone(record)
-        self._check_width(record)
-        self._check_drain(record)
-        self._check_exception(record)
-        self._check_head(record)
-        self._check_commits(record)
-
-        self._drain_pending = (record.exception is not None
-                               or any(c.flushes for c in record.committed))
-        self._last_cycle = record.cycle
-        self.cycles_checked += 1
-        self.commits_checked += len(record.committed)
-
-    def on_finish(self, final_cycle: int) -> None:
-        self._finished = True
+        start = block.start_cycle
+        if self._last_cycle is not None and start != self._last_cycle + 1:
+            self._report(
+                "S001", start,
+                f"cycle numbers must be dense: {self._last_cycle} was "
+                f"followed by {start}")
+        width = self.commit_width
+        stored = block.banks
+        wrong_banks = self.banks is not None and stored != self.banks
+        base = block.commit_base
+        addrs, metas = block.commit_addr, block.commit_meta
+        drain = self._drain_pending
+        for i, (f, oldest, lo, hi) in enumerate(zip(
+                block.flags, block.oldest_bank, base, base[1:])):
+            if (f & _STATE == _F_HEAD and lo == hi and not drain
+                    and oldest < stored and not wrong_banks):
+                continue  # a plain stall cycle breaks no invariant
+            cycle = start + i
+            if width is not None and hi - lo > width:
+                self._report(
+                    "S002", cycle,
+                    f"{hi - lo} commits in one cycle exceeds the commit "
+                    f"width {width}")
+            if drain and hi > lo:
+                self._report(
+                    "S005", cycle,
+                    f"pipeline must be drained the cycle after a flush "
+                    f"or exception, but {hi - lo} instruction(s) "
+                    f"committed", addr=addrs[lo])
+            empty = bool(f & _F_EMPTY)
+            exception = block.exception_at(i)
+            if f & _F_ORD and exception is None:
+                self._report(
+                    "S006", cycle,
+                    "ordering-flush flag set without an exception address")
+            if exception is not None:
+                if hi > lo:
+                    self._report(
+                        "S006", cycle,
+                        f"exception at {exception:#x} must fire alone, "
+                        f"but {hi - lo} instruction(s) committed",
+                        addr=exception)
+                if not empty:
+                    self._report(
+                        "S006", cycle,
+                        f"exception at {exception:#x} must squash the "
+                        f"ROB, but it is not empty", addr=exception)
+            head = block.rob_head_at(i)
+            if wrong_banks:
+                self._report(
+                    "S007", cycle,
+                    f"{stored} head banks reported, expected {self.banks}")
+            elif empty != (head is None):
+                self._report(
+                    "S007", cycle,
+                    f"rob_empty={empty} disagrees with "
+                    f"rob_head={head if head is None else hex(head)}")
+            elif head is not None and oldest >= stored:
+                self._report(
+                    "S007", cycle, f"oldest_bank {oldest} out of range")
+            for k in range(lo, hi):
+                self._check_commit(cycle, addrs, metas, k, lo, hi)
+            if hi > lo and metas[hi - 1] & _M_FLUSHES and not empty:
+                self._report(
+                    "S005", cycle,
+                    f"flush at {addrs[hi - 1]:#x} must leave the ROB "
+                    f"empty", addr=addrs[hi - 1])
+            drain = exception is not None or any(
+                metas[k] & _M_FLUSHES for k in range(lo, hi))
+        self._drain_pending = drain
+        self._last_cycle = start + n - 1
+        self.cycles_checked += n
+        self.commits_checked += base[n] - base[0]
 
     # -- pooled runs: results cross processes as snapshots --------------------
 
@@ -138,158 +204,72 @@ class TraceSanitizer(TraceObserver):
             "violations": list(self.violations),
         }
 
-    def absorb(self, snapshots) -> None:
-        """Fold ordered snapshots (a pool worker's payload) into this
+    def absorb(self, snapshot: dict) -> None:
+        """Fold a snapshot (a pool worker's payload) into this
         sanitizer."""
-        for snap in snapshots:
-            self.cycles_checked += snap["cycles_checked"]
-            self.commits_checked += snap["commits_checked"]
-            self.violations.extend(snap["violations"])
+        self.cycles_checked += snapshot["cycles_checked"]
+        self.commits_checked += snapshot["commits_checked"]
+        self.violations.extend(snapshot["violations"])
 
-    # -- individual invariants ------------------------------------------------
+    # -- per-commit invariants ------------------------------------------------
 
-    def _check_monotone(self, record: CycleRecord) -> None:
-        if self._last_cycle is None:
-            return
-        if record.cycle != self._last_cycle + 1:
-            self._report(
-                "S001", record.cycle,
-                f"cycle numbers must be dense: {self._last_cycle} was "
-                f"followed by {record.cycle}")
-
-    def _check_width(self, record: CycleRecord) -> None:
-        width = self.commit_width
-        if width is not None and len(record.committed) > width:
-            self._report(
-                "S002", record.cycle,
-                f"{len(record.committed)} commits in one cycle exceeds "
-                f"the commit width {width}")
-
-    def _check_drain(self, record: CycleRecord) -> None:
-        if self._drain_pending and record.committed:
-            self._report(
-                "S005", record.cycle,
-                f"pipeline must be drained the cycle after a flush or "
-                f"exception, but {len(record.committed)} instruction(s) "
-                f"committed", addr=record.committed[0].addr)
-
-    def _check_exception(self, record: CycleRecord) -> None:
-        if record.exception_is_ordering and record.exception is None:
-            self._report(
-                "S006", record.cycle,
-                "ordering-flush flag set without an exception address")
-        if record.exception is None:
-            return
-        if record.committed:
-            self._report(
-                "S006", record.cycle,
-                f"exception at {record.exception:#x} must fire alone, "
-                f"but {len(record.committed)} instruction(s) committed",
-                addr=record.exception)
-        if not record.rob_empty:
-            self._report(
-                "S006", record.cycle,
-                f"exception at {record.exception:#x} must squash the "
-                f"ROB, but it is not empty", addr=record.exception)
-
-    def _check_head(self, record: CycleRecord) -> None:
-        if self.banks is not None and len(record.head_banks) != self.banks:
-            self._report(
-                "S007", record.cycle,
-                f"{len(record.head_banks)} head banks reported, "
-                f"expected {self.banks}")
-            return
-        if record.rob_empty != (record.rob_head is None):
-            head = record.rob_head
-            self._report(
-                "S007", record.cycle,
-                f"rob_empty={record.rob_empty} disagrees with "
-                f"rob_head={head if head is None else hex(head)}")
-            return
-        if record.rob_head is None:
-            return
-        if not 0 <= record.oldest_bank < len(record.head_banks):
-            self._report(
-                "S007", record.cycle,
-                f"oldest_bank {record.oldest_bank} out of range")
-            return
-        head = record.head_banks[record.oldest_bank]
-        if head is None or head.addr != record.rob_head:
-            seen = None if head is None else hex(head.addr)
-            self._report(
-                "S007", record.cycle,
-                f"head bank {record.oldest_bank} holds {seen}, but "
-                f"rob_head is {record.rob_head:#x}",
-                addr=record.rob_head)
-
-    def _check_commits(self, record: CycleRecord) -> None:
-        committed = record.committed
-        for i, commit in enumerate(committed):
-            if i > 0:
-                expected = (committed[i - 1].bank + 1) % (self.banks or 1)
-                if self.banks and commit.bank != expected:
-                    self._report(
-                        "S004", record.cycle,
-                        f"commit banks must rotate round-robin: bank "
-                        f"{committed[i - 1].bank} followed by bank "
-                        f"{commit.bank}", addr=commit.addr)
-            if commit.flushes and i != len(committed) - 1:
+    def _check_commit(self, cycle: int, addrs, metas, k: int, lo: int,
+                      hi: int) -> None:
+        """S004, S005 and (with a program) S003/S008 for commit *k* of
+        the cycle's commits ``[lo, hi)``."""
+        addr, meta = addrs[k], metas[k]
+        flushes = bool(meta & _M_FLUSHES)
+        if k > lo and self.banks:
+            prev = metas[k - 1] & 0x3F
+            if meta & 0x3F != (prev + 1) % self.banks:
                 self._report(
-                    "S005", record.cycle,
-                    f"flushing instruction {commit.addr:#x} must be the "
-                    f"last commit of its cycle", addr=commit.addr)
-            if self.program is not None:
-                self._check_commit_semantics(record, committed, i)
-        if committed and committed[-1].flushes and not record.rob_empty:
+                    "S004", cycle,
+                    f"commit banks must rotate round-robin: bank {prev} "
+                    f"followed by bank {meta & 0x3F}", addr=addr)
+        if flushes and k != hi - 1:
             self._report(
-                "S005", record.cycle,
-                f"flush at {committed[-1].addr:#x} must leave the ROB "
-                f"empty", addr=committed[-1].addr)
-
-    def _check_commit_semantics(self, record: CycleRecord,
-                                committed: "tuple", i: int) -> None:
-        """Program-aware S003/S008 checks for committed[i]."""
-        assert self.program is not None
-        commit: CommittedInst = committed[i]
-        inst = self.program.fetch(commit.addr)
+                "S005", cycle,
+                f"flushing instruction {addr:#x} must be the last commit "
+                f"of its cycle", addr=addr)
+        if self.program is None:
+            return
+        inst = self.program.fetch(addr)
         if inst is None:
             self._report(
-                "S003", record.cycle,
-                f"committed address {commit.addr:#x} is outside the "
-                f"program text", addr=commit.addr)
+                "S003", cycle,
+                f"committed address {addr:#x} is outside the program "
+                f"text", addr=addr)
             return
-        if commit.mispredicted and not inst.is_control:
+        if meta & _M_MISPREDICT and not inst.is_control:
             self._report(
-                "S008", record.cycle,
-                f"{inst.op.value} at {commit.addr:#x} carries the "
-                f"mispredict flag but is not a control instruction",
-                addr=commit.addr)
-        if commit.flushes != inst.flushes_on_commit:
+                "S008", cycle,
+                f"{inst.op.value} at {addr:#x} carries the mispredict "
+                f"flag but is not a control instruction", addr=addr)
+        if flushes != inst.flushes_on_commit:
             self._report(
-                "S008", record.cycle,
-                f"{inst.op.value} at {commit.addr:#x} has flush flag "
-                f"{commit.flushes}, but the opcode "
+                "S008", cycle,
+                f"{inst.op.value} at {addr:#x} has flush flag {flushes}, "
+                f"but the opcode "
                 f"{'does' if inst.flushes_on_commit else 'does not'} "
-                f"flush on commit", addr=commit.addr)
-        if i + 1 >= len(committed):
+                f"flush on commit", addr=addr)
+        if k + 1 >= hi:
             return
-        nxt = committed[i + 1].addr
+        nxt = addrs[k + 1]
         if inst.kind is Kind.HALT:
             self._report(
-                "S003", record.cycle,
-                f"halt at {commit.addr:#x} must be the final commit, "
-                f"but {nxt:#x} committed after it", addr=commit.addr)
+                "S003", cycle,
+                f"halt at {addr:#x} must be the final commit, but "
+                f"{nxt:#x} committed after it", addr=addr)
             return
-        if commit.flushes:
+        if flushes:
             return  # S005 already rejects non-final flushes
         allowed = self._allowed_successors(inst)
         if allowed is not None and nxt not in allowed:
             names = ", ".join(hex(a) for a in sorted(allowed))
             self._report(
-                "S003", record.cycle,
-                f"{inst.op.value} at {commit.addr:#x} was followed by "
-                f"{nxt:#x}, expected one of [{names}] (program order)",
-                addr=commit.addr)
+                "S003", cycle,
+                f"{inst.op.value} at {addr:#x} was followed by {nxt:#x}, "
+                f"expected one of [{names}] (program order)", addr=addr)
 
     @staticmethod
     def _allowed_successors(inst) -> Optional[set]:
@@ -339,15 +319,13 @@ class TraceSanitizer(TraceObserver):
                 f"violations={len(self.violations)}>")
 
 
-def sanitize_trace(records, program: Optional[Program] = None,
+def sanitize_trace(trace, program: Optional[Program] = None,
                    fail_fast: bool = True) -> TraceSanitizer:
-    """Run the sanitizer over an iterable of records; returns it."""
+    """Replay a v3 trace (a path, ``bytes``, a stream or an open
+    :class:`~repro.cpu.tracefile.TraceReaderV3`) through a fresh
+    sanitizer, one block per chunk; returns the sanitizer."""
     sanitizer = TraceSanitizer(program=program, fail_fast=fail_fast)
-    final = 0
-    for record in records:
-        sanitizer.on_cycle(record)
-        final = record.cycle
-    sanitizer.on_finish(final)
+    replay_blocks(trace, sanitizer)
     return sanitizer
 
 

@@ -104,12 +104,12 @@ def rebuild_result(workload: Workload,
     profilers = {}
     for config in configs:
         profiler = config.build(image)
-        profiler.restore_snapshots([payload["profilers"][config.name]])
+        profiler.restore(payload["profilers"][config.name])
         profilers[config.name] = profiler
     sanitizer = None
     if payload["sanitizer"] is not None:
         sanitizer = TraceSanitizer(program=image)
-        sanitizer.absorb([payload["sanitizer"]])
+        sanitizer.absorb(payload["sanitizer"])
     result = ExperimentResult(image, payload["oracle"], profilers,
                               payload["stats"], sanitizer=sanitizer)
     result.cached = payload.get("cached", False)

@@ -27,13 +27,11 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.symbols import Granularity
-from ..harness.experiment import (ALL_POLICIES, ExperimentResult,
-                                  ProfilerConfig, run_experiment)
+from ..harness.experiment import (ExperimentResult, ProfilerConfig,
+                                  default_profilers, run_experiment)
+from ..harness.runner import DEFAULT_PERIOD
 from ..isa.program import Program
 from ..parallel.suite import result_payload
-
-#: Default sampling period for served jobs (see harness.runner).
-DEFAULT_PERIOD = 97
 
 #: Default per-job wall-clock budget (seconds) on the server.
 DEFAULT_JOB_TIMEOUT = 600.0
@@ -82,19 +80,21 @@ class JobSpec:
 
     @classmethod
     def for_source(cls, source: str, name: str = "program.s",
-                   premap_all: bool = False, **kwargs) -> "JobSpec":
+                   premap_all: bool = False, period: int = DEFAULT_PERIOD,
+                   **kwargs) -> "JobSpec":
         """A job over literal assembly source."""
         return cls(program=ProgramSpec(kind="asm", source=source,
                                        name=name, premap_all=premap_all),
-                   profilers=_default_profilers(**kwargs))
+                   profilers=tuple(default_profilers(period, **kwargs)))
 
     @classmethod
     def for_benchmark(cls, name: str, scale: float = 0.5,
+                      period: int = DEFAULT_PERIOD,
                       **kwargs) -> "JobSpec":
         """A job over a named suite benchmark."""
         return cls(program=ProgramSpec(kind="workload", source=name,
                                        name=name, scale=scale),
-                   profilers=_default_profilers(**kwargs))
+                   profilers=tuple(default_profilers(period, **kwargs)))
 
     # -- wire format ----------------------------------------------------------
 
@@ -146,14 +146,6 @@ class JobSpec:
         if spec.timeout is not None and float(spec.timeout) <= 0:
             raise ValueError("timeout must be positive")
         return spec
-
-
-def _default_profilers(period: int = DEFAULT_PERIOD,
-                       mode: str = "periodic", seed: int = 0,
-                       policies: Tuple[str, ...] = ALL_POLICIES
-                       ) -> Tuple[ProfilerConfig, ...]:
-    return tuple(ProfilerConfig(policy, period, mode, seed)
-                 for policy in policies)
 
 
 def _dataclass_from(cls, payload: dict, where: str):

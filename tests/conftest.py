@@ -8,8 +8,8 @@ import pytest
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.machine import Machine
-from repro.cpu.trace import (CommittedInst, CycleRecord, HeadEntry,
-                             TraceCollector)
+from repro.cpu.trace import CommittedInst, CycleRecord, TraceCollector
+from repro.fastpath import CycleBlock
 from repro.isa.assembler import assemble
 
 
@@ -25,20 +25,25 @@ def make_record(cycle: int,
     """Build a hand-crafted trace record.
 
     *committed* is a sequence of ``(addr, mispredicted, flushes)`` tuples
-    in program order.
+    in program order; their banks rotate from 0 over *banks*.
     """
     commits = tuple(CommittedInst(addr, i % banks, mispredicted, flushes)
                     for i, (addr, mispredicted, flushes)
                     in enumerate(committed))
-    head_banks: List[Optional[HeadEntry]] = [None] * banks
-    if rob_head is not None:
-        head_banks[0] = HeadEntry(rob_head, False)
     return CycleRecord(
         cycle=cycle, committed=commits, rob_head=rob_head,
         rob_empty=rob_head is None, exception=exception,
         exception_is_ordering=exception_is_ordering,
         dispatched=tuple(dispatched), dispatch_pc=dispatch_pc,
-        fetch_pc=fetch_pc, head_banks=tuple(head_banks), oldest_bank=0)
+        fetch_pc=fetch_pc, oldest_bank=0)
+
+
+def feed_records(observer, records: Sequence[CycleRecord],
+                 banks: int = 2) -> None:
+    """Hand *records* to *observer* through ``on_block``, each as a
+    one-record ``CycleBlock.from_runs`` block of *banks* banks."""
+    for record in records:
+        observer.on_block(CycleBlock.from_runs([(record, 1)], banks))
 
 
 def run_asm(source: str, config: Optional[CoreConfig] = None,

@@ -49,6 +49,39 @@ def test_stacks_command(capsys):
     assert "lbm" in out
 
 
+def _note_sim_modes(monkeypatch):
+    """Patch ``Machine.run`` to note the ``sim`` mode of every run."""
+    from repro.cpu.machine import Machine
+    modes = []
+    run = Machine.run
+
+    def noting(self, max_cycles=10_000_000, sim="step", paranoid=False):
+        modes.append(sim)
+        return run(self, max_cycles, sim=sim, paranoid=paranoid)
+    monkeypatch.setattr(Machine, "run", noting)
+    return modes
+
+
+def test_stacks_runs_fast(monkeypatch, capsys):
+    modes = _note_sim_modes(monkeypatch)
+    assert main(["stacks", "lbm", "--scale", "0.05",
+                 "--period", "29"]) == 0
+    assert modes == ["fast"]
+
+
+def test_imagick_runs_fast(monkeypatch, capsys):
+    import repro.cli
+    from repro.workloads import build_imagick
+    monkeypatch.setattr(
+        repro.cli, "build_imagick",
+        lambda optimized: build_imagick(optimized=optimized, pixels=40,
+                                        morph_iters=80))
+    modes = _note_sim_modes(monkeypatch)
+    assert main(["imagick", "--period", "29"]) == 0
+    assert modes == ["fast", "fast"]
+    assert "speedup" in capsys.readouterr().out
+
+
 def test_suite_command_subset(capsys):
     assert main(["suite", "exchange2", "--scale", "0.05",
                  "--period", "29"]) == 0

@@ -17,6 +17,7 @@ from repro.core.oracle import OracleProfiler
 from repro.core.profiler import SamplingProfiler
 from repro.cpu import (Machine, MaxCyclesExceeded, TraceCollector,
                        TraceWriterV3)
+from repro.fastpath import CycleBlock
 from repro.harness.experiment import POLICIES, ProfilerConfig
 from repro.harness.runner import run_workload
 from repro.lint.sanitizer import TraceInvariantError, TraceSanitizer
@@ -44,6 +45,20 @@ def test_live_runs_never_call_on_cycle(name, sim, tmp_path, monkeypatch):
     assert not result.cached
     assert all(profiler.samples for profiler in result.profilers.values())
     assert len(cache.keys()) == 1
+
+
+@pytest.mark.parametrize("sim", ["step", "fast"])
+@pytest.mark.parametrize("name", ["exchange2", "mcf"])
+def test_sanitized_live_runs_materialize_no_record(name, sim, monkeypatch):
+    """The sanitizer checks a live run's block columns: no cycle of it
+    becomes a ``CycleRecord``, and every cycle is checked."""
+    def refuse(self, i):
+        raise AssertionError("a live run materialized a CycleRecord")
+    monkeypatch.setattr(CycleBlock, "record", refuse)
+    result = run_workload(build(name, 0.05), profilers=ALL, sim=sim,
+                          sanitize=True)
+    assert result.sanitizer.ok
+    assert result.sanitizer.cycles_checked == result.stats.cycles
 
 
 def _observed(workload, sim):

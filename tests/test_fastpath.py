@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_record, oracle_tables
+from conftest import feed_records, make_record, oracle_tables
 from repro.analysis.profiles import profile_checksum
 from repro.core.baselines import SoftwareProfiler
 from repro.core.oracle import OracleProfiler
@@ -48,8 +48,7 @@ def _tiny_image():
 def _encode_v3(records, banks=4, chunk_cycles=8) -> bytes:
     buffer = io.BytesIO()
     writer = TraceWriterV3(buffer, banks, chunk_cycles=chunk_cycles)
-    for record in records:
-        writer.on_cycle(record)
+    feed_records(writer, records, banks)
     writer.on_finish(records[-1].cycle)
     return buffer.getvalue()
 
@@ -177,8 +176,8 @@ def test_property_concat_matches_from_runs(records, data):
 @given(records=_random_records(), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_property_writer_blocks_match_stepped(records, data):
-    """Any mix of stepped records and blocks gives the v3 bytes of
-    stepping every record, chunk carries included."""
+    """Any split of the records into blocks gives the v3 bytes of
+    one-record blocks, chunk carries included."""
     chunk_cycles = data.draw(st.sampled_from((1, 4, 5, 64)))
     stepped = _encode_v3(records, chunk_cycles=chunk_cycles)
     buffer = io.BytesIO()
@@ -186,11 +185,8 @@ def test_property_writer_blocks_match_stepped(records, data):
     i = 0
     while i < len(records):
         take = data.draw(st.integers(1, len(records) - i))
-        if take == 1 and data.draw(st.booleans()):
-            writer.on_cycle(records[i])
-        else:
-            writer.on_block(CycleBlock.from_runs(
-                [(r, 1) for r in records[i:i + take]], 4))
+        writer.on_block(CycleBlock.from_runs(
+            [(r, 1) for r in records[i:i + take]], 4))
         i += take
     writer.on_finish(records[-1].cycle)
     assert buffer.getvalue() == stepped

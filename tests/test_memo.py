@@ -23,7 +23,7 @@ from repro.isa.assembler import assemble
 from repro.lint.sanitizer import TraceSanitizer
 from repro.workloads import build_workload, k_dep_chain, k_int_ilp
 
-from conftest import make_record
+from conftest import feed_records, make_record
 
 #: A predictable countdown loop: the only branch is the loop-closing
 #: ``bne`` (TTTT...F), so the predictor reaches a fixed point and the
@@ -176,21 +176,21 @@ def _period_records(n=3, base_cycle=1, commits=True):
 @pytest.mark.parametrize("chunk_cycles", (1, 4, 5))
 def test_on_cycle_run_matches_repeated_on_cycle(chunk_cycles, commits):
     """One block of a repeated period, built as the memoizer builds it,
-    == n*repeats single-cycle calls, with chunk boundaries landing
+    == n*repeats one-record blocks, with chunk boundaries landing
     mid-period (period 3)."""
     records = _period_records(commits=commits)
     n, repeats = len(records), 5
 
     stepped = io.BytesIO()
     writer = TraceWriterV3(stepped, 2, chunk_cycles=chunk_cycles)
-    writer.on_cycle(make_record(0))
-    for t in range(n * repeats):
-        writer.on_cycle(shifted_record(records[t % n], n * (t // n)))
+    feed_records(writer, [make_record(0)])
+    feed_records(writer, [shifted_record(records[t % n], n * (t // n))
+                          for t in range(n * repeats)])
     writer.on_finish(n * repeats)
 
     batched = io.BytesIO()
     writer = TraceWriterV3(batched, 2, chunk_cycles=chunk_cycles)
-    writer.on_cycle(make_record(0))
+    feed_records(writer, [make_record(0)])
     period = CycleBlock.from_runs([(r, 1) for r in records], 2)
     writer.on_block(CycleBlock.concat([(period, 0, n)] * repeats))
     writer.on_finish(n * repeats)

@@ -28,7 +28,7 @@ from repro.simfast import SimCache, resolve_cache
 from repro.simfast.bench import _result_checksum
 from repro.workloads.suite import BENCHMARKS, build_suite
 
-from conftest import ORACLE_FIELDS, make_record, oracle_tables
+from conftest import ORACLE_FIELDS, feed_records, make_record, oracle_tables
 from test_differential import DATA_BASE, DATA_WORDS, _generate_program
 
 #: Strided loads thrash the data cache, so most cycles are memory
@@ -216,24 +216,22 @@ def test_unknown_sim_mode_rejected():
 
 
 def test_on_stall_run_matches_repeated_on_cycle():
-    """One stall-run block == N single-cycle calls, with the run
+    """One stall-run block == N one-record blocks, with the run
     crossing chunk boundaries or not."""
     stall = make_record(3, rob_head=0x40, fetch_pc=0x80)
+    prefix = [make_record(0, committed=[(0x40, False, False)]),
+              make_record(1, dispatched=[0x44]), make_record(2)]
     for chunk_cycles in (1, 4, 5, 64):
         stepped = io.BytesIO()
         writer = TraceWriterV3(stepped, 2, chunk_cycles=chunk_cycles)
-        writer.on_cycle(make_record(0, committed=[(0x40, False, False)]))
-        writer.on_cycle(make_record(1, dispatched=[0x44]))
-        writer.on_cycle(make_record(2))
-        for offset in range(10):
-            writer.on_cycle(shifted_record(stall, offset))
+        feed_records(writer, prefix)
+        feed_records(writer, [shifted_record(stall, offset)
+                              for offset in range(10)])
         writer.on_finish(12)
 
         batched = io.BytesIO()
         writer = TraceWriterV3(batched, 2, chunk_cycles=chunk_cycles)
-        writer.on_cycle(make_record(0, committed=[(0x40, False, False)]))
-        writer.on_cycle(make_record(1, dispatched=[0x44]))
-        writer.on_cycle(make_record(2))
+        feed_records(writer, prefix)
         writer.on_block(CycleBlock.from_runs([(stall, 10)], 2))
         writer.on_finish(12)
         assert stepped.getvalue() == batched.getvalue(), chunk_cycles
@@ -361,7 +359,7 @@ def test_writer_v3_path_mode_is_atomic(tmp_path):
 def test_writer_v3_abort_leaves_nothing(tmp_path):
     destination = tmp_path / "run.tiptrace"
     writer = TraceWriterV3(str(destination), 2)
-    writer.on_cycle(make_record(0))
+    feed_records(writer, [make_record(0)])
     writer.abort()
     assert list(tmp_path.iterdir()) == []
     writer.abort()  # idempotent

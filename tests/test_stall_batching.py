@@ -4,13 +4,14 @@ to stepping the same run cycle by cycle.
 The simulator's stall fast-forward hands observers each run as
 ``CycleBlock.from_runs([(record, n)])`` through ``on_block``: every
 shipped profiler, the Oracle and the trace sanitizer must produce
-identical results whether they get that block or ``n`` ``on_cycle``
-calls.
+identical results whether they get that block or ``n`` single cycles
+(``on_cycle`` calls, or one-record blocks for the sanitizer, which
+reads only blocks).
 """
 
 import pytest
 
-from conftest import make_record, oracle_tables
+from conftest import feed_records, make_record, oracle_tables
 from repro.core.baselines import (DispatchProfiler, LciProfiler,
                                   NciIlpProfiler, NciProfiler,
                                   SoftwareProfiler)
@@ -47,22 +48,28 @@ def _suffix(start):
 
 def _stall_block(record, run):
     """The block the stall fast-forward emits for *run* cycles."""
-    return CycleBlock.from_runs([(record, run)], len(record.head_banks))
+    return CycleBlock.from_runs([(record, run)], 2)
+
+
+def _step(observer, records):
+    """Single cycles: ``on_cycle`` (the per-record reference), or
+    one-record blocks for the sanitizer."""
+    if isinstance(observer, TraceSanitizer):
+        feed_records(observer, records)
+    else:
+        for record in records:
+            observer.on_cycle(record)
 
 
 def _feed(observer, run, batched):
-    for record in PREFIX:
-        observer.on_cycle(record)
+    _step(observer, PREFIX)
     if batched:
         observer.on_block(_stall_block(STALL, run))
     else:
-        for i in range(run):
-            observer.on_cycle(shifted_record(STALL, i))
-    final = 0
-    for record in _suffix(STALL.cycle + run):
-        observer.on_cycle(record)
-        final = record.cycle
-    observer.on_finish(final)
+        _step(observer, [shifted_record(STALL, i) for i in range(run)])
+    suffix = _suffix(STALL.cycle + run)
+    _step(observer, suffix)
+    observer.on_finish(suffix[-1].cycle)
     return observer
 
 
@@ -168,17 +175,17 @@ def test_sanitizer_batched_stall_advances_cursor():
     """The stall block must move the monotonicity cursor to its last
     cycle: a gap right after the run is still caught (S001)."""
     sanitizer = TraceSanitizer(fail_fast=False)
-    sanitizer.on_cycle(make_record(0))
+    feed_records(sanitizer, [make_record(0)])
     sanitizer.on_block(_stall_block(make_record(1, rob_head=0x10008), 5))
-    sanitizer.on_cycle(make_record(8, rob_head=0x10008))  # 6-7 missing
+    feed_records(sanitizer, [make_record(8, rob_head=0x10008)])  # 6-7 gone
     assert [d.rule for d in sanitizer.violations] == ["S001"]
     assert sanitizer.violations[0].cycle == 8
 
 
 def test_sanitizer_batched_commit_record_falls_back():
-    """A run whose record commits is not a pure stall: the per-record
-    block fallback must check every cycle of it, so a commit-width
-    violation is reported once per cycle of the run."""
+    """A run whose record commits is not a pure stall: the column
+    checks must visit every cycle of it, so a commit-width violation
+    is reported once per cycle of the run."""
     sanitizer = TraceSanitizer(program=PROGRAM, fail_fast=False,
                                commit_width=1)
     record = make_record(0, committed=[(0x10000, False, False),

@@ -9,6 +9,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import feed_records
 from repro.core.oracle import OracleProfiler
 from repro.core.sampling import SampleSchedule
 from repro.core.tip import TipProfiler
@@ -268,8 +269,7 @@ def _write_v3(records, chunk_cycles, compress=False):
     buffer = io.BytesIO()
     writer = TraceWriterV3(buffer, banks=4, chunk_cycles=chunk_cycles,
                            compress=compress)
-    for record in records:
-        writer.on_cycle(record)
+    feed_records(writer, records, 4)
     writer.on_finish(records[-1].cycle if records else 0)
     return buffer.getvalue()
 
@@ -330,7 +330,7 @@ def test_property_v3_index_and_chunks(records, chunk_cycles, compress):
             # The header carry equals the carry at the chunk's first
             # cycle.
             assert chunk.carry == reference
-            chunk_records = reader.chunk_records(chunk)
+            chunk_records = list(reader.chunk_block(chunk).records())
             for record in chunk_records:
                 _advance_carry(reference, record)
             rebuilt.extend(chunk_records)
@@ -463,7 +463,7 @@ def test_v3_stall_run_split_across_chunks():
     writer = TraceWriterV3(buffer, banks=4, chunk_cycles=4)
     # The stall spans chunks 0..2.
     writer.on_block(CycleBlock.from_runs([(stall, 10)], 4))
-    writer.on_cycle(tail)
+    feed_records(writer, [tail], 4)
     writer.on_finish(10)
     with TraceReaderV3(buffer.getvalue()) as reader:
         assert [chunk.n_records for chunk in reader.index.chunks] == \
