@@ -9,7 +9,7 @@ drives the Flushed-state behaviour the profilers must attribute.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
 def _fold(value: int, bits: int) -> int:
@@ -32,6 +32,13 @@ class _TaggedTable:
         self.counters: List[int] = [4] * entries  # 0..7, >=4 means taken
         self.useful: List[int] = [0] * entries
         self.valid: List[bool] = [False] * entries
+
+    def folds(self, history: int) -> Tuple[int, int]:
+        """The history parts of :meth:`index` and :meth:`tag`: the
+        history folded to the index width and to the tag width."""
+        hist = history & ((1 << self.history_length) - 1)
+        bits = max(self.entries.bit_length() - 1, 1)
+        return _fold(hist, bits), _fold(hist, self.tag_bits)
 
     def index(self, pc: int, history: int) -> int:
         hist = history & ((1 << self.history_length) - 1)
@@ -74,20 +81,39 @@ class TagePredictor:
         self.history = 0
         self.lookups = 0
         self.mispredicts = 0
+        #: Per table: the table, ``history`` folded to its index and tag
+        #: widths (:meth:`_TaggedTable.folds`) and its tag mask; and the
+        #: history value they were folded from.
+        self._folds: List[Tuple[_TaggedTable, int, int, int]] = []
+        self._folded_history = -1
 
     # -- prediction -----------------------------------------------------------
 
     def predict(self, pc: int) -> Prediction:
+        """Equal to indexing and tagging every table with
+        :meth:`_TaggedTable.index` and :meth:`_TaggedTable.tag`; the
+        history changes only in :meth:`update`, so its folds are
+        computed once per history value."""
         self.lookups += 1
+        history = self.history
+        if history != self._folded_history:
+            self._folds = [(table, *table.folds(history),
+                            (1 << table.tag_bits) - 1)
+                           for table in self.tables]
+            self._folded_history = history
         provider = -1
         taken = self.base[(pc >> 2) % len(self.base)] >= 2
-        for i, table in enumerate(self.tables):
-            idx = table.index(pc, self.history)
+        word = pc >> 2
+        spread = word ^ (pc >> 7)
+        i = 0
+        for table, index_fold, tag_fold, tag_mask in self._folds:
+            idx = (index_fold ^ spread) % table.entries
             if table.valid[idx] and \
-                    table.tags[idx] == table.tag(pc, self.history):
+                    table.tags[idx] == (tag_fold ^ word) & tag_mask:
                 taken = table.counters[idx] >= 4
                 provider = i
-        return Prediction(taken, provider, self.history)
+            i += 1
+        return Prediction(taken, provider, history)
 
     # -- update ---------------------------------------------------------------
 

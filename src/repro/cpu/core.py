@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..fastpath.block import (_F_DISP_PC, _F_EMPTY, _F_EXC, _F_HEAD,
                               _F_ORD, _M_FLUSHES, _M_MISPREDICT,
                               _ROW_COMMITS, _ROW_DISPATCHED, CycleBlock)
-from ..isa.instruction import Instruction, Register
+from ..isa.instruction import Register
 from ..isa.opcodes import Kind, Op, Unit
 from ..isa.program import Program
 from ..isa.semantics import evaluate
@@ -157,6 +158,8 @@ class Core:
         self.fetch_ready_cycle = 0
         self._last_fetch_block: Optional[int] = None
         self.fetch_buffer: Deque[MicroOp] = deque()
+        #: Fetch groups by start PC (:meth:`_fetch_group`).
+        self._groups: Dict[int, tuple] = {}
         self.predictor = TagePredictor()
         self.btb = BranchTargetBuffer(self.config.btb_entries)
         self.ras = ReturnAddressStack(self.config.ras_entries)
@@ -167,6 +170,12 @@ class Core:
         self.int_iq: List[MicroOp] = []
         self.mem_iq: List[MicroOp] = []
         self.fp_iq: List[MicroOp] = []
+        #: Each unit's issue queue and its capacity.
+        cfg = self.config
+        self._iq_of: Dict[Unit, Tuple[List[MicroOp], int]] = {
+            unit: (self.int_iq, cfg.int_iq_entries) for unit in Unit}
+        self._iq_of[Unit.MEM] = (self.mem_iq, cfg.mem_iq_entries)
+        self._iq_of[Unit.FP] = (self.fp_iq, cfg.fp_iq_entries)
         self.load_queue: List[MicroOp] = []
         self.store_queue: List[MicroOp] = []
         self._store_drains: List[Tuple[int, MicroOp]] = []
@@ -375,20 +384,13 @@ class Core:
         # cycle -- except a load waiting on store-forward data.
         for iq in (self.int_iq, self.mem_iq, self.fp_iq):
             for uop in iq:
-                ready: Optional[int] = cycle
-                for producer in uop.src_uops:
-                    if producer is None:
-                        continue
-                    if not producer.executed or \
-                            producer.fault_vpn is not None:
+                ready = uop.ready_cycle
+                if ready < 0:
+                    ready = uop.sources_ready_at()
+                    if ready < 0:
                         # Bounded transitively: the producer is itself
                         # in an issue queue, or awaiting its exception.
-                        ready = None
-                        break
-                    if producer.done_cycle > ready:
-                        ready = producer.done_cycle
-                if ready is None:
-                    continue
+                        continue
                 if ready > cycle:
                     events.append(ready)
                     continue
@@ -410,7 +412,7 @@ class Core:
                 events.append(uop.visible_cycle)
             else:
                 inst = uop.inst
-                iq, capacity = self._iq_for(inst)
+                iq, capacity = self._iq_of[inst.unit]
                 blocked = (
                     (inst.is_serializing
                      and (rob or self.store_queue))
@@ -465,9 +467,10 @@ class Core:
     # -- branch resolution ----------------------------------------------------
 
     def _resolve_branches(self, cycle: int) -> None:
-        if not self._resolve_queue:
+        pending = self._resolve_queue
+        if not pending:
             return
-        pending = sorted((u for u in self._resolve_queue), key=lambda u: u.seq)
+        pending.sort(key=_SEQ)  # oldest first, whatever the issue order
         self._resolve_queue = []
         for uop in pending:
             if uop.squashed:
@@ -539,7 +542,7 @@ class Core:
             outcome = self.hierarchy.data_access(uop.eff_addr, cycle,
                                                  is_write=True)
             self._store_drains.append((cycle + outcome.latency, uop))
-        if uop in self.load_queue:
+        if inst.is_load and uop in self.load_queue:
             self.load_queue.remove(uop)
 
         # CSR side effects.
@@ -631,15 +634,15 @@ class Core:
         def keep(items):
             return [u for u in items if u.seq < seq]
 
+        # The ROB is in sequence order: the squashed uops are its tail.
         squashed: List[MicroOp] = []
-        for uop in self.rob:
-            if uop.seq >= seq:
-                uop.squashed = True
-        while self.rob and self.rob[-1].seq >= seq:
-            squashed.append(self.rob.pop())
-        self.int_iq = keep(self.int_iq)
-        self.mem_iq = keep(self.mem_iq)
-        self.fp_iq = keep(self.fp_iq)
+        rob = self.rob
+        while rob and rob[-1].seq >= seq:
+            uop = rob.pop()
+            uop.squashed = True
+            squashed.append(uop)
+        for iq in (self.int_iq, self.mem_iq, self.fp_iq):
+            iq[:] = keep(iq)  # in place: ``_iq_of`` holds the queues
         self.load_queue = keep(self.load_queue)
         self.store_queue = [u for u in self.store_queue
                             if u.seq < seq or u.commit_cycle >= 0]
@@ -673,9 +676,7 @@ class Core:
         # Squashing severed every reference to the discarded uops (any
         # consumer holding them in ``src_uops`` is strictly younger and
         # was discarded too), so they recycle immediately.
-        pool = self._uop_pool
-        for uop in squashed:
-            pool.release(uop)
+        self._uop_pool.release(squashed)
 
     def _harvest_retired(self) -> None:
         """Recycle committed uops no in-flight consumer can reference.
@@ -693,13 +694,15 @@ class Core:
         retired = self._retired
         rob = self.rob
         min_seq = rob[0].seq if rob else self._next_seq
-        pool = self._uop_pool
+        free = []
         while retired:
             snapshot, uop = retired[0]
             if snapshot > min_seq or uop.draining:
                 break
             retired.popleft()
-            pool.release(uop)
+            free.append(uop)
+        if free:
+            self._uop_pool.release(free)
 
     # -- stores draining to memory --------------------------------------------
 
@@ -719,16 +722,24 @@ class Core:
     # -- issue / execute ------------------------------------------------------
 
     def _issue_stage(self, cycle: int) -> None:
-        self._issue_from(self.int_iq, self.config.int_issue_width, cycle)
-        self._issue_from(self.mem_iq, self.config.mem_issue_width, cycle)
-        self._issue_from(self.fp_iq, self.config.fp_issue_width, cycle)
+        cfg = self.config
+        if self.int_iq:
+            self._issue_from(self.int_iq, cfg.int_issue_width, cycle)
+        if self.mem_iq:
+            self._issue_from(self.mem_iq, cfg.mem_issue_width, cycle)
+        if self.fp_iq:
+            self._issue_from(self.fp_iq, cfg.fp_issue_width, cycle)
 
     def _issue_from(self, iq: List[MicroOp], width: int, cycle: int) -> None:
+        """Issue up to *width* ready uops of *iq*, oldest first."""
         issued: List[MicroOp] = []
         for uop in iq:
-            if len(issued) >= width:
-                break
-            if not self._sources_ready(uop, cycle):
+            ready = uop.ready_cycle
+            if ready < 0:
+                ready = uop.sources_ready_at()
+                if ready < 0:
+                    continue
+            if ready > cycle:
                 continue
             if uop.inst.is_mem:
                 if not self._issue_mem(uop, cycle):
@@ -736,32 +747,23 @@ class Core:
             else:
                 self._issue_alu(uop, cycle)
             issued.append(uop)
+            if len(issued) >= width:
+                break
         for uop in issued:
             iq.remove(uop)
-
-    def _sources_ready(self, uop: MicroOp, cycle: int) -> bool:
-        for producer in uop.src_uops:
-            if producer is None:
-                continue
-            if not producer.done_by(cycle):
-                return False
-            if producer.fault_vpn is not None:
-                # A faulting producer never broadcasts a result; its
-                # consumers wait and are squashed when the exception
-                # fires at the head of the ROB.
-                return False
-        return True
 
     def _operand_value(self, uop: MicroOp, index: int):
         producer = uop.src_uops[index]
         if producer is not None:
             return producer.result
-        reg = uop.inst.sources[index]
-        return 0 if reg == 0 else self.regs[reg]
+        return self.regs[uop.inst.sources[index]]
 
     def _operands(self, uop: MicroOp) -> tuple:
-        return tuple(self._operand_value(uop, i)
-                     for i in range(len(uop.inst.sources)))
+        # ``regs[0]`` is x0: commit never writes it, so it reads 0.
+        regs = self.regs
+        return tuple([regs[reg] if producer is None else producer.result
+                      for reg, producer
+                      in zip(uop.inst.sources, uop.src_uops)])
 
     def _issue_alu(self, uop: MicroOp, cycle: int) -> None:
         inst = uop.inst
@@ -871,58 +873,58 @@ class Core:
 
     # -- dispatch -------------------------------------------------------------
 
-    def _iq_for(self, inst: Instruction):
-        unit = inst.unit
-        if unit is Unit.MEM:
-            return self.mem_iq, self.config.mem_iq_entries
-        if unit is Unit.FP:
-            return self.fp_iq, self.config.fp_iq_entries
-        return self.int_iq, self.config.int_iq_entries
-
     def _dispatch_stage(self, cycle: int) -> None:
+        buffer = self.fetch_buffer
+        if not buffer or self.serialize_uop is not None:
+            return
         cfg = self.config
-        count = 0
-        while count < cfg.decode_width and self.fetch_buffer:
-            if self.serialize_uop is not None:
-                break
-            uop = self.fetch_buffer[0]
+        rob = self.rob
+        iq_of = self._iq_of
+        producers = self.producers
+        load_queue, store_queue = self.load_queue, self.store_queue
+        dispatched = self._dispatched_now
+        banks = cfg.rob_banks
+        bank = self._next_bank
+        for _ in range(min(cfg.decode_width, len(buffer),
+                           cfg.rob_entries - len(rob))):
+            uop = buffer[0]
             if uop.visible_cycle > cycle:
                 break
             inst = uop.inst
-            if inst.is_serializing and (self.rob or self.store_queue):
+            if inst.is_serializing and (rob or store_queue):
                 break
-            if len(self.rob) >= cfg.rob_entries:
-                break
-            iq, capacity = self._iq_for(inst)
+            iq, capacity = iq_of[inst.unit]
             if len(iq) >= capacity:
                 break
-            if inst.is_load and \
-                    len(self.load_queue) >= cfg.load_queue_entries:
-                break
-            if inst.is_store and \
-                    len(self.store_queue) >= cfg.store_queue_entries:
-                break
+            if inst.is_mem:
+                if inst.is_load and \
+                        len(load_queue) >= cfg.load_queue_entries:
+                    break
+                if inst.is_store and \
+                        len(store_queue) >= cfg.store_queue_entries:
+                    break
 
-            self.fetch_buffer.popleft()
+            buffer.popleft()
             uop.dispatch_cycle = cycle
-            uop.bank = self._next_bank
-            self._next_bank = (self._next_bank + 1) % cfg.rob_banks
-            uop.src_uops = tuple(
-                self.producers.get(reg) if reg != 0 else None
-                for reg in inst.sources)
-            if inst.rd is not None and inst.rd != 0:
-                self.producers[inst.rd] = uop
-            self.rob.append(uop)
+            uop.bank = bank
+            bank = (bank + 1) % banks
+            # ``producers`` never maps x0, so x0 reads the register file.
+            uop.src_uops = tuple(map(producers.get, inst.sources))
+            rd = inst.rd
+            if rd is not None and rd != 0:
+                producers[rd] = uop
+            rob.append(uop)
             iq.append(uop)
-            if inst.is_load and inst.kind is not Kind.ATOMIC:
-                self.load_queue.append(uop)
-            if inst.is_store:
-                self.store_queue.append(uop)
-            self._dispatched_now.append(inst.addr)
-            count += 1
+            if inst.is_mem:
+                if inst.is_load and inst.kind is not Kind.ATOMIC:
+                    load_queue.append(uop)
+                if inst.is_store:
+                    store_queue.append(uop)
+            dispatched.append(inst.addr)
             if inst.is_serializing:
                 self.serialize_uop = uop
                 break
+        self._next_bank = bank
 
     # -- fetch ----------------------------------------------------------------
 
@@ -932,35 +934,75 @@ class Core:
         if self.halted or cycle < self.fetch_ready_cycle:
             return
         cfg = self.config
+        buffer = self.fetch_buffer
+        room = min(cfg.fetch_width,
+                   cfg.fetch_buffer_entries - len(buffer))
+        if room <= 0:
+            return
         block_size = cfg.memory.block_size
-        budget = cfg.fetch_width
-        while budget > 0 and len(self.fetch_buffer) < cfg.fetch_buffer_entries:
+        groups = self._groups
+        acquire = self._uop_pool.acquire
+        visible = cycle + cfg.frontend_latency
+        seq = self._next_seq
+        while room > 0:
             if self.outstanding_branches >= cfg.max_outstanding_branches:
                 break
-            inst = self.program.fetch(self.fetch_pc)
-            if inst is None:
+            pc = self.fetch_pc
+            group = groups.get(pc)
+            if group is None:
+                group = groups[pc] = self._fetch_group(pc)
+            if not group:
                 break  # off the text segment (wrong path); wait for redirect
 
-            block = self.fetch_pc // block_size
+            block = pc // block_size
             if block != self._last_fetch_block:
-                outcome = self.hierarchy.inst_fetch(self.fetch_pc, cycle)
+                outcome = self.hierarchy.inst_fetch(pc, cycle)
                 self._last_fetch_block = block
                 if outcome.latency > cfg.memory.l1i_latency + 1:
                     self.fetch_ready_cycle = cycle + outcome.latency
                     break
 
-            uop = self._uop_pool.acquire(inst, self._next_seq, cycle,
-                                         cycle + cfg.frontend_latency)
-            self._next_seq += 1
-            self.stats.fetched += 1
-            redirected = self._predict(uop, cycle)
-            self.fetch_buffer.append(uop)
-            budget -= 1
-            if redirected:
+            if len(group) > room:
+                group = group[:room]  # the next cycle resumes mid-group
+            uops = acquire(group, seq, cycle, visible)
+            buffer.extend(uops)
+            seq += len(uops)
+            room -= len(uops)
+            inst = group[-1]
+            if inst.is_control:
+                if self._predict(uops[-1], cycle):
+                    break
+            else:
+                self.fetch_pc = inst.next_addr
+        self.stats.fetched += seq - self._next_seq
+        self._next_seq = seq
+
+    def _fetch_group(self, pc: int) -> tuple:
+        """The instructions fetch takes in one go from *pc*.
+
+        A group is the straight-line run from *pc*: it ends after the
+        first control instruction or at the end of *pc*'s cache block,
+        whichever comes first, and is empty when *pc* is off the text.
+        The program text is static, so the core builds each group once.
+        """
+        fetch = self.program.fetch
+        block_size = self.config.memory.block_size
+        block = pc // block_size
+        group = []
+        inst = fetch(pc)
+        while inst is not None:
+            group.append(inst)
+            if inst.is_control or inst.next_addr // block_size != block:
                 break
+            inst = fetch(inst.next_addr)
+        return tuple(group)
 
     def _predict(self, uop: MicroOp, cycle: int) -> bool:
-        """Predict control flow for a fetched uop; returns True on redirect."""
+        """Predict control flow for a fetched uop; returns True on redirect.
+
+        A uop's ``predicted_target`` is its fall-through address until
+        this sets another one.
+        """
         inst = uop.inst
         if inst.is_branch:
             prediction = self.predictor.predict(inst.addr)
@@ -975,7 +1017,6 @@ class Core:
                         cycle + self.config.btb_miss_penalty
                 self.fetch_pc = inst.imm
                 return True
-            uop.predicted_target = inst.next_addr
             self.fetch_pc = inst.next_addr
             return False
 
@@ -1001,7 +1042,6 @@ class Core:
             self.fetch_pc = target
             return target != inst.next_addr
 
-        uop.predicted_target = inst.next_addr
         self.fetch_pc = inst.next_addr
         return False
 
@@ -1079,6 +1119,8 @@ class Core:
             for observer in self.observers:
                 observer.on_block(block)
 
+
+_SEQ = attrgetter("seq")
 
 #: Stepped rows columnarized at a time: the open block holds at most
 #: this many row tuples (about half a kilobyte each) at once.

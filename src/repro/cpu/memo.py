@@ -627,8 +627,8 @@ class LoopMemoizer:
                 uop.result = value
                 if uop.inst.is_store:
                     uop.store_value = store_value
-            for attr in ("fetch_cycle", "visible_cycle",
-                         "dispatch_cycle", "issue_cycle", "done_cycle"):
+            for attr in ("fetch_cycle", "visible_cycle", "dispatch_cycle",
+                         "issue_cycle", "done_cycle", "ready_cycle"):
                 v = getattr(uop, attr)
                 if now < v < _NOT_DONE:
                     setattr(uop, attr, v + skip)

@@ -8,7 +8,8 @@ fetch buffer, ROB, issue queues and LSU.  Plain attribute access on a
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import defaultdict
+from typing import DefaultDict, Iterable, List, Optional, Sequence
 
 from ..isa.instruction import Instruction
 
@@ -24,7 +25,7 @@ class MicroOp:
         "executed", "issued", "result", "eff_addr", "store_value",
         "predicted_taken", "predicted_target", "actual_taken",
         "actual_target", "mispredicted", "fault_vpn", "order_violation",
-        "squashed", "src_uops", "prediction", "draining",
+        "squashed", "src_uops", "prediction", "draining", "ready_cycle",
     )
 
     def __init__(self, inst: Instruction, seq: int, fetch_cycle: int,
@@ -55,7 +56,8 @@ class MicroOp:
         self.eff_addr: Optional[int] = None
         self.store_value: Optional[float] = None
         self.predicted_taken = False
-        self.predicted_target: Optional[int] = None
+        #: Fall-through until fetch predicts a control instruction.
+        self.predicted_target: Optional[int] = self.inst.next_addr
         self.actual_taken = False
         self.actual_target: Optional[int] = None
         self.mispredicted = False
@@ -71,6 +73,9 @@ class MicroOp:
         #: Committed store still draining through the write buffer; such
         #: a uop may not be recycled until the drain completes.
         self.draining = False
+        #: Cycle from which every source operand is available, cached
+        #: by :meth:`sources_ready_at` (-1 until known).
+        self.ready_cycle = -1
 
     @property
     def addr(self) -> int:
@@ -79,6 +84,28 @@ class MicroOp:
     def done_by(self, cycle: int) -> bool:
         """Has this uop finished execution by *cycle* (inclusive)?"""
         return self.executed and self.done_cycle <= cycle
+
+    def sources_ready_at(self) -> int:
+        """The first cycle at which this uop may issue, or -1 while a
+        producer has not executed or has faulted.
+
+        A faulting producer never broadcasts a result; its consumers
+        wait and are squashed when the exception fires at the head of
+        the ROB.  Otherwise every producer's ``done_cycle`` is fixed
+        once it executes (only the loop memoizer's skip shifts it, and
+        ``ready_cycle`` with it), so the answer is cached in
+        ``ready_cycle`` and callers read that first.
+        """
+        ready = 0
+        for producer in self.src_uops:
+            if producer is None:
+                continue
+            if not producer.executed or producer.fault_vpn is not None:
+                return -1
+            if producer.done_cycle > ready:
+                ready = producer.done_cycle
+        self.ready_cycle = ready
+        return ready
 
     def __repr__(self) -> str:
         return (f"<uop #{self.seq} {self.inst.op.value}@{self.inst.addr:#x} "
@@ -99,16 +126,27 @@ class MicroOpPool:
     __slots__ = ("_free",)
 
     def __init__(self):
-        self._free: dict = {}
+        self._free: DefaultDict[int, List[MicroOp]] = defaultdict(list)
 
-    def acquire(self, inst: Instruction, seq: int, fetch_cycle: int,
-                visible_cycle: int) -> MicroOp:
-        free = self._free.get(inst.addr)
-        if free:
-            uop = free.pop()
-            uop.stamp(seq, fetch_cycle, visible_cycle)
-            return uop
-        return MicroOp(inst, seq, fetch_cycle, visible_cycle)
+    def acquire(self, insts: Sequence[Instruction], seq: int,
+                fetch_cycle: int, visible_cycle: int) -> List[MicroOp]:
+        """One fresh uop per instruction of *insts* (a fetch group),
+        numbered from *seq* in order."""
+        free = self._free
+        uops = []
+        for inst in insts:
+            stack = free.get(inst.addr)
+            if stack:
+                uop = stack.pop()
+                uop.stamp(seq, fetch_cycle, visible_cycle)
+            else:
+                uop = MicroOp(inst, seq, fetch_cycle, visible_cycle)
+            uops.append(uop)
+            seq += 1
+        return uops
 
-    def release(self, uop: MicroOp) -> None:
-        self._free.setdefault(uop.inst.addr, []).append(uop)
+    def release(self, uops: Iterable[MicroOp]) -> None:
+        """Return *uops* to their free lists."""
+        free = self._free
+        for uop in uops:
+            free[uop.inst.addr].append(uop)

@@ -36,12 +36,13 @@ Invariants (rule ids used in reports and tests):
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.report import format_diag
 from ..fastpath.block import (_F_EMPTY, _F_EXC, _F_HEAD, _F_ORD,
                               _M_FLUSHES, _M_MISPREDICT, CycleBlock)
 from ..fastpath.engine import replay_blocks
+from ..isa.instruction import Instruction
 from ..isa.opcodes import Kind
 from ..isa.program import Program
 from ..cpu.trace import TraceObserver
@@ -100,6 +101,10 @@ class TraceSanitizer(TraceObserver):
         self._last_cycle: Optional[int] = None
         #: A flush or exception last cycle: this cycle must commit nothing.
         self._drain_pending = False
+        #: Committed address -> its instruction (``None`` off the text)
+        #: and :meth:`_allowed_successors`, worked out once per address.
+        self._facts: Dict[int, Tuple[Optional[Instruction],
+                                     Optional[frozenset]]] = {}
 
     @classmethod
     def for_machine(cls, machine: "object",
@@ -233,7 +238,13 @@ class TraceSanitizer(TraceObserver):
                 f"of its cycle", addr=addr)
         if self.program is None:
             return
-        inst = self.program.fetch(addr)
+        facts = self._facts.get(addr)
+        if facts is None:
+            inst = self.program.fetch(addr)
+            facts = self._facts[addr] = (
+                inst, None if inst is None else
+                self._allowed_successors(inst))
+        inst, allowed = facts
         if inst is None:
             self._report(
                 "S003", cycle,
@@ -263,7 +274,6 @@ class TraceSanitizer(TraceObserver):
             return
         if flushes:
             return  # S005 already rejects non-final flushes
-        allowed = self._allowed_successors(inst)
         if allowed is not None and nxt not in allowed:
             names = ", ".join(hex(a) for a in sorted(allowed))
             self._report(
@@ -272,16 +282,16 @@ class TraceSanitizer(TraceObserver):
                 f"expected one of [{names}] (program order)", addr=addr)
 
     @staticmethod
-    def _allowed_successors(inst) -> Optional[set]:
+    def _allowed_successors(inst) -> Optional[frozenset]:
         """Dynamic successors of *inst*, or None when unconstrained."""
         kind = inst.kind
         if kind is Kind.BRANCH:
-            return {inst.imm, inst.next_addr}
+            return frozenset((inst.imm, inst.next_addr))
         if kind in (Kind.CALL, Kind.JUMP):
-            return {inst.imm}
+            return frozenset((inst.imm,))
         if kind in (Kind.RETURN, Kind.SRET):
             return None  # indirect target: not statically known
-        return {inst.next_addr}
+        return frozenset((inst.next_addr,))
 
     # -- reporting ------------------------------------------------------------
 

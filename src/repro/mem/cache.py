@@ -110,6 +110,9 @@ class Cache(MemoryLevel):
         self._sets: Dict[int, List[int]] = {}
         self._mshrs: List[_Mshr] = []
         self.stats = CacheStats()
+        #: Every plain hit returns this one result; callers only read
+        #: results.
+        self._hit = AccessResult(hit_latency, name, True)
 
     # -- helpers --------------------------------------------------------------
 
@@ -120,10 +123,11 @@ class Cache(MemoryLevel):
         return block % self.num_sets
 
     def _lookup(self, block: int) -> bool:
-        ways = self._sets.get(self._set_of(block))
+        ways = self._sets.get(block % self.num_sets)
         if ways is not None and block in ways:
-            ways.remove(block)
-            ways.append(block)
+            if ways[-1] != block:  # else already most recently used
+                ways.remove(block)
+                ways.append(block)
             return True
         return False
 
@@ -136,16 +140,16 @@ class Cache(MemoryLevel):
         ways.append(block)
 
     def _expire_mshrs(self, cycle: int) -> None:
-        if self._mshrs:
-            self._mshrs = [m for m in self._mshrs if m.ready > cycle]
+        self._mshrs = [m for m in self._mshrs if m.ready > cycle]
 
     # -- the access path ------------------------------------------------------
 
     def access(self, addr: int, cycle: int,
                is_write: bool = False) -> AccessResult:
         self.stats.accesses += 1
-        block = self._block_of(addr)
-        self._expire_mshrs(cycle)
+        block = addr // self.block_size
+        if self._mshrs:
+            self._expire_mshrs(cycle)
 
         if self._lookup(block):
             self.stats.hits += 1
@@ -157,7 +161,7 @@ class Cache(MemoryLevel):
                     return AccessResult(
                         max(mshr.ready - cycle, self.hit_latency),
                         self.name, True)
-            return AccessResult(self.hit_latency, self.name, True)
+            return self._hit
 
         self.stats.misses += 1
 

@@ -59,6 +59,10 @@ class TranslationResult:
     source: str
 
 
+#: Every L1 TLB hit returns this one result; callers only read results.
+_L1_HIT = TranslationResult(0, False, "l1")
+
+
 class Tlb:
     """A fully-associative LRU TLB (L1) or direct-mapped TLB (L2)."""
 
@@ -75,10 +79,11 @@ class Tlb:
         if self.direct_mapped:
             hit = self._direct_entries.get(vpn % self.capacity) == vpn
         else:
-            hit = vpn in self._assoc_entries
-            if hit:
-                self._assoc_entries.remove(vpn)
-                self._assoc_entries.append(vpn)
+            entries = self._assoc_entries
+            hit = vpn in entries
+            if hit and entries[-1] != vpn:  # else already most recent
+                entries.remove(vpn)
+                entries.append(vpn)
         if hit:
             self.hits += 1
         else:
@@ -154,9 +159,9 @@ class TlbHierarchy:
         self.page_table = page_table
 
     def translate(self, addr: int, cycle: int) -> TranslationResult:
-        vpn = vpn_of(addr)
+        vpn = addr >> PAGE_SHIFT
         if self.l1.lookup(vpn):
-            return TranslationResult(0, False, "l1")
+            return _L1_HIT
         if self.l2.lookup(vpn):
             self.l1.insert(vpn)
             return TranslationResult(self.L2_LATENCY, False, "l2")

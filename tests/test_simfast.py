@@ -6,7 +6,9 @@ single-stepping -- the same v3 trace bytes and the same profiler
 reports, floating point included.
 """
 
+import importlib.util
 import io
+import json
 import os
 import random
 
@@ -110,12 +112,35 @@ def test_fast_forward_fires_on_stall_heavy_program():
 MEMOIZED_AT_SMALL_SCALE = ("exchange2", "x264")
 
 
+def _load_golden_generator():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "data", "make_golden.py")
+    spec = importlib.util.spec_from_file_location("make_golden", path)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden_gen = _load_golden_generator()
+
+with open(golden_gen.SUITE_EXPECTED) as _handle:
+    SUITE_EXPECTED = json.load(_handle)
+
+
+def test_suite_expected_covers_every_benchmark():
+    assert sorted(SUITE_EXPECTED) == sorted(BENCHMARKS)
+
+
 @pytest.mark.parametrize("name", BENCHMARKS)
 def test_fast_experiment_results_identical(name):
-    workload, = build_suite([name], scale=0.05)
-    profilers = default_profilers(53)
+    """Step and fast agree, and both equal the pinned suite results
+    (``tests/data/suite_expected.json``)."""
+    workload, = build_suite([name], scale=golden_gen.SUITE_SCALE)
+    profilers = default_profilers(golden_gen.SUITE_PERIOD)
     r_step = run_workload(workload, profilers)
     r_fast = run_workload(workload, profilers, sim="fast")
+    assert golden_gen.suite_entry(r_fast) == SUITE_EXPECTED[name]
     assert oracle_tables(r_step.oracle) == oracle_tables(r_fast.oracle)
     assert {label: profile_checksum(p.samples)
             for label, p in r_step.profilers.items()} == \
@@ -274,7 +299,8 @@ def test_cache_corrupt_entry_is_evicted_miss(tmp_path):
                  cache=cache)
     key, = cache.keys()
     trace_path = cache._trace_path(key)
-    blob = bytearray(open(trace_path, "rb").read())
+    with open(trace_path, "rb") as fh:
+        blob = bytearray(fh.read())
     blob[len(blob) // 2] ^= 0xFF
     with open(trace_path, "wb") as fh:
         fh.write(blob)
